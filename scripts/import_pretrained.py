@@ -4,8 +4,9 @@
 Inputs: a tensor archive of externally named weights (export each named
 tensor from its source ecosystem into the TARCH1 format first), a
 name-mapping TSV (`external<TAB>internal`, see README for the internal
-naming scheme), and the model configuration file. Writes a full model
-archive usable with `handover-ie train --pretrained`.
+naming scheme), and a `key=value` config file whose model keys give the
+shape (training keys may share the file and are ignored). Writes a full
+model archive usable with `handover-ie train --pretrained`.
 """
 from __future__ import annotations
 
@@ -16,19 +17,21 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie.encoder import EncoderModel, ModelConfig, import_pretrained, save_model
+from handover_ie.pipeline import parse_config_text
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--archive", required=True, help="external-name tensor archive")
     parser.add_argument("--mapping", required=True, help="external<TAB>internal names")
-    parser.add_argument("--config", required=True, help="model config key=value file")
+    parser.add_argument("--config", required=True, help="train+model config key=value file")
     parser.add_argument("--out", required=True, help="output model archive")
     parser.add_argument("--seed", type=int, default=0,
                         help="init seed for tensors not covered by the mapping")
     args = parser.parse_args()
 
-    config = ModelConfig.from_text(Path(args.config).read_text(encoding="utf-8"))
+    _, model_kw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+    config = ModelConfig(**model_kw)
     model = EncoderModel(config, seed=args.seed)
     imported = import_pretrained(model, args.archive, args.mapping)
     save_model(model, args.out)

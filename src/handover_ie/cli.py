@@ -12,9 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline
-from .crf import TrainingDivergence
-from .encoder import CompatibilityError, ModelConfig
-from .tensor import ShapeError
+from .encoder import ModelConfig
+from .tensor import TrainingDivergence
 from .tokenizer import (
     dump_merges,
     dump_vocab,
@@ -229,16 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-VALIDATION_ERRORS = (
-    corpus.ParseError,
-    corpus.LabelingError,
-    evaluation.AlignmentError,
-    CompatibilityError,
-    ShapeError,
-    ValueError,
-    FileNotFoundError,
-    IndexError,
-)
+VALIDATION_ERRORS = (ValueError, FileNotFoundError, IndexError)
 
 
 def main(argv=None) -> int:

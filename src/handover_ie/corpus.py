@@ -49,9 +49,10 @@ _CATEGORY_LOOKUP = {_normalize_category(c): c for c in MAIN_CATEGORIES}
 
 @dataclass(frozen=True, slots=True)
 class LabelScheme:
-    """Ordered label inventory with one designated N.A. label.
+    """Ordered label inventory that leads with its N.A. label.
 
-    Label ids are positions in ``labels``. A label spelled like
+    Label ids are positions in ``labels``; N.A. is always id 0, so a
+    scheme file (one label per line) keeps every id. A label spelled like
     ``CATEGORY/rest`` with a recognized category prefix belongs to that
     main category; everything else (including N.A. itself) maps to the
     N.A. category.
@@ -63,8 +64,8 @@ class LabelScheme:
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate label names in scheme")
-        if self.na_label not in self.labels:
-            raise ValueError(f"N.A. label {self.na_label!r} missing from scheme")
+        if self.labels[:1] != (self.na_label,):
+            raise ValueError(f"scheme must start with its N.A. label {self.na_label!r}")
 
     @classmethod
     def from_labels(cls, observed: Iterable[str], na_label: str = "N.A.") -> "LabelScheme":
@@ -221,8 +222,7 @@ def load_scheme(text: str) -> LabelScheme:
 
 
 def dump_scheme(scheme: LabelScheme) -> str:
-    ordered = [scheme.na_label] + [l for l in scheme.labels if l != scheme.na_label]
-    return "".join(line + "\n" for line in ordered)
+    return "".join(label + "\n" for label in scheme.labels)
 
 
 def evaluated_classes(train: RecordSet, scheme: LabelScheme) -> frozenset[int]:

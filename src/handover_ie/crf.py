@@ -2,11 +2,12 @@
 
 Unary features are indicator functions over word windows around the
 current position (previous/current/next words and their conjunctions),
-each conjoined with the current label; a single bigram template
-contributes pure label-transition weights. Inference is log-space
-forward-backward and Viterbi; training is penalized maximum likelihood
-under a limited-memory quasi-Newton optimizer with a strong Wolfe line
-search, so runs are bit-reproducible.
+each conjoined with the current label; a |Y| x |Y| block of weights scores
+label transitions. Inference is log-space forward-backward and Viterbi;
+training is penalized maximum likelihood under a limited-memory
+quasi-Newton optimizer with a strong Wolfe line search, so runs are
+bit-reproducible. A saved model is a features file with one row per
+observation, in id order, plus a weights archive.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import LabelScheme, RecordSet
-from .tensor import load_archive, save_archive
+from .tensor import TrainingDivergence, load_archive, save_archive
 
 BOS = "__BOS__"
 EOS = "__EOS__"
@@ -30,25 +31,14 @@ UNIGRAM_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("w[0]|w[+1]", (0, 1)),
     ("w[-1]|w[0]|w[+1]", (-1, 0, 1)),
 )
-BIGRAM_TEMPLATE = "bigram"
+
+# L-BFGS history length and strong Wolfe sufficient-decrease/curvature constants
+LBFGS_MEMORY = 10
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
-class TrainingDivergence(RuntimeError):
-    """Loss became non-finite during optimization."""
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureTemplateSet:
-    """The fixed template inventory; bigram adds label-transition weights."""
-
-    unigrams: tuple[tuple[str, tuple[int, ...]], ...] = UNIGRAM_TEMPLATES
-    use_bigram: bool = True
-
-
-DEFAULT_TEMPLATES = FeatureTemplateSet()
-
-
-def template_surface(words: Sequence[str], pos: int, offsets: tuple[int, ...]) -> str:
+def template_surface(words: Sequence[str], pos: int, offsets: tuple[int, ...]) -> tuple[str, ...]:
     parts = []
     for off in offsets:
         j = pos + off
@@ -58,15 +48,13 @@ def template_surface(words: Sequence[str], pos: int, offsets: tuple[int, ...]) -
             parts.append(EOS)
         else:
             parts.append(words[j])
-    return "|".join(parts)
+    return tuple(parts)
 
 
-def extract_features(
-    words: Sequence[str], templates: FeatureTemplateSet = DEFAULT_TEMPLATES
-) -> list[list[tuple[int, str]]]:
+def extract_features(words: Sequence[str]) -> list[list[tuple[int, tuple[str, ...]]]]:
     """Per position: (template index, surface) firings, in template order."""
     return [
-        [(ti, template_surface(words, pos, offs)) for ti, (_, offs) in enumerate(templates.unigrams)]
+        [(ti, template_surface(words, pos, offs)) for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES)]
         for pos in range(len(words))
     ]
 
@@ -74,9 +62,8 @@ def extract_features(
 class FeatureIndex:
     """Maps (template, surface) observations seen in training to dense ids."""
 
-    def __init__(self, templates: FeatureTemplateSet = DEFAULT_TEMPLATES):
-        self.templates = templates
-        self.obs: dict[tuple[int, str], int] = {}
+    def __init__(self):
+        self.obs: dict[tuple[int, tuple[str, ...]], int] = {}
 
     @property
     def num_obs(self) -> int:
@@ -86,9 +73,9 @@ class FeatureIndex:
         """Index observations seen at least min_count times (1 = keep all)."""
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
-        seen: dict[tuple[int, str], int] = {}
+        seen: dict[tuple[int, tuple[str, ...]], int] = {}
         for words in record_words:
-            for firings in extract_features(words, self.templates):
+            for firings in extract_features(words):
                 for key in firings:
                     seen[key] = seen.get(key, 0) + 1
                     if seen[key] >= min_count and key not in self.obs:
@@ -98,7 +85,7 @@ class FeatureIndex:
     def transform(self, words: Sequence[str]) -> list[list[int]]:
         """Active observation ids per position; unseen surfaces are dropped."""
         out = []
-        for firings in extract_features(words, self.templates):
+        for firings in extract_features(words):
             out.append([self.obs[key] for key in firings if key in self.obs])
         return out
 
@@ -121,11 +108,10 @@ class CrfModel:
         cls,
         train: RecordSet,
         scheme: LabelScheme,
-        templates: FeatureTemplateSet = DEFAULT_TEMPLATES,
         l2_lambda: float = 1.0,
         feature_cutoff: int = 1,
     ) -> "CrfModel":
-        index = FeatureIndex(templates).fit(
+        index = FeatureIndex().fit(
             (r.words for r in train.records), min_count=feature_cutoff
         )
         n = index.num_obs * len(scheme.labels) + len(scheme.labels) ** 2
@@ -274,9 +260,6 @@ def nll_and_grad(
 class OptimizerSettings:
     max_iters: int = 100
     grad_tol: float = 1e-5
-    memory: int = 10
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
 
 
 def _wolfe_line_search(
@@ -285,8 +268,6 @@ def _wolfe_line_search(
     f0: float,
     g0: np.ndarray,
     direction: np.ndarray,
-    c1: float,
-    c2: float,
     max_steps: int = 25,
 ) -> tuple[float, float, np.ndarray] | None:
     """Strong Wolfe search along direction; returns (step, f, g) or None."""
@@ -304,10 +285,10 @@ def _wolfe_line_search(
             f, d, g = phi(step)
             if not np.isfinite(f):
                 raise TrainingDivergence(f"non-finite loss {f} during line search")
-            if f > f0 + c1 * step * d0 or f >= f_lo:
+            if f > f0 + WOLFE_C1 * step * d0 or f >= f_lo:
                 hi = step
             else:
-                if abs(d) <= -c2 * d0:
+                if abs(d) <= -WOLFE_C2 * d0:
                     return step, f, g
                 if d * (hi - lo) >= 0.0:
                     hi = lo
@@ -320,9 +301,9 @@ def _wolfe_line_search(
         f, d, g = phi(step)
         if not np.isfinite(f):
             raise TrainingDivergence(f"non-finite loss {f} during line search")
-        if f > f0 + c1 * step * d0 or (i > 0 and f >= prev_f):
+        if f > f0 + WOLFE_C1 * step * d0 or (i > 0 and f >= prev_f):
             return zoom(prev_step, prev_f, step)
-        if abs(d) <= -c2 * d0:
+        if abs(d) <= -WOLFE_C2 * d0:
             return step, f, g
         if d >= 0.0:
             return zoom(step, f, prev_step)
@@ -364,15 +345,11 @@ def minimize_lbfgs(
             b = rho * float(yv @ q)
             q += (a - b) * s
         direction = -q
-        result = _wolfe_line_search(
-            fun, x, f, g, direction, settings.wolfe_c1, settings.wolfe_c2
-        )
+        result = _wolfe_line_search(fun, x, f, g, direction)
         if result is None:
             # restart along steepest descent; give up if that fails too
             direction = -g
-            result = _wolfe_line_search(
-                fun, x, f, g, direction, settings.wolfe_c1, settings.wolfe_c2
-            )
+            result = _wolfe_line_search(fun, x, f, g, direction)
             if result is None:
                 return x, history, False
             s_hist.clear()
@@ -383,7 +360,7 @@ def minimize_lbfgs(
         if float(s @ yv) > 1e-10:
             s_hist.append(s)
             y_hist.append(yv)
-            if len(s_hist) > settings.memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x = x + s
@@ -456,18 +433,14 @@ def tl_init(
 # --- serialization ---------------------------------------------------------------
 
 def dump_features(model: CrfModel) -> str:
-    """Text table: template<TAB>surface<TAB>label<TAB>slot, unary then bigram."""
-    names = [name for name, _ in model.index.templates.unigrams]
-    rows = []
-    y = model.num_labels
-    for (ti, surface), obs in sorted(model.index.obs.items(), key=lambda kv: kv[1]):
-        for lab_id, label in enumerate(model.labels):
-            rows.append(f"{names[ti]}\t{surface}\t{label}\t{obs * y + lab_id}")
-    base = model.index.num_obs * y
-    for i, prev in enumerate(model.labels):
-        for j, cur in enumerate(model.labels):
-            rows.append(f"{BIGRAM_TEMPLATE}\t{prev}\t{cur}\t{base + i * y + j}")
-    return "\n".join(rows) + "\n"
+    """One ``template<TAB>word...`` row per observation; row i is observation i.
+
+    The weights archive lays out the unary weight of (observation, label)
+    at obs * |Y| + y, followed by the |Y|^2 transition weights.
+    """
+    names = [name for name, _ in UNIGRAM_TEMPLATES]
+    rows = sorted(model.index.obs.items(), key=lambda kv: kv[1])
+    return "".join("\t".join((names[ti], *words)) + "\n" for (ti, words), _ in rows)
 
 
 def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
@@ -479,29 +452,25 @@ def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
 def load_crf(
     features_path: str, weights_path: str, scheme: LabelScheme, l2_lambda: float = 1.0
 ) -> CrfModel:
-    name_to_template = {name: ti for ti, (name, _) in enumerate(UNIGRAM_TEMPLATES)}
-    index = FeatureIndex(DEFAULT_TEMPLATES)
-    y = len(scheme.labels)
+    templates = {name: (ti, len(offs)) for ti, (name, offs) in enumerate(UNIGRAM_TEMPLATES)}
+    index = FeatureIndex()
     with open(features_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"features line {line_no}: expected 4 columns")
-            template, surface, label, slot = parts
-            if template == BIGRAM_TEMPLATE:
-                continue
-            if template not in name_to_template:
+            template, *words = line.rstrip("\n").split("\t")
+            if template not in templates:
                 raise ValueError(f"features line {line_no}: unknown template {template!r}")
-            key = (name_to_template[template], surface)
-            obs = int(slot) // y
-            if key not in index.obs:
-                index.obs[key] = obs
-            elif index.obs[key] != obs:
-                raise ValueError(f"features line {line_no}: inconsistent slot for {key}")
+            ti, width = templates[template]
+            if len(words) != width:
+                raise ValueError(
+                    f"features line {line_no}: {template} expects {width} word(s), "
+                    f"got {len(words)}"
+                )
+            key = (ti, tuple(words))
+            if key in index.obs:
+                raise ValueError(f"features line {line_no}: duplicate observation")
+            index.obs[key] = len(index.obs)
     weights = load_archive(weights_path)["weights"].astype(np.float64)
+    y = len(scheme.labels)
     expected = index.num_obs * y + y * y
     if weights.shape != (expected,):
         raise ValueError(f"weights shape {weights.shape}, expected ({expected},)")

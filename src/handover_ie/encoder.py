@@ -9,7 +9,7 @@ shapes up to the standard base/large encoder sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,25 +51,6 @@ class ModelConfig:
             raise ValueError(f"position_mode must be one of {POSITION_MODES}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-
-    def to_text(self) -> str:
-        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for line_no, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in types:
-                raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            kwargs[key] = {"int": int, "float": float, "str": str}[types[key]](value)
-        return cls(**kwargs)
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -273,8 +254,8 @@ def save_model(model: EncoderModel, path: str) -> None:
     T.save_archive([(p.name, p.data) for p in model.parameters()], path)
 
 
-def load_model(config: ModelConfig, path: str, seed: int = 0) -> EncoderModel:
-    model = EncoderModel(config, seed=seed)
+def load_model(config: ModelConfig, path: str) -> EncoderModel:
+    model = EncoderModel(config)
     entries = T.load_archive(path)
     load_weights(model, entries)
     return model

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import NA_CATEGORY, MAIN_CATEGORIES, LabelScheme, Record, RecordSet
-
-
-class AlignmentError(ValueError):
-    """Gold and predicted record sets do not line up word-for-word."""
+from .tokenizer import AlignmentError
 
 
 @dataclass(frozen=True, slots=True)

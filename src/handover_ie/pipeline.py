@@ -40,7 +40,7 @@ from .tokenizer import (
 )
 
 SEED_ENV_VAR = "HANDOVER_IE_SEED"
-MODEL_KINDS = ("encoder", "crf", "random", "majority")
+MODEL_KINDS = ("encoder", "crf")
 
 DEFAULT_GRID_LEARNING_RATES = (5e-5, 3e-5, 2e-5)
 DEFAULT_GRID_BATCH_SIZES = (8, 16)
@@ -75,9 +75,6 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
-    def to_text(self) -> str:
-        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
-
 
 _TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 _MODEL_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
@@ -91,6 +88,11 @@ def _convert(type_name: str, value: str):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
     return {"int": int, "float": float, "str": str}[type_name](value)
+
+
+def dump_config(*configs) -> str:
+    """One key=value line per field of each config, in field order."""
+    return "".join(f"{f.name}={getattr(c, f.name)}\n" for c in configs for f in fields(c))
 
 
 def parse_config_text(text: str) -> tuple[dict, dict]:
@@ -137,10 +139,8 @@ class Checkpoint:
     def save(self, directory: str | Path) -> None:
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        config_text = self.train_config.to_text()
-        if self.model_config is not None:
-            config_text += self.model_config.to_text()
-        (d / "config.txt").write_text(config_text, encoding="utf-8")
+        configs = [c for c in (self.train_config, self.model_config) if c is not None]
+        (d / "config.txt").write_text(dump_config(*configs), encoding="utf-8")
         (d / "labels.txt").write_text(dump_scheme(self.scheme), encoding="utf-8")
         if self.kind == "encoder":
             (d / "merges.txt").write_text(dump_merges(self.table), encoding="utf-8")
@@ -179,25 +179,21 @@ class Checkpoint:
                 kind="encoder", scheme=scheme, train_config=train_config,
                 model_config=model_config, model=model, table=table,
             )
-        if train_config.kind == "crf":
-            crf = crf_mod.load_crf(
-                str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"),
-                scheme, l2_lambda=train_config.l2_lambda,
-            )
-            return cls(kind="crf", scheme=scheme, train_config=train_config, crf=crf)
-        raise ValueError(f"cannot load checkpoint of kind {train_config.kind!r}")
+        crf = crf_mod.load_crf(
+            str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"),
+            scheme, l2_lambda=train_config.l2_lambda,
+        )
+        return cls(kind="crf", scheme=scheme, train_config=train_config, crf=crf)
 
 
 class Adam:
     """Adam with bias correction and decoupled optional weight decay."""
 
-    def __init__(self, params: Sequence[T.Parameter], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[T.Parameter], lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -294,7 +290,7 @@ def fine_tune(
                 log_probs = enc.run_token_classifier(model, seq, train=True, rng=rng)
                 loss = enc.token_loss(log_probs, labels)
                 if not np.isfinite(loss.data):
-                    raise crf_mod.TrainingDivergence(
+                    raise T.TrainingDivergence(
                         f"non-finite loss at epoch {epoch}, batch start {start}"
                     )
                 epoch_loss += float(loss.data)
@@ -364,9 +360,7 @@ def train_model(
             max_positions=max(model_config.max_positions, config.max_len),
         )
         return fine_tune(train, valid, scheme, table, config, model_config)
-    if config.kind == "crf":
-        return train_crf(train, valid, scheme, config)
-    raise ValueError(f"train_model cannot handle kind {config.kind!r}")
+    return train_crf(train, valid, scheme, config)
 
 
 def predict(checkpoint: Checkpoint, records: RecordSet) -> RecordSet:

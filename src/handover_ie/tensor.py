@@ -8,6 +8,8 @@ tensor archive used for checkpoints.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +29,10 @@ def set_finite_checks(on: bool) -> None:
 
 class ShapeError(ValueError):
     pass
+
+
+class TrainingDivergence(RuntimeError):
+    """Loss became non-finite during optimization."""
 
 
 def _shape_error(op: str, a, b) -> ShapeError:
@@ -93,7 +99,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.astype(g.dtype, copy=False)
+    return g
 
 
 def backward(root: Tensor, seed: float = 1.0) -> None:
@@ -382,36 +388,36 @@ def save_archive(entries: Iterable[tuple[str, np.ndarray]], path: str) -> None:
 
 
 def load_archive(path: str) -> dict[str, np.ndarray]:
-    """Read an archive back into an ordered name -> array mapping."""
+    """Read an archive back into an ordered name -> array mapping.
+
+    A file that ends inside an entry, a duplicate entry name or an unknown
+    dtype tag raises ValueError.
+    """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(ARCHIVE_MAGIC))
         if magic != ARCHIVE_MAGIC:
             raise ValueError(f"bad archive magic {magic!r}")
 
-        def read_u32() -> int | None:
-            b = fh.read(4)
-            if not b:
-                return None
-            if len(b) != 4:
+        def read(n: int) -> bytes:
+            if fh.tell() + n > size:
                 raise ValueError("truncated archive")
-            return struct.unpack("<I", b)[0]
+            return fh.read(n)
 
-        while True:
-            name_len = read_u32()
-            if name_len is None:
-                break
-            name = fh.read(name_len).decode("utf-8")
-            rank = read_u32()
-            shape = tuple(read_u32() for _ in range(rank))
+        def read_u32() -> int:
+            return struct.unpack("<I", read(4))[0]
+
+        while fh.tell() < size:
+            name = read(read_u32()).decode("utf-8")
+            if name in out:
+                raise ValueError(f"duplicate archive entry {name!r}")
+            shape = tuple(read_u32() for _ in range(read_u32()))
             tag = read_u32()
             if tag not in _DTYPE_TAGS:
                 raise ValueError(f"entry {name!r}: unknown dtype tag {tag}")
             dtype = _DTYPE_TAGS[tag]
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ValueError(f"entry {name!r}: truncated payload")
-            arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
-            out[name] = arr.astype(dtype.newbyteorder("="))
+            buf = read(math.prod(shape) * dtype.itemsize)
+            out[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).astype(
+                dtype.newbyteorder("="))
     return out

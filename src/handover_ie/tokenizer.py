@@ -22,7 +22,7 @@ IGNORE_INDEX = -100
 
 
 class AlignmentError(ValueError):
-    """Word labels do not line up with a tokenized sequence."""
+    """Labels do not line up word-for-word with the words they label."""
 
 
 @dataclass(frozen=True, slots=True)

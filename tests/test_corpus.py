@@ -171,6 +171,9 @@ def test_scheme_validation_and_categories():
         LabelScheme(labels=("N.A.", "dup", "dup"))
     with pytest.raises(ValueError):
         LabelScheme(labels=("a", "b"), na_label="N.A.")
+    with pytest.raises(ValueError):
+        # a scheme file keeps ids only when N.A. leads
+        LabelScheme(labels=("alpha", "N.A.", "bravo"))
     scheme = LabelScheme(labels=("N.A.", "MY SHIFT/Status", "odd"))
     assert scheme.main_category("MY SHIFT/Status") == "MY SHIFT"
     assert scheme.main_category("odd") == "N.A."

@@ -14,10 +14,10 @@ from handover_ie.corpus import (
 from handover_ie.crf import (
     BOS,
     EOS,
+    UNIGRAM_TEMPLATES,
     CrfModel,
     FeatureIndex,
     OptimizerSettings,
-    TrainingDivergence,
     extract_features,
     log_partition,
     marginals,
@@ -31,6 +31,7 @@ from handover_ie.crf import (
     train,
     viterbi,
 )
+from handover_ie.tensor import TrainingDivergence
 
 
 def brute_force(unary, trans):
@@ -64,19 +65,23 @@ def test_extract_features_boundary_sentinels():
     feats = extract_features(["only"])
     (pos0,) = feats
     surfaces = dict(pos0)
-    assert surfaces[0] == BOS            # w[-1]
-    assert surfaces[1] == "only"         # w[0]
-    assert surfaces[2] == EOS            # w[+1]
-    assert surfaces[3] == f"{BOS}|only"
-    assert surfaces[4] == f"only|{EOS}"
-    assert surfaces[5] == f"{BOS}|only|{EOS}"
+    assert surfaces[0] == (BOS,)         # w[-1]
+    assert surfaces[1] == ("only",)      # w[0]
+    assert surfaces[2] == (EOS,)         # w[+1]
+    assert surfaces[3] == (BOS, "only")
+    assert surfaces[4] == ("only", EOS)
+    assert surfaces[5] == (BOS, "only", EOS)
 
 
 def test_extract_features_middle_position_conjunctions():
     feats = extract_features(["a", "b", "c"])
     surfaces = [s for _, s in feats[1]]
-    assert surfaces == ["a", "b", "c", "a|b", "b|c", "a|b|c"]
+    assert surfaces == [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "b", "c")]
     assert len(feats[1]) == 6
+    # words containing "|" must not merge into another window's conjunction
+    trigrams = [{s for pos in extract_features(words) for ti, s in pos if ti == 5}
+                for words in (["a|b", "c", "d"], ["a", "b|c", "d"])]
+    assert trigrams[0].isdisjoint(trigrams[1])
 
 
 def test_feature_ids_stable_across_rebuilds():
@@ -100,8 +105,8 @@ def test_feature_cutoff_prunes_rare_observations():
     pruned = FeatureIndex().fit(words, min_count=2)
     assert pruned.num_obs < keep_all.num_obs
     # the twice-seen unigram survives, the once-seen word does not
-    assert (1, "a") in pruned.obs
-    assert (1, "c") not in pruned.obs
+    assert (1, ("a",)) in pruned.obs
+    assert (1, ("c",)) not in pruned.obs
     with pytest.raises(ValueError):
         FeatureIndex().fit(words, min_count=0)
 
@@ -351,12 +356,27 @@ def test_crf_serialization_round_trip(tmp_path):
     rs = generate_synthetic(6, scheme, seed=25)
     fitted, _ = train(CrfModel.build(rs, scheme), rs,
                       OptimizerSettings(max_iters=15))
-    save_crf(fitted, str(tmp_path / "features.tsv"), str(tmp_path / "weights.tarch"))
-    text = (tmp_path / "features.tsv").read_text(encoding="utf-8")
-    first = text.splitlines()[0].split("\t")
-    assert len(first) == 4
-    back = load_crf(str(tmp_path / "features.tsv"), str(tmp_path / "weights.tarch"), scheme)
+    features, weights = tmp_path / "features.tsv", tmp_path / "weights.tarch"
+    save_crf(fitted, str(features), str(weights))
+    rows = features.read_text(encoding="utf-8").splitlines()
+    # one row per observation, in id order
+    assert len(rows) == fitted.index.num_obs
+    names = [name for name, _ in UNIGRAM_TEMPLATES]
+    for (ti, words), obs in fitted.index.obs.items():
+        assert rows[obs].split("\t") == [names[ti], *words]
+    back = load_crf(str(features), str(weights), scheme)
     assert back.index.obs == fitted.index.obs
     assert np.array_equal(back.weights, fitted.weights)
     for rec in rs.records:
         assert predict_labels(back, rec.words) == predict_labels(fitted, rec.words)
+
+    bad = tmp_path / "bad.tsv"
+    for text, message in (
+        ("bigram\tN.A.\talpha\n", "unknown template"),
+        ("w[0]\ta\tb\n", "expects 1 word"),
+        ("w[0]\ta\nw[0]\ta\n", "duplicate"),
+        ("".join(row + "\n" for row in rows[:-1]), "weights shape"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_crf(str(bad), str(weights), scheme)

@@ -49,15 +49,6 @@ def test_config_validation():
                     vocab_size=5, max_positions=4, num_labels=2, position_mode="rotary")
 
 
-def test_config_text_round_trip():
-    cfg = ModelConfig(num_layers=2, hidden_size=8, num_heads=4, ffn_size=16,
-                      vocab_size=31, max_positions=12, num_labels=5,
-                      position_mode="sinusoidal", dropout=0.1)
-    assert ModelConfig.from_text(cfg.to_text()) == cfg
-    with pytest.raises(ValueError):
-        ModelConfig.from_text("nonsense=1\n")
-
-
 def test_embed_zero_tables_give_zero_output():
     model = tiny_model()
     model.token_emb.data[...] = 0.0

@@ -52,6 +52,21 @@ def test_train_config_validation():
         pipeline.TrainConfig(learning_rate=-1e-3)
 
 
+def test_config_text_round_trip():
+    train_config = pipeline.TrainConfig(kind="crf", learning_rate=2e-5, lowercase=True,
+                                        pretrained="w.tarch", grad_tol=1e-7)
+    model_config = ModelConfig(num_layers=2, hidden_size=8, num_heads=4, ffn_size=16,
+                               vocab_size=31, max_positions=12, num_labels=5,
+                               position_mode="sinusoidal", dropout=0.1)
+    text = pipeline.dump_config(train_config, model_config)
+    train_kw, model_kw = pipeline.parse_config_text(text)
+    assert pipeline.TrainConfig(**train_kw) == train_config
+    assert ModelConfig(**model_kw) == model_config
+    assert "lowercase=True\n" in text
+    with pytest.raises(ValueError):
+        pipeline.parse_config_text("nonsense=1\n")
+
+
 def test_config_file_parsing_and_env_seed(tmp_path, monkeypatch):
     path = tmp_path / "c.cfg"
     path.write_text(
@@ -143,7 +158,7 @@ def test_divergent_settings_raise(tiny_setup):
     # compounding decoupled weight decay is what actually overflows weights
     scheme, train, valid, table, model_config = tiny_setup
     config = tiny_train_config(learning_rate=1e8, epochs=30, weight_decay=1e8)
-    from handover_ie.crf import TrainingDivergence
+    from handover_ie.tensor import TrainingDivergence
     with pytest.raises(TrainingDivergence):
         with np.errstate(all="ignore"):
             pipeline.fine_tune(train, valid, scheme, table, config, model_config)
@@ -314,6 +329,15 @@ def test_cli_full_flow(tmp_path, capsys):
         report = json.loads((tmp_path / f"report_{model}.json").read_text())
         assert 0.0 <= report["macro_f1"] <= 1.0
 
+    # a weights archive cut off inside an entry is a validation error, not a crash
+    from handover_ie.tensor import ARCHIVE_MAGIC
+    archive = tmp_path / "ck_encoder" / "model.tarch"
+    cut = len(ARCHIVE_MAGIC) + 4 + len("embeddings.token")   # just before the rank field
+    archive.write_bytes(archive.read_bytes()[:cut])
+    assert cli_main(["predict", "--checkpoint", str(tmp_path / "ck_encoder"),
+                     "--input", str(paths["test"])]) == 2
+    assert "truncated archive" in capsys.readouterr().err
+
     for kind in ("random", "majority"):
         assert cli_main(["baseline", "--kind", kind, "--input", str(paths["test"]),
                          "--train", str(paths["train"]),
@@ -431,10 +455,12 @@ def test_import_pretrained_script(tmp_path):
     from handover_ie import tensor as T
     from handover_ie.encoder import EncoderModel
 
-    cfg_path = tmp_path / "model.cfg"
+    cfg_path = tmp_path / "shared.cfg"
     config = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                          vocab_size=12, max_positions=16, num_labels=3)
-    cfg_path.write_text(config.to_text(), encoding="utf-8")
+    # the shared train+model file; the script ignores the training keys
+    cfg_path.write_text(pipeline.dump_config(pipeline.TrainConfig(), config),
+                        encoding="utf-8")
     donor = EncoderModel(config, seed=50)
     T.save_archive([("ext/embed", donor.token_emb.data)], str(tmp_path / "ext.tarch"))
     (tmp_path / "map.tsv").write_text("ext/embed\tembeddings.token\n", encoding="utf-8")

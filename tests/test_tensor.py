@@ -278,6 +278,27 @@ def test_archive_rejects_bad_magic(tmp_path):
         T.load_archive(str(path))
 
 
+def test_archive_rejects_truncation_and_duplicate_names(tmp_path):
+    path = tmp_path / "a.tarch"
+    entries = [("first", np.arange(6.0).reshape(2, 3)), ("second", np.ones(2, np.float32))]
+    T.save_archive(entries, str(path))
+    full = path.read_bytes()
+    T.save_archive(entries[:1], str(path))
+    boundary = len(path.read_bytes())
+    cut_path = tmp_path / "cut.tarch"
+    for cut in range(len(full)):
+        cut_path.write_bytes(full[:cut])
+        if cut in (len(T.ARCHIVE_MAGIC), boundary):
+            # an empty or one-entry archive is well formed
+            assert len(T.load_archive(str(cut_path))) == (cut == boundary)
+            continue
+        with pytest.raises(ValueError):
+            T.load_archive(str(cut_path))
+    T.save_archive([entries[0], entries[0]], str(path))
+    with pytest.raises(ValueError, match="duplicate"):
+        T.load_archive(str(path))
+
+
 def test_archive_rejects_unknown_dtype(tmp_path):
     path = tmp_path / "int.tarch"
     with pytest.raises(ValueError):
