@@ -4,9 +4,10 @@
 Inputs: a tensor archive of externally named weights (export each named
 tensor from its source ecosystem into the TARCH1 format first), a
 name-mapping TSV (`external<TAB>internal`, see README for the internal
-naming scheme), and a `key=value` config file whose model keys give the
-shape (training keys may share the file and are ignored). Writes a full
-model archive usable with `handover-ie train --pretrained`.
+naming scheme), and the shared `key=value` config file: its model keys
+give the shape and its `seed` (or HANDOVER_IE_SEED, as in `handover-ie
+train`) seeds the tensors the mapping does not cover. Writes a full model
+archive usable with `handover-ie train --pretrained`.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie.encoder import EncoderModel, ModelConfig, import_pretrained, save_model
-from handover_ie.pipeline import parse_config_text
+from handover_ie.pipeline import load_train_config
 
 
 def main() -> int:
@@ -26,13 +27,10 @@ def main() -> int:
     parser.add_argument("--mapping", required=True, help="external<TAB>internal names")
     parser.add_argument("--config", required=True, help="train+model config key=value file")
     parser.add_argument("--out", required=True, help="output model archive")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="init seed for tensors not covered by the mapping")
     args = parser.parse_args()
 
-    _, model_kw = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
-    config = ModelConfig(**model_kw)
-    model = EncoderModel(config, seed=args.seed)
+    train_config, model_kw = load_train_config(args.config)
+    model = EncoderModel(ModelConfig(**model_kw), seed=train_config.seed)
     imported = import_pretrained(model, args.archive, args.mapping)
     save_model(model, args.out)
     print(f"imported {len(imported)} tensors; wrote {args.out}")

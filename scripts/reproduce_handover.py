@@ -11,17 +11,13 @@ baseline, and the trivial baselines, then writes test-set reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from handover_ie import evaluation, pipeline
-from handover_ie.corpus import evaluated_classes, load_scheme, parse_records
-from handover_ie.encoder import ModelConfig
-from handover_ie.tokenizer import train_bpe, word_frequencies
+from handover_ie import pipeline
+from handover_ie.corpus import load_scheme, parse_records
 
 
 def main() -> int:
@@ -42,73 +38,23 @@ def main() -> int:
     args = parser.parse_args()
 
     data = Path(args.data_dir)
-    work = Path(args.workdir)
-    work.mkdir(parents=True, exist_ok=True)
     scheme = load_scheme((data / "labels.txt").read_text(encoding="utf-8"))
     splits = {}
     for name in ("train", "validation", "test"):
         with open(data / f"{name}.tsv", encoding="utf-8") as fh:
             splits[name], _ = parse_records(fh, scheme=scheme, split=name)
-    evaluated = evaluated_classes(splits["train"], scheme)
-
-    freqs = word_frequencies(r.words for r in splits["train"].records)
-    table = train_bpe(freqs, args.num_merges)
 
     base = pipeline.TrainConfig(
         kind="encoder", seed=args.seed, max_len=args.max_len,
         num_merges=args.num_merges, pretrained=args.pretrained or "",
     )
-    model_config = ModelConfig(
-        num_layers=args.num_layers, hidden_size=args.hidden_size,
-        num_heads=args.num_heads, ffn_size=args.ffn_size,
-        vocab_size=len(table.pieces), max_positions=max(args.max_len, 512),
-        num_labels=len(scheme.labels),
+    model_kw = dict(num_layers=args.num_layers, hidden_size=args.hidden_size,
+                    num_heads=args.num_heads, ffn_size=args.ffn_size, max_positions=512)
+    leaderboard = pipeline.run_experiment(
+        splits["train"], splits["validation"], splits["test"], scheme, base, model_kw,
+        () if args.skip_grid else pipeline.default_grid(base), args.workdir,
     )
-
-    if args.skip_grid:
-        best_config = base
-    else:
-        best_config, leaderboard = pipeline.grid_search(
-            pipeline.default_grid(base), splits["train"], splits["validation"],
-            scheme, model_config, table,
-        )
-        (work / "grid_leaderboard.json").write_text(json.dumps(
-            [{"learning_rate": r["config"].learning_rate,
-              "batch_size": r["config"].batch_size,
-              "epochs": r["config"].epochs,
-              "val_macro_f1": r["val_macro_f1"]} for r in leaderboard],
-            indent=2) + "\n", encoding="utf-8")
-
-    predictions = {}
-    enc_ckpt, _ = pipeline.fine_tune(
-        splits["train"], splits["validation"], scheme, table, best_config, model_config
-    )
-    enc_ckpt.save(work / "encoder_checkpoint")
-    predictions["encoder"] = pipeline.predict(enc_ckpt, splits["test"])
-
-    crf_ckpt, _ = pipeline.train_crf(
-        splits["train"], splits["validation"], scheme, replace(base, kind="crf")
-    )
-    predictions["crf"] = pipeline.predict(crf_ckpt, splits["test"])
-    predictions["random"] = evaluation.baseline_random(
-        splits["test"], scheme, seed=args.seed, evaluated_ids=evaluated
-    )
-    majority = evaluation.majority_label(splits["train"], scheme)
-    predictions["majority"] = evaluation.baseline_majority(splits["test"], majority)
-
-    summary = []
-    for method, pred in predictions.items():
-        counts = evaluation.confusion_counts(splits["test"], pred, scheme)
-        report = evaluation.build_report(counts, scheme, evaluated)
-        for fmt in ("json", "table"):
-            suffix = "json" if fmt == "json" else "txt"
-            (work / f"report_{method}.{suffix}").write_text(
-                evaluation.emit_report(report, counts, fmt, scheme), encoding="utf-8"
-            )
-        summary.append((method, report.macro_precision, report.macro_recall,
-                        report.macro_f1))
-    for method, p, r, f in sorted(summary, key=lambda row: -row[3]):
-        print(f"{method:<10} macro P {p:.4f}  macro R {r:.4f}  macro F1 {f:.4f}")
+    print(pipeline.leaderboard_text(leaderboard), end="")
     return 0
 
 

@@ -9,24 +9,19 @@ reports plus a leaderboard into the work directory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from handover_ie import evaluation, pipeline
+from handover_ie import pipeline
 from handover_ie.corpus import (
+    RecordSet,
     default_synthetic_scheme,
     dump_scheme,
-    evaluated_classes,
     generate_synthetic,
     serialize_records,
 )
-from handover_ie.encoder import ModelConfig
-from handover_ie.tokenizer import train_bpe, word_frequencies
-from handover_ie.corpus import RecordSet
 
 
 def main() -> int:
@@ -59,65 +54,17 @@ def main() -> int:
         splits[name] = rs
     (work / "labels.txt").write_text(dump_scheme(scheme), encoding="utf-8")
 
-    freqs = word_frequencies(r.words for r in splits["train"].records)
-    table = train_bpe(freqs, args.num_merges)
-
     base = pipeline.TrainConfig(
         kind="encoder", learning_rate=args.learning_rate, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed, max_len=64, num_merges=args.num_merges,
     )
-    model_config = ModelConfig(
-        num_layers=args.num_layers, hidden_size=args.hidden_size,
-        num_heads=args.num_heads, ffn_size=2 * args.hidden_size,
-        vocab_size=len(table.pieces), max_positions=64,
-        num_labels=len(scheme.labels),
+    model_kw = dict(num_layers=args.num_layers, hidden_size=args.hidden_size,
+                    num_heads=args.num_heads, ffn_size=2 * args.hidden_size)
+    leaderboard = pipeline.run_experiment(
+        splits["train"], splits["validation"], splits["test"], scheme, base, model_kw,
+        (), work,
     )
-    evaluated = evaluated_classes(splits["train"], scheme)
-
-    predictions = {}
-    enc_ckpt, enc_metrics = pipeline.fine_tune(
-        splits["train"], splits["validation"], scheme, table, base, model_config
-    )
-    enc_ckpt.save(work / "encoder_checkpoint")
-    predictions["encoder"] = pipeline.predict(enc_ckpt, splits["test"])
-
-    crf_ckpt, _ = pipeline.train_crf(
-        splits["train"], splits["validation"], scheme, replace(base, kind="crf")
-    )
-    crf_ckpt.save(work / "crf_checkpoint")
-    predictions["crf"] = pipeline.predict(crf_ckpt, splits["test"])
-
-    predictions["random"] = evaluation.baseline_random(
-        splits["test"], scheme, seed=args.seed, evaluated_ids=evaluated
-    )
-    majority = evaluation.majority_label(splits["train"], scheme)
-    predictions["majority"] = evaluation.baseline_majority(splits["test"], majority)
-
-    leaderboard = []
-    for method, pred in predictions.items():
-        counts = evaluation.confusion_counts(splits["test"], pred, scheme)
-        report = evaluation.build_report(counts, scheme, evaluated)
-        (work / f"report_{method}.json").write_text(
-            evaluation.emit_report(report, counts, "json", scheme), encoding="utf-8"
-        )
-        leaderboard.append({
-            "method": method,
-            "macro_precision": report.macro_precision,
-            "macro_recall": report.macro_recall,
-            "macro_f1": report.macro_f1,
-        })
-    leaderboard.sort(key=lambda row: -row["macro_f1"])
-    (work / "leaderboard.json").write_text(
-        json.dumps(leaderboard, indent=2) + "\n", encoding="utf-8"
-    )
-
-    width = max(len(r["method"]) for r in leaderboard) + 2
-    print(f"{'method':<{width}}{'macro P':>9}{'macro R':>9}{'macro F1':>9}")
-    for row in leaderboard:
-        print(f"{row['method']:<{width}}{row['macro_precision']:>9.4f}"
-              f"{row['macro_recall']:>9.4f}{row['macro_f1']:>9.4f}")
-    print(f"final encoder val F1: {enc_metrics[-1]['val_macro_f1']:.4f}")
-    print(f"reports in {work}")
+    print(pipeline.leaderboard_text(leaderboard), end="")
     return 0
 
 

@@ -12,20 +12,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import corpus, evaluation, pipeline
-from .encoder import ModelConfig
 from .tensor import TrainingDivergence
-from .tokenizer import (
-    dump_merges,
-    dump_vocab,
-    encode as encode_words,
-    load_table,
-    train_bpe,
-    word_frequencies,
-)
+from .tokenizer import dump_merges, dump_vocab, encode as encode_words, load_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
+
+# encoder shape for a config file without model keys
+DEFAULT_SHAPE = dict(num_layers=2, hidden_size=32, num_heads=2, ffn_size=64)
 
 
 def _read_records(path: str, scheme=None, split="train"):
@@ -55,8 +50,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_tokenizer_train(args) -> int:
     rs, _ = _read_records(args.input)
-    freqs = word_frequencies((r.words for r in rs.records), lowercase=args.lowercase)
-    table = train_bpe(freqs, args.num_merges, lowercase=args.lowercase)
+    table = pipeline.fit_tokenizer(rs, args.num_merges, args.lowercase)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "merges.txt").write_text(dump_merges(table), encoding="utf-8")
@@ -92,25 +86,19 @@ def _cmd_train(args) -> int:
     train_rs, scheme = _read_records(args.train, scheme=scheme, split="train")
     valid_rs, _ = _read_records(args.valid, scheme=scheme, split="validation")
 
-    table = None
-    if args.tokenizer:
-        tdir = Path(args.tokenizer)
-        table = load_table(
-            (tdir / "merges.txt").read_text(encoding="utf-8"),
-            (tdir / "vocab.txt").read_text(encoding="utf-8"),
-            lowercase=config.lowercase,
-        )
-    model_config = None
+    table = model_config = None
     if args.model == "encoder":
-        defaults = dict(
-            num_layers=2, hidden_size=32, num_heads=2, ffn_size=64,
-            vocab_size=8, max_positions=config.max_len, num_labels=len(scheme.labels),
-        )
-        defaults.update(model_kw)
-        defaults["num_labels"] = len(scheme.labels)
-        defaults["max_positions"] = max(defaults["max_positions"], config.max_len)
-        model_config = ModelConfig(**defaults)
-
+        if args.tokenizer:
+            tdir = Path(args.tokenizer)
+            table = load_table(
+                (tdir / "merges.txt").read_text(encoding="utf-8"),
+                (tdir / "vocab.txt").read_text(encoding="utf-8"),
+                lowercase=config.lowercase,
+            )
+        else:
+            table = pipeline.fit_tokenizer(train_rs, config.num_merges, config.lowercase)
+        model_config = pipeline.derive_model_config(
+            {**DEFAULT_SHAPE, **model_kw}, table, scheme, config)
     checkpoint, metrics = pipeline.train_model(
         train_rs, valid_rs, scheme, config, model_config, table
     )

@@ -26,6 +26,9 @@ NA_CATEGORY = "N.A."
 SPLITS = ("train", "validation", "test")
 
 _ID_COMMENT = "# id:"
+# a word holding one of these breaks the line and column structure of the
+# records TSV and of a CRF checkpoint's features file
+_UNWRITABLE = re.compile(r"[\t\n\r]")
 
 
 class ParseError(ValueError):
@@ -105,6 +108,8 @@ class Record:
             )
         if not self.words:
             raise ValueError(f"record {self.id!r} is empty")
+        if "" in self.words or _UNWRITABLE.search("".join(self.words)):
+            raise ValueError(f"record {self.id!r}: a word is empty or holds a tab or line break")
 
 
 @dataclass(frozen=True, slots=True)

@@ -148,14 +148,13 @@ def baseline_majority(records: RecordSet, majority_label: int) -> RecordSet:
     return RecordSet(split=records.split, records=tuple(out))
 
 
-def majority_label(train: RecordSet, scheme: LabelScheme, exclude_na: bool = True) -> int:
-    """Most frequent training label (by word count), N.A. excluded by default."""
+def majority_label(train: RecordSet, scheme: LabelScheme) -> int:
+    """Most frequent training label other than N.A., by word count."""
     freq = [0] * len(scheme.labels)
     for rec in train.records:
         for lab in rec.labels:
             freq[lab] += 1
-    if exclude_na:
-        freq[scheme.na_id] = -1
+    freq[scheme.na_id] = -1
     return int(np.argmax(freq))
 
 

@@ -1,4 +1,5 @@
-"""Training loops, hyperparameter search, checkpoint bundles, prediction.
+"""Training loops, hyperparameter search, checkpoint bundles, prediction,
+and the experiment that compares the encoder with the CRF and baselines.
 
 A checkpoint directory is self-contained: weights, model and training
 configuration, tokenizer files, and the label scheme, so prediction needs
@@ -7,6 +8,7 @@ and reports byte-identical across repeated runs.
 """
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,7 +28,14 @@ from .corpus import (
     load_scheme,
 )
 from .encoder import CompatibilityError, EncoderModel, ModelConfig
-from .evaluation import build_report, confusion_counts
+from .evaluation import (
+    baseline_majority,
+    baseline_random,
+    build_report,
+    confusion_counts,
+    emit_report,
+    majority_label,
+)
 from .tokenizer import (
     MergeTable,
     TokenizedSequence,
@@ -338,27 +347,34 @@ def train_crf(
     return checkpoint, metrics
 
 
+def fit_tokenizer(records: RecordSet, num_merges: int, lowercase: bool) -> MergeTable:
+    """BPE merge table learned from the words of one split."""
+    freqs = word_frequencies((r.words for r in records.records), lowercase=lowercase)
+    return train_bpe(freqs, num_merges, lowercase=lowercase)
+
+
+def derive_model_config(model_kw: dict, table: MergeTable, scheme: LabelScheme,
+                        config: TrainConfig) -> ModelConfig:
+    """ModelConfig from shape keys plus the fields the data decides: the
+    vocabulary size, the label count, and room for max_len positions."""
+    return ModelConfig(**{
+        **model_kw,
+        "vocab_size": len(table.pieces),
+        "num_labels": len(scheme.labels),
+        "max_positions": max(model_kw.get("max_positions", 0), config.max_len),
+    })
+
+
 def train_model(
     train: RecordSet,
     valid: RecordSet,
     scheme: LabelScheme,
     config: TrainConfig,
-    model_config: Optional[ModelConfig] = None,
-    table: Optional[MergeTable] = None,
+    model_config: Optional[ModelConfig],
+    table: Optional[MergeTable],
 ) -> tuple[Checkpoint, list[dict]]:
+    """Fit the kind config names; model_config and table serve the encoder."""
     if config.kind == "encoder":
-        if table is None:
-            freqs = word_frequencies((r.words for r in train.records),
-                                     lowercase=config.lowercase)
-            table = train_bpe(freqs, config.num_merges, lowercase=config.lowercase)
-        if model_config is None:
-            raise ValueError("encoder training requires a model configuration")
-        model_config = replace(
-            model_config,
-            vocab_size=len(table.pieces),
-            num_labels=len(scheme.labels),
-            max_positions=max(model_config.max_positions, config.max_len),
-        )
         return fine_tune(train, valid, scheme, table, config, model_config)
     return train_crf(train, valid, scheme, config)
 
@@ -392,8 +408,8 @@ def grid_search(
     train: RecordSet,
     valid: RecordSet,
     scheme: LabelScheme,
-    model_config: Optional[ModelConfig] = None,
-    table: Optional[MergeTable] = None,
+    model_config: Optional[ModelConfig],
+    table: Optional[MergeTable],
 ) -> tuple[TrainConfig, list[dict]]:
     """Evaluate every config; ties go to smaller learning rate, then epochs."""
     if not grid:
@@ -416,3 +432,71 @@ def default_grid(base: TrainConfig) -> list[TrainConfig]:
         for bs in DEFAULT_GRID_BATCH_SIZES
         for ep in DEFAULT_GRID_EPOCHS
     ]
+
+
+def run_experiment(
+    train: RecordSet,
+    valid: RecordSet,
+    test: RecordSet,
+    scheme: LabelScheme,
+    base: TrainConfig,
+    model_kw: dict,
+    grid: Sequence[TrainConfig],
+    workdir: str | Path,
+) -> list[dict]:
+    """The method comparison: the fine-tuned encoder (its config picked by a
+    grid search when a grid is given), the CRF, and the random and majority
+    baselines, each scored on the test split.
+
+    Writes both checkpoints, a JSON and a text report per method,
+    leaderboard.json, and grid_leaderboard.json when a grid ran; returns the
+    leaderboard rows, best macro F1 first.
+    """
+    work = Path(workdir)
+    work.mkdir(parents=True, exist_ok=True)
+    table = fit_tokenizer(train, base.num_merges, base.lowercase)
+    model_config = derive_model_config(model_kw, table, scheme, base)
+    best = base
+    if grid:
+        best, board = grid_search(grid, train, valid, scheme, model_config, table)
+        (work / "grid_leaderboard.json").write_text(json.dumps(
+            [{"learning_rate": r["config"].learning_rate,
+              "batch_size": r["config"].batch_size,
+              "epochs": r["config"].epochs,
+              "val_macro_f1": r["val_macro_f1"]} for r in board],
+            indent=2) + "\n", encoding="utf-8")
+    enc_ckpt, _ = fine_tune(train, valid, scheme, table, best, model_config)
+    crf_ckpt, _ = train_crf(train, valid, scheme, replace(base, kind="crf"))
+    evaluated = evaluated_classes(train, scheme)
+    predictions = {
+        "encoder": predict(enc_ckpt, test),
+        "crf": predict(crf_ckpt, test),
+        "random": baseline_random(test, scheme, seed=base.seed, evaluated_ids=evaluated),
+        "majority": baseline_majority(test, majority_label(train, scheme)),
+    }
+    enc_ckpt.save(work / "encoder_checkpoint")
+    crf_ckpt.save(work / "crf_checkpoint")
+    leaderboard = []
+    for method, pred in predictions.items():
+        counts = confusion_counts(test, pred, scheme)
+        report = build_report(counts, scheme, evaluated)
+        for fmt, suffix in (("json", "json"), ("table", "txt")):
+            (work / f"report_{method}.{suffix}").write_text(
+                emit_report(report, counts, fmt, scheme), encoding="utf-8")
+        leaderboard.append({
+            "method": method,
+            "macro_precision": report.macro_precision,
+            "macro_recall": report.macro_recall,
+            "macro_f1": report.macro_f1,
+        })
+    leaderboard.sort(key=lambda row: -row["macro_f1"])
+    (work / "leaderboard.json").write_text(
+        json.dumps(leaderboard, indent=2) + "\n", encoding="utf-8")
+    return leaderboard
+
+
+def leaderboard_text(rows: Sequence[dict]) -> str:
+    """One line of macro P/R/F1 per leaderboard row."""
+    return "".join(f"{r['method']:<10} macro P {r['macro_precision']:.4f}  "
+                   f"macro R {r['macro_recall']:.4f}  macro F1 {r['macro_f1']:.4f}\n"
+                   for r in rows)

@@ -18,14 +18,6 @@ from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
 
-_check_finite = False
-
-
-def set_finite_checks(on: bool) -> None:
-    """When on, every primitive asserts its output is NaN/Inf free."""
-    global _check_finite
-    _check_finite = on
-
 
 class ShapeError(ValueError):
     pass
@@ -74,8 +66,6 @@ class Parameter(Tensor):
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values in primitive output")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -276,10 +266,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
         return Tensor(np.ones(shape))
     keep = rng.random(shape) >= rate
     return Tensor(keep.astype(np.float64) / (1.0 - rate))
-
-
-def apply_dropout(x: Tensor, mask: Tensor) -> Tensor:
-    return mul(x, mask)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -164,6 +164,11 @@ def test_record_length_invariant():
         Record(id="bad", words=("a",), labels=(0, 1))
     with pytest.raises(ValueError):
         Record(id="empty", words=(), labels=())
+    # words no records, features or vocabulary file can hold
+    for word in ("", "x\ty", "x\ny", "x\ry"):
+        for words in ((word,), ("a", word), (word, "b")):
+            with pytest.raises(ValueError):
+                Record(id="w", words=words, labels=(0,) * len(words))
 
 
 def test_scheme_validation_and_categories():

@@ -227,11 +227,7 @@ def test_full_model_grad_check_tiny_config():
 def test_encode_stays_finite_for_large_inputs():
     model = tiny_model(seed=13, num_layers=2)
     x = T.constant(np.full((5, 4), 100.0) * np.array([[1], [-1], [1], [-1], [1]]))
-    T.set_finite_checks(True)
-    try:
-        out = encode(x, model)
-    finally:
-        T.set_finite_checks(False)
+    out = encode(x, model)
     assert np.all(np.isfinite(out.data))
 
 

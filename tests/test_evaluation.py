@@ -195,7 +195,6 @@ def test_baseline_random_seeded_and_restricted(small_scheme):
 def test_majority_label_excludes_na(small_scheme):
     train = _rs("train", (0, 0, 0, 1, 1, 2))
     assert majority_label(train, small_scheme) == 1
-    assert majority_label(train, small_scheme, exclude_na=False) == 0
 
 
 def _reference_report():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,9 @@ from handover_ie.encoder import CompatibilityError, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
 REPO = Path(__file__).resolve().parents[1]
+METHODS = ("encoder", "crf", "random", "majority")
+EXPERIMENT_FILES = {"encoder_checkpoint", "crf_checkpoint", "leaderboard.json"} | {
+    f"report_{m}.{ext}" for m in METHODS for ext in ("json", "txt")}
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +275,32 @@ def test_crf_checkpoint_round_trip(tmp_path):
     assert pipeline.predict(loaded, valid) == before
 
 
+@pytest.mark.parametrize("with_grid", [False, True])
+def test_run_experiment_writes_every_method(tiny_setup, tmp_path, with_grid):
+    scheme, train, valid, _, _ = tiny_setup
+    test = RecordSet(split="test", records=generate_synthetic(5, scheme, seed=32).records)
+    base = tiny_train_config(epochs=2, num_merges=40, max_iters=40)
+    model_kw = dict(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32)
+    grid = [base, replace(base, learning_rate=1e-3, epochs=1)] if with_grid else ()
+    rows = pipeline.run_experiment(train, valid, test, scheme, base, model_kw, grid, tmp_path)
+
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == EXPERIMENT_FILES | ({"grid_leaderboard.json"} if with_grid else set())
+    assert pipeline.Checkpoint.load(tmp_path / "encoder_checkpoint").kind == "encoder"
+    assert pipeline.Checkpoint.load(tmp_path / "crf_checkpoint").kind == "crf"
+    assert json.loads((tmp_path / "leaderboard.json").read_text()) == rows
+    assert sorted(row["method"] for row in rows) == sorted(METHODS)
+    f1s = [row["macro_f1"] for row in rows]
+    assert f1s == sorted(f1s, reverse=True)
+    for row in rows:
+        report, _ = evaluation.parse_report_json(
+            (tmp_path / f"report_{row['method']}.json").read_text(encoding="utf-8"))
+        assert (report.macro_precision, report.macro_recall, report.macro_f1) == (
+            row["macro_precision"], row["macro_recall"], row["macro_f1"])
+        table = (tmp_path / f"report_{row['method']}.txt").read_text(encoding="utf-8")
+        assert table.splitlines()[-2].endswith(f"{row['macro_f1']:.4f}")
+
+
 def _write_corpus(tmp_path):
     scheme = default_synthetic_scheme()
     train = generate_synthetic(12, scheme, seed=40)
@@ -423,6 +454,8 @@ def test_end_to_end_synthetic_experiment_script(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in work.iterdir()} == EXPERIMENT_FILES | {
+        "train.tsv", "validation.tsv", "test.tsv", "labels.txt"}
     leaderboard = json.loads((work / "leaderboard.json").read_text())
     assert {row["method"] for row in leaderboard} == {"encoder", "crf", "random", "majority"}
     for row in leaderboard:
@@ -458,8 +491,8 @@ def test_import_pretrained_script(tmp_path):
     cfg_path = tmp_path / "shared.cfg"
     config = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
                          vocab_size=12, max_positions=16, num_labels=3)
-    # the shared train+model file; the script ignores the training keys
-    cfg_path.write_text(pipeline.dump_config(pipeline.TrainConfig(), config),
+    # the shared train+model file; its seed initializes the unmapped tensors
+    cfg_path.write_text(pipeline.dump_config(pipeline.TrainConfig(seed=7), config),
                         encoding="utf-8")
     donor = EncoderModel(config, seed=50)
     T.save_archive([("ext/embed", donor.token_emb.data)], str(tmp_path / "ext.tarch"))
@@ -470,7 +503,9 @@ def test_import_pretrained_script(tmp_path):
          "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
          "--config", str(cfg_path), "--out", str(out)],
         capture_output=True, text=True, timeout=60,
+        env={k: v for k, v in os.environ.items() if k != pipeline.SEED_ENV_VAR},
     )
     assert proc.returncode == 0, proc.stderr
     entries = T.load_archive(str(out))
     assert np.array_equal(entries["embeddings.token"], donor.token_emb.data)
+    assert np.array_equal(entries["classifier.weight"], EncoderModel(config, seed=7).cls_w.data)

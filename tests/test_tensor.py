@@ -202,7 +202,7 @@ def _primitive_check(name: str, rng) -> float:
         a = par((4, 5))
         mask = T.dropout_mask((4, 5), 0.4, rng)
         out = _make_readout(20, rng)
-        return T.grad_check(lambda: out(T.apply_dropout(a, mask)), [a])
+        return T.grad_check(lambda: out(T.mul(a, mask)), [a])
     if name == "reshape_transpose":
         a = par((2, 3, 4))
         out = _make_readout(24, rng)
@@ -224,19 +224,6 @@ def test_dropout_mask_properties():
     assert np.all(T.dropout_mask((3, 3), 0.0, rng).data == 1.0)
     with pytest.raises(ValueError):
         T.dropout_mask((2,), 1.0, rng)
-
-
-def test_finite_check_mode():
-    with np.errstate(over="ignore"):
-        T.set_finite_checks(True)
-        try:
-            big = T.constant(np.array([[1e308, 1e308]]))
-            with pytest.raises(FloatingPointError):
-                T.add(big, big)
-        finally:
-            T.set_finite_checks(False)
-        out = T.add(T.constant(np.array([[1e308]])), T.constant(np.array([[1e308]])))
-        assert np.isinf(out.data).any()
 
 
 def test_backward_accumulates_through_shared_nodes():
