@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import corpus, evaluation, pipeline
 from .tensor import TrainingDivergence
-from .tokenizer import dump_merges, dump_vocab, encode as encode_words, load_table
+from .tokenizer import encode as encode_words, read_table, save_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,21 +51,13 @@ def _cmd_synth(args) -> int:
 def _cmd_tokenizer_train(args) -> int:
     rs, _ = _read_records(args.input)
     table = pipeline.fit_tokenizer(rs, args.num_merges, args.lowercase)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "merges.txt").write_text(dump_merges(table), encoding="utf-8")
-    (out / "vocab.txt").write_text(dump_vocab(table), encoding="utf-8")
+    save_table(table, args.out)
     print(f"trained {len(table.merges)} merges, vocab size {len(table.pieces)}")
     return EXIT_OK
 
 
 def _cmd_tokenizer_encode(args) -> int:
-    table_dir = Path(args.table)
-    table = load_table(
-        (table_dir / "merges.txt").read_text(encoding="utf-8"),
-        (table_dir / "vocab.txt").read_text(encoding="utf-8"),
-        lowercase=args.lowercase,
-    )
+    table = read_table(args.table, args.lowercase)
     rs, _ = _read_records(args.input)
     lines = []
     for rec in rs.records:
@@ -89,12 +81,7 @@ def _cmd_train(args) -> int:
     table = model_config = None
     if args.model == "encoder":
         if args.tokenizer:
-            tdir = Path(args.tokenizer)
-            table = load_table(
-                (tdir / "merges.txt").read_text(encoding="utf-8"),
-                (tdir / "vocab.txt").read_text(encoding="utf-8"),
-                lowercase=config.lowercase,
-            )
+            table = read_table(args.tokenizer, config.lowercase)
         else:
             table = pipeline.fit_tokenizer(train_rs, config.num_merges, config.lowercase)
         model_config = pipeline.derive_model_config(
@@ -105,7 +92,9 @@ def _cmd_train(args) -> int:
     checkpoint.save(args.out)
     for m in metrics:
         f1 = "n/a" if m["val_macro_f1"] is None else f"{m['val_macro_f1']:.4f}"
-        print(f"epoch {m['epoch']}: train_loss {m['train_loss']:.4f} val_macro_f1 {f1}")
+        converged = f" converged {m['converged']}" if "converged" in m else ""
+        print(f"epoch {m['epoch']}: train_loss {m['train_loss']:.4f} val_macro_f1 {f1}"
+              f"{converged}")
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 

@@ -9,6 +9,7 @@ without a recognized prefix are grouped under N.A.
 """
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
@@ -137,8 +138,9 @@ def validate_against_scheme(rs: RecordSet, scheme: LabelScheme) -> None:
 
 
 def _iter_lines(stream: str | TextIO | Iterable[str]) -> Iterable[str]:
+    # a string is read as a text file is: lines break at \n, \r and \r\n only
     if isinstance(stream, str):
-        return stream.splitlines()
+        stream = io.StringIO(stream, newline=None)
     return (line.rstrip("\n") for line in stream)
 
 

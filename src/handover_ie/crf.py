@@ -3,16 +3,18 @@
 Unary features are indicator functions over word windows around the
 current position (previous/current/next words and their conjunctions),
 each conjoined with the current label; a |Y| x |Y| block of weights scores
-label transitions. Inference is log-space forward-backward and Viterbi;
-training is penalized maximum likelihood under a limited-memory
-quasi-Newton optimizer with a strong Wolfe line search, so runs are
-bit-reproducible. A saved model is a features file with one row per
-observation, in id order, plus a weights archive.
+label transitions. Notes are featurized once into flat arrays of
+observation ids and the positions they fire at, so one scatter-add gives
+the unary scores and another the unary gradient. Inference is log-space
+forward-backward and Viterbi; training is penalized maximum likelihood
+under a limited-memory quasi-Newton optimizer with a strong Wolfe line
+search, so runs are bit-reproducible. A saved model is a features file
+with one row per observation, in id order, plus a weights archive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +24,9 @@ from .tensor import TrainingDivergence, load_archive, save_archive
 BOS = "__BOS__"
 EOS = "__EOS__"
 
-# (name, word offsets) for the unary templates, in firing order.
+# (name, word offsets) for the unary templates, in firing order; each
+# template's offsets are consecutive and stay within one word of the
+# current position.
 UNIGRAM_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("w[-1]", (-1,)),
     ("w[0]", (0,)),
@@ -38,25 +42,26 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 
 
-def template_surface(words: Sequence[str], pos: int, offsets: tuple[int, ...]) -> tuple[str, ...]:
-    parts = []
-    for off in offsets:
-        j = pos + off
-        if j < 0:
-            parts.append(BOS)
-        elif j >= len(words):
-            parts.append(EOS)
-        else:
-            parts.append(words[j])
-    return tuple(parts)
-
-
 def extract_features(words: Sequence[str]) -> list[list[tuple[int, tuple[str, ...]]]]:
     """Per position: (template index, surface) firings, in template order."""
+    padded = (BOS, *words, EOS)
     return [
-        [(ti, template_surface(words, pos, offs)) for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES)]
+        [(ti, padded[pos + 1 + offs[0]:pos + 2 + offs[-1]])
+         for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES)]
         for pos in range(len(words))
     ]
+
+
+class Featurized(NamedTuple):
+    """Notes as flat arrays: observation ``ids[k]`` fires at position
+    ``pos[k]`` of the concatenated notes, note i spans positions
+    ``starts[i]:starts[i + 1]``, and ``gold`` holds the label of each
+    position (empty for notes given without labels)."""
+
+    ids: np.ndarray
+    pos: np.ndarray
+    starts: np.ndarray
+    gold: np.ndarray
 
 
 class FeatureIndex:
@@ -82,21 +87,42 @@ class FeatureIndex:
                         self.obs[key] = len(self.obs)
         return self
 
-    def transform(self, words: Sequence[str]) -> list[list[int]]:
-        """Active observation ids per position; unseen surfaces are dropped."""
-        out = []
-        for firings in extract_features(words):
-            out.append([self.obs[key] for key in firings if key in self.obs])
-        return out
+    def transform(self, notes: Iterable[tuple[Sequence[str], Sequence[int]]]) -> Featurized:
+        """Featurize (words, labels) notes; unseen surfaces are dropped and
+        each position's ids keep template order."""
+        ids, pos, gold, starts = [], [], [], [0]
+        for words, labels in notes:
+            offset = starts[-1]
+            for p, firings in enumerate(extract_features(words)):
+                for key in firings:
+                    obs = self.obs.get(key)
+                    if obs is not None:
+                        ids.append(obs)
+                        pos.append(offset + p)
+            starts.append(offset + len(words))
+            gold.extend(labels)
+        return Featurized(*(np.array(a, dtype=np.int64) for a in (ids, pos, starts, gold)))
+
+
+def weight_count(num_obs: int, num_labels: int) -> int:
+    """Length of a weight vector in the CrfModel.split layout."""
+    return num_obs * num_labels + num_labels ** 2
+
+
+def unary_scores(unary_w: np.ndarray, feats: Featurized) -> np.ndarray:
+    """[positions, |Y|] sums of the unary weights firing at each position.
+
+    np.add.at adds a position's rows one at a time in template order, so a
+    note scores bit-identically alone or among others.
+    """
+    unary = np.zeros((int(feats.starts[-1]), unary_w.shape[1]))
+    np.add.at(unary, feats.pos, unary_w[feats.ids])
+    return unary
 
 
 @dataclass
 class CrfModel:
-    """Weight vector over (observation, label) slots plus a transition block.
-
-    Slot layout: unary slot(obs, y) = obs * |Y| + y; the |Y|^2 transition
-    weights follow, row-major by (previous label, current label).
-    """
+    """Weight vector over (observation, label) slots plus a transition block."""
 
     labels: tuple[str, ...]
     index: FeatureIndex
@@ -114,7 +140,7 @@ class CrfModel:
         index = FeatureIndex().fit(
             (r.words for r in train.records), min_count=feature_cutoff
         )
-        n = index.num_obs * len(scheme.labels) + len(scheme.labels) ** 2
+        n = weight_count(index.num_obs, len(scheme.labels))
         return cls(
             labels=scheme.labels, index=index, weights=np.zeros(n), l2_lambda=l2_lambda
         )
@@ -123,22 +149,23 @@ class CrfModel:
     def num_labels(self) -> int:
         return len(self.labels)
 
-    def unary_weights(self) -> np.ndarray:
-        y = self.num_labels
-        return self.weights[: self.index.num_obs * y].reshape(self.index.num_obs, y)
+    def split(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a weight vector as its unary [obs, |Y|] and transition
+        [|Y|, |Y|] blocks.
 
-    def transition_weights(self) -> np.ndarray:
-        y = self.num_labels
-        return self.weights[self.index.num_obs * y:].reshape(y, y)
+        Layout: unary slot(obs, y) = obs * |Y| + y; the |Y|^2 transition
+        weights follow, row-major by (previous label, current label).
+        """
+        n_obs, y = self.index.num_obs, self.num_labels
+        expected = weight_count(n_obs, y)
+        if weights.shape != (expected,):
+            raise ValueError(f"weights shape {weights.shape}, expected ({expected},)")
+        return weights[:n_obs * y].reshape(n_obs, y), weights[n_obs * y:].reshape(y, y)
 
     def scores(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(unary [T, |Y|], transition [|Y|, |Y|]) score matrices."""
-        unary_w = self.unary_weights()
-        unary = np.zeros((len(words), self.num_labels))
-        for pos, active in enumerate(self.index.transform(words)):
-            if active:
-                unary[pos] = unary_w[active].sum(axis=0)
-        return unary, self.transition_weights()
+        unary_w, trans = self.split(self.weights)
+        return unary_scores(unary_w, self.index.transform([(words, ())])), trans
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -146,15 +173,9 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def log_partition(unary: np.ndarray, transition: np.ndarray) -> float:
-    """Log of the sum over all label paths, by the forward recursion."""
-    alpha = unary[0].astype(np.float64)
-    for t in range(1, unary.shape[0]):
-        alpha = unary[t] + _logsumexp(alpha[:, None] + transition, axis=0)
-    return float(_logsumexp(alpha, axis=0))
-
-
-def _forward_backward(unary: np.ndarray, transition: np.ndarray):
+def posteriors(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Node marginals [T, |Y|], pairwise marginals [T-1, |Y|, |Y|] and log Z,
+    by the log-space forward-backward recursions."""
     t_len, y = unary.shape
     alpha = np.zeros((t_len, y))
     beta = np.zeros((t_len, y))
@@ -164,25 +185,9 @@ def _forward_backward(unary: np.ndarray, transition: np.ndarray):
     for t in range(t_len - 2, -1, -1):
         beta[t] = _logsumexp(transition + unary[t + 1][None, :] + beta[t + 1][None, :], axis=1)
     log_z = float(_logsumexp(alpha[-1], axis=0))
-    return alpha, beta, log_z
-
-
-def _posteriors(unary: np.ndarray, transition: np.ndarray):
-    alpha, beta, log_z = _forward_backward(unary, transition)
     node = np.exp(alpha + beta - log_z)
-    t_len = unary.shape[0]
-    pair = np.zeros((max(t_len - 1, 0), unary.shape[1], unary.shape[1]))
-    for t in range(t_len - 1):
-        pair[t] = np.exp(
-            alpha[t][:, None] + transition + unary[t + 1][None, :] + beta[t + 1][None, :] - log_z
-        )
+    pair = np.exp(alpha[:-1, :, None] + transition + (unary[1:] + beta[1:])[:, None, :] - log_z)
     return node, pair, log_z
-
-
-def marginals(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position label marginals [T, |Y|] and pairwise marginals [T-1, |Y|, |Y|]."""
-    node, pair, _ = _posteriors(unary, transition)
-    return node, pair
 
 
 def viterbi(unary: np.ndarray, transition: np.ndarray) -> list[int]:
@@ -201,20 +206,9 @@ def viterbi(unary: np.ndarray, transition: np.ndarray) -> list[int]:
     return path
 
 
-def path_score(unary: np.ndarray, transition: np.ndarray, path: Sequence[int]) -> float:
-    score = float(unary[np.arange(len(path)), list(path)].sum())
-    for a, b in zip(path, path[1:]):
-        score += float(transition[a, b])
-    return score
-
-
-def _featurized(model: CrfModel, records: RecordSet) -> list[tuple[list[list[int]], tuple[int, ...]]]:
-    return [(model.index.transform(r.words), r.labels) for r in records.records]
-
-
 def nll_and_grad(
     model: CrfModel,
-    records: RecordSet | list[tuple[list[list[int]], tuple[int, ...]]],
+    records: RecordSet | Featurized,
     weights: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
     """Penalized negative log-likelihood and its exact gradient.
@@ -222,35 +216,37 @@ def nll_and_grad(
     loss = sum over records of (log Z - gold path score) + (lambda/2) ||w||^2;
     gradient = expected feature counts - empirical counts + lambda * w.
     """
-    data = _featurized(model, records) if isinstance(records, RecordSet) else records
+    feats = (model.index.transform((r.words, r.labels) for r in records.records)
+             if isinstance(records, RecordSet) else records)
     w = model.weights if weights is None else weights
     y = model.num_labels
-    n_unary = model.index.num_obs * y
-    unary_w = w[:n_unary].reshape(model.index.num_obs, y)
-    trans_w = w[n_unary:].reshape(y, y)
+    unary_w, trans_w = model.split(w)
+    unary = unary_scores(unary_w, feats)
+    gold = feats.gold
+    positions = np.arange(gold.size)
+    # gold transitions stay inside a record: skip each record's last position
+    inner = np.ones(gold.size, dtype=bool)
+    inner[feats.starts[1:] - 1] = False
+    prev, cur = gold[inner], gold[positions[inner] + 1]
 
-    loss = 0.0
-    grad_unary = np.zeros_like(unary_w)
-    grad_trans = np.zeros_like(trans_w)
-    for active_per_pos, gold in data:
-        t_len = len(gold)
-        unary = np.zeros((t_len, y))
-        for pos, active in enumerate(active_per_pos):
-            if active:
-                unary[pos] = unary_w[active].sum(axis=0)
-        node, pair, log_z = _posteriors(unary, trans_w)
-        loss += log_z - path_score(unary, trans_w, gold)
-        for pos, active in enumerate(active_per_pos):
-            if active:
-                grad_unary[active] += node[pos]
-                grad_unary[active, gold[pos]] -= 1.0
-        for t in range(t_len - 1):
-            grad_trans += pair[t]
-            grad_trans[gold[t], gold[t + 1]] -= 1.0
+    node = np.zeros_like(unary)
+    pair_sum = np.zeros((y, y))
+    log_z_sum = 0.0
+    for lo, hi in zip(feats.starts[:-1], feats.starts[1:]):
+        node[lo:hi], pair, log_z = posteriors(unary[lo:hi], trans_w)
+        pair_sum += pair.sum(axis=0)
+        log_z_sum += log_z
+    loss = log_z_sum - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
+
+    grad = np.zeros_like(w)
+    grad_unary, grad_trans = model.split(grad)
+    node[positions, gold] -= 1.0
+    np.add.at(grad_unary, feats.ids, node[feats.pos])
+    grad_trans += pair_sum - np.bincount(prev * y + cur, minlength=y * y).reshape(y, y)
 
     lam = model.l2_lambda
     loss += 0.5 * lam * float(w @ w)
-    grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + lam * w
+    grad += lam * w
     return loss, grad
 
 
@@ -373,20 +369,21 @@ def train(
     model: CrfModel,
     records: RecordSet,
     settings: OptimizerSettings = OptimizerSettings(),
-) -> tuple[CrfModel, list[float]]:
-    """Fit weights by penalized maximum likelihood; deterministic."""
+) -> tuple[CrfModel, list[float], bool]:
+    """Fit weights by penalized maximum likelihood; deterministic. Returns
+    the fitted model, the accepted losses and whether L-BFGS converged."""
     if not records.records:
         raise ValueError("cannot train on an empty record set")
-    data = _featurized(model, records)
+    feats = model.index.transform((r.words, r.labels) for r in records.records)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return nll_and_grad(model, data, weights=w)
+        return nll_and_grad(model, feats, weights=w)
 
-    weights, history, _ = minimize_lbfgs(objective, model.weights, settings)
+    weights, history, converged = minimize_lbfgs(objective, model.weights, settings)
     fitted = CrfModel(
         labels=model.labels, index=model.index, weights=weights, l2_lambda=model.l2_lambda
     )
-    return fitted, history
+    return fitted, history, converged
 
 
 def predict_labels(model: CrfModel, words: Sequence[str]) -> list[int]:
@@ -416,18 +413,18 @@ def tl_init(
             f"second layer shape {mapping.shape} does not map "
             f"{source.num_labels} source labels to {len(target_labels)} target labels"
         )
-    y_tgt = len(target_labels)
-    unary = np.zeros((target_index.num_obs, y_tgt))
-    src_unary = source.unary_weights()
+    target = CrfModel(
+        labels=target_labels, index=target_index, l2_lambda=l2_lambda,
+        weights=np.zeros(weight_count(target_index.num_obs, len(target_labels))),
+    )
+    unary, trans = target.split(target.weights)
+    src_unary, src_trans = source.split(source.weights)
     for key, tgt_obs in target_index.obs.items():
         src_obs = source.index.obs.get(key)
         if src_obs is not None:
             unary[tgt_obs] = src_unary[src_obs] @ mapping
-    trans = mapping.T @ source.transition_weights() @ mapping
-    weights = np.concatenate([unary.reshape(-1), trans.reshape(-1)])
-    return CrfModel(
-        labels=target_labels, index=target_index, weights=weights, l2_lambda=l2_lambda
-    )
+    trans[:] = mapping.T @ src_trans @ mapping
+    return target
 
 
 # --- serialization ---------------------------------------------------------------
@@ -435,8 +432,7 @@ def tl_init(
 def dump_features(model: CrfModel) -> str:
     """One ``template<TAB>word...`` row per observation; row i is observation i.
 
-    The weights archive lays out the unary weight of (observation, label)
-    at obs * |Y| + y, followed by the |Y|^2 transition weights.
+    The weights archive holds the weight vector in the CrfModel.split layout.
     """
     names = [name for name, _ in UNIGRAM_TEMPLATES]
     rows = sorted(model.index.obs.items(), key=lambda kv: kv[1])
@@ -470,8 +466,6 @@ def load_crf(
                 raise ValueError(f"features line {line_no}: duplicate observation")
             index.obs[key] = len(index.obs)
     weights = load_archive(weights_path)["weights"].astype(np.float64)
-    y = len(scheme.labels)
-    expected = index.num_obs * y + y * y
-    if weights.shape != (expected,):
-        raise ValueError(f"weights shape {weights.shape}, expected ({expected},)")
-    return CrfModel(labels=scheme.labels, index=index, weights=weights, l2_lambda=l2_lambda)
+    model = CrfModel(labels=scheme.labels, index=index, weights=weights, l2_lambda=l2_lambda)
+    model.split(weights)   # raises ValueError for weights sized for another model
+    return model

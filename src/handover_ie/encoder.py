@@ -212,12 +212,12 @@ def encode(
         ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (t, h))
         out = T.add(T.matmul(ctx, layer.wo), layer.bo)
         if drop > 0.0:
-            out = T.mul(out, T.dropout_mask(out.shape, drop, rng))
+            out = T.mul(out, T.dropout_mask(out, drop, rng))
         x = T.layer_norm(T.add(x, out), layer.ln1_g, layer.ln1_b)
         inner = T.gelu(T.add(T.matmul(x, layer.w1), layer.b1))
         ffn = T.add(T.matmul(inner, layer.w2), layer.b2)
         if drop > 0.0:
-            ffn = T.mul(ffn, T.dropout_mask(ffn.shape, drop, rng))
+            ffn = T.mul(ffn, T.dropout_mask(ffn, drop, rng))
         x = T.layer_norm(T.add(x, ffn), layer.ln2_g, layer.ln2_b)
     return x
 

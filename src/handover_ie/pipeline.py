@@ -40,10 +40,9 @@ from .tokenizer import (
     MergeTable,
     TokenizedSequence,
     align_labels,
-    dump_merges,
-    dump_vocab,
     encode as encode_words,
-    load_table,
+    read_table,
+    save_table,
     train_bpe,
     word_frequencies,
 )
@@ -133,6 +132,17 @@ def load_train_config(path: str) -> tuple[TrainConfig, dict]:
     return TrainConfig(**train_kw), model_kw
 
 
+def check_compatible(model_config: ModelConfig, table: MergeTable, scheme: LabelScheme) -> None:
+    """Raise CompatibilityError unless the encoder's vocabulary and label
+    count match the merge table and the label scheme."""
+    if model_config.vocab_size != len(table.pieces):
+        raise CompatibilityError(f"model vocab_size {model_config.vocab_size} does not match "
+                                 f"the {len(table.pieces)} pieces of the merge table")
+    if model_config.num_labels != len(scheme.labels):
+        raise CompatibilityError(f"model num_labels {model_config.num_labels} does not match "
+                                 f"the {len(scheme.labels)} labels of the scheme")
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to predict: model + tokenizer + scheme + configs."""
@@ -152,8 +162,7 @@ class Checkpoint:
         (d / "config.txt").write_text(dump_config(*configs), encoding="utf-8")
         (d / "labels.txt").write_text(dump_scheme(self.scheme), encoding="utf-8")
         if self.kind == "encoder":
-            (d / "merges.txt").write_text(dump_merges(self.table), encoding="utf-8")
-            (d / "vocab.txt").write_text(dump_vocab(self.table), encoding="utf-8")
+            save_table(self.table, d)
             enc.save_model(self.model, str(d / "model.tarch"))
         elif self.kind == "crf":
             crf_mod.save_crf(self.crf, str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"))
@@ -168,21 +177,8 @@ class Checkpoint:
         scheme = load_scheme((d / "labels.txt").read_text(encoding="utf-8"))
         if train_config.kind == "encoder":
             model_config = ModelConfig(**model_kw)
-            if model_config.num_labels != len(scheme.labels):
-                raise CompatibilityError(
-                    f"config num_labels {model_config.num_labels} vs "
-                    f"{len(scheme.labels)} scheme labels"
-                )
-            table = load_table(
-                (d / "merges.txt").read_text(encoding="utf-8"),
-                (d / "vocab.txt").read_text(encoding="utf-8"),
-                lowercase=train_config.lowercase,
-            )
-            if len(table.pieces) != model_config.vocab_size:
-                raise CompatibilityError(
-                    f"vocab has {len(table.pieces)} pieces but config says "
-                    f"{model_config.vocab_size}"
-                )
+            table = read_table(d, train_config.lowercase)
+            check_compatible(model_config, table, scheme)
             model = enc.load_model(model_config, str(d / "model.tarch"))
             return cls(
                 kind="encoder", scheme=scheme, train_config=train_config,
@@ -270,10 +266,7 @@ def fine_tune(
     best validation macro F1. Deterministic for a fixed seed."""
     if not train.records or not valid.records:
         raise ValueError("train and validation sets must be nonempty")
-    if model_config.vocab_size != len(table.pieces):
-        raise CompatibilityError("model vocab_size does not match the merge table")
-    if model_config.num_labels != len(scheme.labels):
-        raise CompatibilityError("model num_labels does not match the scheme")
+    check_compatible(model_config, table, scheme)
 
     model = EncoderModel(model_config, seed=config.seed)
     if config.pretrained:
@@ -331,14 +324,16 @@ def train_crf(
     scheme: LabelScheme,
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Quasi-Newton CRF fit; validation macro F1 reported once at the end."""
+    """Quasi-Newton CRF fit; validation macro F1 and whether L-BFGS
+    converged are reported once at the end."""
     model = crf_mod.CrfModel.build(
         train, scheme, l2_lambda=config.l2_lambda, feature_cutoff=config.feature_cutoff
     )
     settings = crf_mod.OptimizerSettings(max_iters=config.max_iters, grad_tol=config.grad_tol)
-    fitted, history = crf_mod.train(model, train, settings)
+    fitted, history, converged = crf_mod.train(model, train, settings)
     checkpoint = Checkpoint(kind="crf", scheme=scheme, train_config=config, crf=fitted)
-    metrics = [{"epoch": 0, "train_loss": history[-1], "val_macro_f1": None}]
+    metrics = [{"epoch": 0, "train_loss": history[-1], "val_macro_f1": None,
+                "converged": converged}]
     if valid.records:
         pred = predict(checkpoint, valid)
         metrics[0]["val_macro_f1"] = validation_macro_f1(

@@ -242,8 +242,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return _result(data, (x, gain, bias), vjp)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so float32 inputs are not promoted
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -258,14 +259,14 @@ def gelu(x: Tensor) -> Tensor:
     return _result(data, (x,), vjp)
 
 
-def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate), drawn from rng."""
+def dropout_mask(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted-dropout mask shaped and typed like x: 0 or 1/(1-rate), from rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return Tensor(np.ones(shape))
-    keep = rng.random(shape) >= rate
-    return Tensor(keep.astype(np.float64) / (1.0 - rate))
+        return Tensor(np.ones_like(x.data))
+    keep = rng.random(x.shape) >= rate
+    return Tensor(keep.astype(x.data.dtype) / (1.0 - rate))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
@@ -335,6 +336,21 @@ def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> Me
         vocab={p: i for i, p in enumerate(pieces)},
         lowercase=lowercase,
     )
+
+
+def save_table(table: MergeTable, directory: str | Path) -> None:
+    """Write a tokenizer directory: merges.txt and vocab.txt."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    (d / "merges.txt").write_text(dump_merges(table), encoding="utf-8")
+    (d / "vocab.txt").write_text(dump_vocab(table), encoding="utf-8")
+
+
+def read_table(directory: str | Path, lowercase: bool) -> MergeTable:
+    """Read a tokenizer directory written by save_table."""
+    d = Path(directory)
+    return load_table((d / "merges.txt").read_text(encoding="utf-8"),
+                      (d / "vocab.txt").read_text(encoding="utf-8"), lowercase=lowercase)
 
 
 def word_frequencies(word_lists: Iterable[Sequence[str]], lowercase: bool = False) -> dict[str, int]:

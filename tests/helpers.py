@@ -1,7 +1,11 @@
 """Shared test utilities."""
 from __future__ import annotations
 
+import numpy as np
+from scipy.special import logsumexp
+
 from handover_ie import tensor as T
+from handover_ie.crf import extract_features
 
 
 def probed(loss_fn, params, rng):
@@ -41,3 +45,53 @@ def word_accuracy(gold, pred) -> float:
             total += 1
             correct += a == b
     return correct / total
+
+
+def path_score(unary, transition, path) -> float:
+    """Score of one label path: its unary entries plus its transitions."""
+    score = float(unary[np.arange(len(path)), list(path)].sum())
+    for a, b in zip(path, path[1:]):
+        score += float(transition[a, b])
+    return score
+
+
+def loop_nll_and_grad(model, records, weights):
+    """Per-position loop reference for crf.nll_and_grad: its own
+    forward-backward, one position and one transition at a time."""
+    y = model.num_labels
+    n_unary = model.index.num_obs * y
+    unary_w = weights[:n_unary].reshape(model.index.num_obs, y)
+    trans_w = weights[n_unary:].reshape(y, y)
+    grad_unary = np.zeros_like(unary_w)
+    grad_trans = np.zeros_like(trans_w)
+    loss = 0.0
+    for rec in records.records:
+        gold = rec.labels
+        active_per_pos = [[model.index.obs[key] for key in firings if key in model.index.obs]
+                          for firings in extract_features(rec.words)]
+        t_len = len(gold)
+        unary = np.zeros((t_len, y))
+        for pos, active in enumerate(active_per_pos):
+            if active:
+                unary[pos] = unary_w[active].sum(axis=0)
+        alpha = np.zeros((t_len, y))
+        beta = np.zeros((t_len, y))
+        alpha[0] = unary[0]
+        for t in range(1, t_len):
+            alpha[t] = unary[t] + logsumexp(alpha[t - 1][:, None] + trans_w, axis=0)
+        for t in range(t_len - 2, -1, -1):
+            beta[t] = logsumexp(trans_w + unary[t + 1] + beta[t + 1], axis=1)
+        log_z = float(logsumexp(alpha[-1]))
+        node = np.exp(alpha + beta - log_z)
+        loss += log_z - path_score(unary, trans_w, gold)
+        for pos, active in enumerate(active_per_pos):
+            if active:
+                grad_unary[active] += node[pos]
+                grad_unary[active, gold[pos]] -= 1.0
+        for t in range(t_len - 1):
+            grad_trans += np.exp(alpha[t][:, None] + trans_w + unary[t + 1] + beta[t + 1] - log_z)
+            grad_trans[gold[t], gold[t + 1]] -= 1.0
+    lam = model.l2_lambda
+    loss += 0.5 * lam * float(weights @ weights)
+    grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + lam * weights
+    return loss, grad

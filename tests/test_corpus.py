@@ -61,6 +61,24 @@ def test_parse_accepts_file_object_and_missing_trailing_blank():
     assert rs.records[0].id == "r0000"
 
 
+def test_string_and_file_input_break_lines_alike(tmp_path):
+    # str.splitlines would also break inside these words
+    scheme = LabelScheme(labels=("N.A.", "a"))
+    words = ("a\x85b", "c\u2028d", "e\x0bf", "g\x0ch", "i\x1cj")
+    rs = RecordSet(split="train", records=(Record(id="u", words=words, labels=(1, 0, 0, 1, 0)),))
+    text = serialize_records(rs, scheme)
+    assert parse_records(text, scheme=scheme)[0] == rs
+    assert parse_records(io.StringIO(text), scheme=scheme)[0] == rs
+
+    crlf = TWO_RECORD_FIXTURE.replace("\n", "\r\n")
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(crlf.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        from_file = parse_records(fh)
+    assert parse_records(crlf) == from_file
+    assert from_file == parse_records(TWO_RECORD_FIXTURE)
+
+
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse_records("ok\tN.A.\nbroken line\n")

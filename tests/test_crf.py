@@ -19,11 +19,9 @@ from handover_ie.crf import (
     FeatureIndex,
     OptimizerSettings,
     extract_features,
-    log_partition,
-    marginals,
     minimize_lbfgs,
     nll_and_grad,
-    path_score,
+    posteriors,
     predict_labels,
     save_crf,
     load_crf,
@@ -32,6 +30,8 @@ from handover_ie.crf import (
     viterbi,
 )
 from handover_ie.tensor import TrainingDivergence
+
+from helpers import loop_nll_and_grad, path_score
 
 
 def brute_force(unary, trans):
@@ -89,14 +89,29 @@ def test_feature_ids_stable_across_rebuilds():
     one = FeatureIndex().fit(words)
     two = FeatureIndex().fit(words)
     assert one.obs == two.obs
-    assert one.transform(["a", "b"]) == two.transform(["a", "b"])
+    a, b = (index.transform([(["a", "b"], ())]) for index in (one, two))
+    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.pos, b.pos)
 
 
 def test_unseen_surfaces_are_dropped():
     index = FeatureIndex().fit([["a", "b"]])
-    active = index.transform(["z", "q"])
-    firing_counts = [len(a) for a in active]
+    feats = index.transform([(["z", "q"], ())])
+    firing_counts = np.bincount(feats.pos, minlength=2)
     assert all(c < 6 for c in firing_counts)
+
+
+def test_transform_flattens_notes_in_order():
+    index = FeatureIndex().fit([["a", "b"], ["c"]])
+    feats = index.transform([(["a", "b"], (1, 0)), (["c"], (2,))])
+    expected_ids, expected_pos = [], []
+    for offset, words in ((0, ["a", "b"]), (2, ["c"])):
+        for p, firings in enumerate(extract_features(words)):
+            expected_ids += [index.obs[key] for key in firings]
+            expected_pos += [offset + p] * len(firings)
+    assert feats.ids.tolist() == expected_ids
+    assert feats.pos.tolist() == expected_pos
+    assert feats.starts.tolist() == [0, 2, 3]
+    assert feats.gold.tolist() == [1, 0, 2]
 
 
 def test_feature_cutoff_prunes_rare_observations():
@@ -115,8 +130,8 @@ def test_zero_weights_log_partition_and_marginals():
     for t_len, y in ((1, 2), (4, 3), (6, 4)):
         unary = np.zeros((t_len, y))
         trans = np.zeros((y, y))
-        assert abs(log_partition(unary, trans) - t_len * math.log(y)) < 1e-12
-        node, pair = marginals(unary, trans)
+        node, pair, log_z = posteriors(unary, trans)
+        assert abs(log_z - t_len * math.log(y)) < 1e-12
         assert np.abs(node - 1.0 / y).max() < 1e-12
         if t_len > 1:
             assert np.abs(pair - 1.0 / y ** 2).max() < 1e-12
@@ -127,8 +142,8 @@ def test_inference_matches_bruteforce_enumeration():
         rng = np.random.default_rng(trial)
         unary, trans = random_instance(rng)
         log_z, node, pair, best, tie_path = brute_force(unary, trans)
-        assert abs(log_partition(unary, trans) - log_z) < 1e-8
-        got_node, got_pair = marginals(unary, trans)
+        got_node, got_pair, got_log_z = posteriors(unary, trans)
+        assert abs(got_log_z - log_z) < 1e-8
         assert np.abs(got_node - node).max() < 1e-8
         if pair.size:
             assert np.abs(got_pair - pair).max() < 1e-8
@@ -141,7 +156,7 @@ def test_pairwise_marginals_consistent_with_unary():
     for trial in range(20):
         rng = np.random.default_rng(500 + trial)
         unary, trans = random_instance(rng)
-        node, pair = marginals(unary, trans)
+        node, pair, _ = posteriors(unary, trans)
         assert np.abs(node.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(node >= 0.0) and np.all(node <= 1.0 + 1e-12)
         for t in range(pair.shape[0]):
@@ -153,7 +168,7 @@ def test_partition_dominates_every_single_path():
     for trial in range(20):
         rng = np.random.default_rng(900 + trial)
         unary, trans = random_instance(rng)
-        log_z = log_partition(unary, trans)
+        _, _, log_z = posteriors(unary, trans)
         t_len, y = unary.shape
         for p in itertools.product(range(y), repeat=t_len):
             assert log_z >= path_score(unary, trans, p) - 1e-10
@@ -219,6 +234,35 @@ def test_nll_gradient_matches_finite_differences():
     assert worst_resolved < 1e-6
 
 
+def test_objective_matches_loop_oracle():
+    scheme = default_synthetic_scheme()
+    for trial in range(5):
+        rng = np.random.default_rng(70 + trial)
+        rs = generate_synthetic(int(rng.integers(1, 30)), scheme, seed=70 + trial)
+        model = CrfModel.build(rs, scheme, l2_lambda=float(rng.uniform(0, 2)))
+        w = rng.normal(0, 1, model.weights.shape)
+        loss, grad = nll_and_grad(model, rs, weights=w)
+        want_loss, want_grad = loop_nll_and_grad(model, rs, w)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.abs(grad - want_grad).max() <= 1e-10
+
+
+def test_scores_unary_equals_per_position_sums_bitwise():
+    scheme = default_synthetic_scheme()
+    model = CrfModel.build(generate_synthetic(40, scheme, seed=26), scheme)
+    model.weights = np.random.default_rng(27).normal(0, 1, model.weights.shape)
+    unary_w, trans_w = model.split(model.weights)
+    for rec in generate_synthetic(30, scheme, seed=28).records:
+        unary, trans = model.scores(rec.words)
+        want = np.zeros_like(unary)
+        for pos, firings in enumerate(extract_features(rec.words)):
+            active = [model.index.obs[key] for key in firings if key in model.index.obs]
+            if active:
+                want[pos] = unary_w[active].sum(axis=0)
+        assert np.array_equal(unary, want)
+        assert np.array_equal(trans, trans_w)
+
+
 def test_regularizer_only_gradient_for_empty_records():
     scheme = LabelScheme(labels=("N.A.", "a"))
     fit_on = make_set([[("x", 0), ("y", 1)]])
@@ -234,16 +278,26 @@ def test_train_separable_records_reach_full_accuracy():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(10, scheme, seed=21)
     model = CrfModel.build(rs, scheme, l2_lambda=0.05)
-    fitted, history = train(model, rs)
+    fitted, history, converged = train(model, rs)
+    assert converged
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     for rec in rs.records:
         assert predict_labels(fitted, rec.words) == list(rec.labels)
 
 
+def test_train_reports_when_lbfgs_stops_short():
+    scheme = default_synthetic_scheme()
+    rs = generate_synthetic(10, scheme, seed=21)
+    model = CrfModel.build(rs, scheme, l2_lambda=0.05)
+    _, history, converged = train(model, rs, OptimizerSettings(max_iters=1))
+    assert len(history) == 2
+    assert not converged
+
+
 def test_viterbi_score_dominates_gold_after_convergence():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(8, scheme, seed=22)
-    fitted, _ = train(CrfModel.build(rs, scheme, l2_lambda=0.05), rs)
+    fitted, _, _ = train(CrfModel.build(rs, scheme, l2_lambda=0.05), rs)
     for rec in rs.records:
         unary, trans = fitted.scores(rec.words)
         best = viterbi(unary, trans)
@@ -254,18 +308,18 @@ def test_huge_l2_drives_weights_to_zero():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(5, scheme, seed=23)
     model = CrfModel.build(rs, scheme, l2_lambda=1e6)
-    fitted, _ = train(model, rs)
+    fitted, _, _ = train(model, rs)
     assert np.abs(fitted.weights).max() < 1e-3
     unary, trans = fitted.scores(rs.records[0].words)
-    node, _ = marginals(unary, trans)
+    node, _, _ = posteriors(unary, trans)
     assert np.abs(node - 1.0 / len(scheme.labels)).max() < 1e-3
 
 
 def test_training_is_bitwise_deterministic():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(12, scheme, seed=24)
-    a, _ = train(CrfModel.build(rs, scheme), rs)
-    b, _ = train(CrfModel.build(rs, scheme), rs)
+    a, _, _ = train(CrfModel.build(rs, scheme), rs)
+    b, _, _ = train(CrfModel.build(rs, scheme), rs)
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -329,8 +383,8 @@ def test_tl_init_random_mapping_matches_hand_computation():
     target_labels = ("N.A.", "t1", "t2")
     target_index = FeatureIndex().fit([["a", "b"], ["zz"]])
     out = tl_init(src, mapping, target_index, target_labels)
-    out_unary = out.unary_weights()
-    src_unary = src.unary_weights()
+    out_unary, out_trans = out.split(out.weights)
+    src_unary, src_trans = src.split(src.weights)
     for key, tgt_obs in target_index.obs.items():
         if key in src.index.obs:
             expected = np.array([
@@ -340,8 +394,7 @@ def test_tl_init_random_mapping_matches_hand_computation():
             assert np.allclose(out_unary[tgt_obs], expected)
         else:
             assert np.all(out_unary[tgt_obs] == 0.0)
-    assert np.allclose(out.transition_weights(),
-                       mapping.T @ src.transition_weights() @ mapping)
+    assert np.allclose(out_trans, mapping.T @ src_trans @ mapping)
 
 
 def test_tl_init_dimension_mismatch():
@@ -354,8 +407,8 @@ def test_tl_init_dimension_mismatch():
 def test_crf_serialization_round_trip(tmp_path):
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(6, scheme, seed=25)
-    fitted, _ = train(CrfModel.build(rs, scheme), rs,
-                      OptimizerSettings(max_iters=15))
+    fitted, _, _ = train(CrfModel.build(rs, scheme), rs,
+                         OptimizerSettings(max_iters=15))
     features, weights = tmp_path / "features.tsv", tmp_path / "weights.tarch"
     save_crf(fitted, str(features), str(weights))
     rows = features.read_text(encoding="utf-8").splitlines()

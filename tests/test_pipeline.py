@@ -135,6 +135,19 @@ def test_checkpoint_round_trip_preserves_predictions(tiny_setup, tmp_path):
     assert before == after
 
 
+def test_encoder_must_match_table_and_scheme(tiny_setup, tmp_path):
+    scheme, train, valid, table, model_config = tiny_setup
+    config = tiny_train_config(epochs=1)
+    ckpt, _ = pipeline.fine_tune(train, valid, scheme, table, config, model_config)
+    for field in ("vocab_size", "num_labels"):
+        bad = replace(model_config, **{field: getattr(model_config, field) + 1})
+        with pytest.raises(CompatibilityError, match=field):
+            pipeline.fine_tune(train, valid, scheme, table, config, bad)
+        replace(ckpt, model_config=bad).save(tmp_path / field)
+        with pytest.raises(CompatibilityError, match=field):
+            pipeline.Checkpoint.load(tmp_path / field)
+
+
 def test_predict_empty_and_repeatable(tiny_setup):
     scheme, train, valid, table, model_config = tiny_setup
     config = tiny_train_config(epochs=1)
@@ -349,6 +362,7 @@ def test_cli_full_flow(tmp_path, capsys):
             "--train", str(paths["train"]), "--valid", str(paths["valid"]),
             "--scheme", str(tmp_path / "labels.txt"), "--out", str(out_dir),
         ]) == 0
+        assert ("converged " in capsys.readouterr().out) == (model == "crf")
         pred_path = tmp_path / f"pred_{model}.tsv"
         assert cli_main(["predict", "--checkpoint", str(out_dir),
                          "--input", str(paths["test"]), "--out", str(pred_path)]) == 0

@@ -200,7 +200,7 @@ def _primitive_check(name: str, rng) -> float:
         return T.grad_check(lambda: out(T.gelu(a)), [a])
     if name == "dropout":
         a = par((4, 5))
-        mask = T.dropout_mask((4, 5), 0.4, rng)
+        mask = T.dropout_mask(a, 0.4, rng)
         out = _make_readout(20, rng)
         return T.grad_check(lambda: out(T.mul(a, mask)), [a])
     if name == "reshape_transpose":
@@ -218,12 +218,41 @@ def _primitive_check(name: str, rng) -> float:
 
 def test_dropout_mask_properties():
     rng = np.random.default_rng(4)
-    mask = T.dropout_mask((200, 50), 0.25, rng).data
+    mask = T.dropout_mask(T.constant(np.zeros((200, 50))), 0.25, rng).data
     assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
     assert abs((mask > 0).mean() - 0.75) < 0.02
-    assert np.all(T.dropout_mask((3, 3), 0.0, rng).data == 1.0)
+    assert np.all(T.dropout_mask(T.constant(np.zeros((3, 3))), 0.0, rng).data == 1.0)
     with pytest.raises(ValueError):
-        T.dropout_mask((2,), 1.0, rng)
+        T.dropout_mask(T.constant(np.zeros(2)), 1.0, rng)
+
+
+F32_OPS = {
+    "add": lambda x, rng: T.add(x, x),
+    "mul": lambda x, rng: T.mul(x, x),
+    "scale": lambda x, rng: T.scale(x, 0.5),
+    "matmul": lambda x, rng: T.matmul(x, T.transpose(x, (1, 0))),
+    "embedding_lookup": lambda x, rng: T.embedding_lookup(x, [2, 0]),
+    "softmax_rows": lambda x, rng: T.softmax_rows(x),
+    "log_softmax_rows": lambda x, rng: T.log_softmax_rows(x),
+    "layer_norm": lambda x, rng: T.layer_norm(
+        x, T.constant(np.ones(4, np.float32)), T.constant(np.zeros(4, np.float32))),
+    "gelu": lambda x, rng: T.gelu(x),
+    "dropout": lambda x, rng: T.mul(x, T.dropout_mask(x, 0.3, rng)),
+    "reshape": lambda x, rng: T.reshape(x, (12,)),
+    "transpose": lambda x, rng: T.transpose(x, (1, 0)),
+    "masked_nll": lambda x, rng: T.masked_nll(T.log_softmax_rows(x), [0, -100, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F32_OPS))
+def test_primitives_keep_float32(name):
+    rng = np.random.default_rng(5)
+    x = T.Parameter(rng.normal(0, 1, (3, 4)).astype(np.float32), "x")
+    out = F32_OPS[name](x, rng)
+    assert out.data.dtype == np.float32
+    ones = T.constant(np.ones((out.data.size, 1), np.float32))
+    T.backward(T.matmul(T.reshape(out, (1, -1)), ones))
+    assert x.grad.dtype == np.float32
 
 
 def test_backward_accumulates_through_shared_nodes():
