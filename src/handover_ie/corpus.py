@@ -137,8 +137,9 @@ def validate_against_scheme(rs: RecordSet, scheme: LabelScheme) -> None:
                 raise LabelingError(f"record {rec.id!r}: label id {lab} outside scheme")
 
 
-def _iter_lines(stream: str | TextIO | Iterable[str]) -> Iterable[str]:
-    # a string is read as a text file is: lines break at \n, \r and \r\n only
+def read_lines(stream: str | TextIO | Iterable[str]) -> Iterable[str]:
+    """Lines without their ends; a string is read as a text file is, so
+    lines break at \\n, \\r and \\r\\n only, never at \\x85, \\u2028 and the like."""
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
     return (line.rstrip("\n") for line in stream)
@@ -167,7 +168,7 @@ def parse_records(
         words, names = [], []
 
     line_no = 0
-    for line in _iter_lines(stream):
+    for line in read_lines(stream):
         line_no += 1
         if line == "":
             flush()
@@ -222,7 +223,7 @@ def serialize_records(rs: RecordSet, scheme: LabelScheme) -> str:
 
 def load_scheme(text: str) -> LabelScheme:
     """One label per line; the first line is the N.A. label."""
-    labels = [line for line in text.splitlines() if line]
+    labels = [line for line in read_lines(text) if line]
     if not labels:
         raise ValueError("empty label scheme file")
     return LabelScheme(labels=tuple(labels), na_label=labels[0])

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -71,69 +72,91 @@ def sinusoidal_table(n_positions: int, dim: int) -> np.ndarray:
     return table
 
 
-class EncoderLayer:
-    def __init__(self, cfg: ModelConfig, idx: int, rng: np.random.Generator):
-        h, f = cfg.hidden_size, cfg.ffn_size
-        p = f"layer{idx}"
+# Each layer's Parameters: attribute, name within the layer, and shape in
+# units of hidden_size (h) and ffn_size (f), in archive order.
+LAYER_LAYOUT = (
+    ("wq", "attention.query.weight", "hh"), ("bq", "attention.query.bias", "h"),
+    ("wk", "attention.key.weight", "hh"), ("bk", "attention.key.bias", "h"),
+    ("wv", "attention.value.weight", "hh"), ("bv", "attention.value.bias", "h"),
+    ("wo", "attention.output.weight", "hh"), ("bo", "attention.output.bias", "h"),
+    ("ln1_g", "attention_norm.gain", "h"), ("ln1_b", "attention_norm.bias", "h"),
+    ("w1", "ffn.inner.weight", "hf"), ("b1", "ffn.inner.bias", "f"),
+    ("w2", "ffn.outer.weight", "fh"), ("b2", "ffn.outer.bias", "h"),
+    ("ln2_g", "ffn_norm.gain", "h"), ("ln2_b", "ffn_norm.bias", "h"),
+)
 
-        def w(name, shape):
-            return Parameter(truncated_normal(rng, shape), f"{p}.{name}")
 
-        def b(name, size):
-            return Parameter(np.zeros(size), f"{p}.{name}")
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in archive order, which is also
+    the order the seeded initialization draws them in."""
+    h = config.hidden_size
+    dims = {"h": h, "f": config.ffn_size}
+    layout = [("embeddings.token", (config.vocab_size, h)),
+              ("embeddings.segment", (config.num_segments, h))]
+    if config.position_mode == "learned":
+        layout.append(("embeddings.position", (config.max_positions, h)))
+    for i in range(config.num_layers):
+        layout += [(f"layer{i}.{name}", tuple(dims[d] for d in shape))
+                   for _, name, shape in LAYER_LAYOUT]
+    return layout + [("classifier.weight", (h, config.num_labels)),
+                     ("classifier.bias", (config.num_labels,))]
 
-        self.wq, self.bq = w("attention.query.weight", (h, h)), b("attention.query.bias", h)
-        self.wk, self.bk = w("attention.key.weight", (h, h)), b("attention.key.bias", h)
-        self.wv, self.bv = w("attention.value.weight", (h, h)), b("attention.value.bias", h)
-        self.wo, self.bo = w("attention.output.weight", (h, h)), b("attention.output.bias", h)
-        self.ln1_g = Parameter(np.ones(h), f"{p}.attention_norm.gain")
-        self.ln1_b = b("attention_norm.bias", h)
-        self.w1, self.b1 = w("ffn.inner.weight", (h, f)), b("ffn.inner.bias", f)
-        self.w2, self.b2 = w("ffn.outer.weight", (f, h)), b("ffn.outer.bias", h)
-        self.ln2_g = Parameter(np.ones(h), f"{p}.ffn_norm.gain")
-        self.ln2_b = b("ffn_norm.bias", h)
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo,
-            self.ln1_g, self.ln1_b, self.w1, self.b1, self.w2, self.b2,
-            self.ln2_g, self.ln2_b,
-        ]
+def initial_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Biases start at zero, layer-norm gains at one, every other tensor
+    truncated normal."""
+    if name.endswith(".bias"):
+        return np.zeros(shape)
+    if name.endswith(".gain"):
+        return np.ones(shape)
+    return truncated_normal(rng, shape)
 
 
 class EncoderModel:
-    """Holds all Parameters; shapes are fully determined by the config."""
+    """Holds all Parameters; shapes are fully determined by the config.
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    `weights` maps every name of the parameter layout to an array of its
+    shape (a loaded archive, say); the model binds float64 copies of them.
+    Without `weights` the model draws its initialization from `seed`.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 weights: Optional[Mapping[str, np.ndarray]] = None):
         self.config = config
-        rng = np.random.Generator(np.random.PCG64(seed))
-        h = config.hidden_size
-        self.token_emb = Parameter(
-            truncated_normal(rng, (config.vocab_size, h)), "embeddings.token"
-        )
-        self.segment_emb = Parameter(
-            truncated_normal(rng, (config.num_segments, h)), "embeddings.segment"
-        )
-        if config.position_mode == "learned":
-            self.position_emb: Optional[Parameter] = Parameter(
-                truncated_normal(rng, (config.max_positions, h)), "embeddings.position"
-            )
-            self._position_table = None
+        shapes = dict(parameter_layout(config))
+        if weights is None:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            arrays = (initial_value(name, shape, rng) for name, shape in shapes.items())
         else:
-            self.position_emb = None
-            self._position_table = sinusoidal_table(config.max_positions, h)
-        self.layers = [EncoderLayer(config, i, rng) for i in range(config.num_layers)]
-        self.cls_w = Parameter(truncated_normal(rng, (h, config.num_labels)), "classifier.weight")
-        self.cls_b = Parameter(np.zeros(config.num_labels), "classifier.bias")
+            missing, extra = shapes.keys() - weights.keys(), weights.keys() - shapes.keys()
+            if missing or extra:
+                raise CompatibilityError(
+                    f"checkpoint mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
+                )
+            for name, shape in shapes.items():
+                if weights[name].shape != shape:
+                    raise CompatibilityError(
+                        f"{name}: checkpoint shape {weights[name].shape} vs model {shape}"
+                    )
+            arrays = (weights[name] for name in shapes)
+        self._params = [Parameter(np.asarray(data, dtype=np.float64), name)
+                        for name, data in zip(shapes, arrays)]
+        by_name = {p.name: p for p in self._params}
+        self.token_emb = by_name["embeddings.token"]
+        self.segment_emb = by_name["embeddings.segment"]
+        self.position_emb: Optional[Parameter] = by_name.get("embeddings.position")
+        self._position_table = (None if self.position_emb is not None
+                                else sinusoidal_table(config.max_positions, config.hidden_size))
+        self.layers = [
+            SimpleNamespace(**{attr: by_name[f"layer{i}.{name}"] for attr, name, _ in LAYER_LAYOUT})
+            for i in range(config.num_layers)
+        ]
+        self.cls_w = by_name["classifier.weight"]
+        self.cls_b = by_name["classifier.bias"]
 
     def parameters(self) -> list[Parameter]:
-        params = [self.token_emb, self.segment_emb]
-        if self.position_emb is not None:
-            params.append(self.position_emb)
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        params.extend([self.cls_w, self.cls_b])
-        return params
+        """Every Parameter in parameter-layout order."""
+        return list(self._params)
 
     def zero_grad(self) -> None:
         T.zero_grad(self.parameters())
@@ -146,13 +169,7 @@ class EncoderModel:
 
 def param_count(config: ModelConfig) -> int:
     """Exact number of trainable scalars implied by the architecture."""
-    h, f = config.hidden_size, config.ffn_size
-    emb = config.vocab_size * h + config.num_segments * h
-    if config.position_mode == "learned":
-        emb += config.max_positions * h
-    per_layer = 4 * (h * h + h) + 2 * (2 * h) + (h * f + f) + (f * h + h)
-    head = h * config.num_labels + config.num_labels
-    return emb + config.num_layers * per_layer + head
+    return sum(math.prod(shape) for _, shape in parameter_layout(config))
 
 
 def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel) -> Tensor:
@@ -175,13 +192,11 @@ def encode(
     pad_mask: Optional[np.ndarray] = None,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
-    attn_sink: Optional[list] = None,
 ) -> Tensor:
     """Apply all encoder layers to a [seq_len, H] input.
 
     pad_mask marks real (non-[PAD]) positions; masked positions are
-    excluded from attention. attn_sink, when given, collects each layer's
-    [heads, seq_len, seq_len] attention weights.
+    excluded from attention.
     """
     cfg = model.config
     h, a = cfg.hidden_size, cfg.num_heads
@@ -207,8 +222,6 @@ def encode(
         if bias is not None:
             scores = T.add(scores, bias)
         attn = T.softmax_rows(scores)
-        if attn_sink is not None:
-            attn_sink.append(attn.data.copy())
         ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (t, h))
         out = T.add(T.matmul(ctx, layer.wo), layer.bo)
         if drop > 0.0:
@@ -255,38 +268,19 @@ def save_model(model: EncoderModel, path: str) -> None:
 
 
 def load_model(config: ModelConfig, path: str) -> EncoderModel:
-    model = EncoderModel(config)
-    entries = T.load_archive(path)
-    load_weights(model, entries)
-    return model
-
-
-def load_weights(model: EncoderModel, entries: dict[str, np.ndarray]) -> None:
-    params = {p.name: p for p in model.parameters()}
-    missing = set(params) - set(entries)
-    extra = set(entries) - set(params)
-    if missing or extra:
-        raise CompatibilityError(
-            f"checkpoint mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    for name, p in params.items():
-        if entries[name].shape != p.data.shape:
-            raise CompatibilityError(
-                f"{name}: checkpoint shape {entries[name].shape} vs model {p.data.shape}"
-            )
-        p.data = entries[name].astype(np.float64)
-        p.grad = np.zeros_like(p.data)
+    """The model whose weights are the archive's; draws no initialization."""
+    return EncoderModel(config, weights=T.load_archive(path))
 
 
 def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str) -> list[str]:
     """Copy externally exported weights into the model via a name mapping.
 
     The mapping file has one `external<TAB>internal` pair per line; names
-    not listed keep their fresh initialization. Returns the imported
-    internal names in file order.
+    not listed keep their current values. The model changes only if every
+    line is accepted. Returns the imported internal names in file order.
     """
     entries = T.load_archive(archive_path)
-    params = {p.name: p for p in model.parameters()}
+    weights = {p.name: p.data for p in model.parameters()}
     imported = []
     with open(mapping_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -299,15 +293,11 @@ def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str)
             ext, internal = parts
             if ext not in entries:
                 raise CompatibilityError(f"mapping line {line_no}: {ext!r} not in archive")
-            if internal not in params:
+            if internal not in weights:
                 raise CompatibilityError(f"mapping line {line_no}: {internal!r} not in model")
-            arr = entries[ext]
-            p = params[internal]
-            if arr.shape != p.data.shape:
-                raise CompatibilityError(
-                    f"{internal}: archive shape {arr.shape} vs model {p.data.shape}"
-                )
-            p.data = arr.astype(np.float64)
-            p.grad = np.zeros_like(p.data)
+            weights[internal] = entries[ext]
             imported.append(internal)
+    checked = EncoderModel(model.config, weights=weights)
+    for p, new in zip(model.parameters(), checked.parameters()):
+        p.data, p.grad = new.data, new.grad
     return imported

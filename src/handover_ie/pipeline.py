@@ -26,6 +26,7 @@ from .corpus import (
     dump_scheme,
     evaluated_classes,
     load_scheme,
+    read_lines,
 )
 from .encoder import CompatibilityError, EncoderModel, ModelConfig
 from .evaluation import (
@@ -107,7 +108,7 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
     """Split a flat key=value file into TrainConfig and ModelConfig kwargs."""
     train_kw: dict = {}
     model_kw: dict = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(read_lines(text), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,10 +269,10 @@ def fine_tune(
         raise ValueError("train and validation sets must be nonempty")
     check_compatible(model_config, table, scheme)
 
-    model = EncoderModel(model_config, seed=config.seed)
     if config.pretrained:
-        entries = T.load_archive(config.pretrained)
-        enc.load_weights(model, entries)
+        model = enc.load_model(model_config, config.pretrained)
+    else:
+        model = EncoderModel(model_config, seed=config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay)

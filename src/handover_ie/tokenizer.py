@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .corpus import read_lines
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
 CONTINUATION = "##"
@@ -308,7 +310,7 @@ def dump_vocab(table: MergeTable) -> str:
 
 def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> MergeTable:
     merges = []
-    for line_no, line in enumerate(merges_text.splitlines(), 1):
+    for line_no, line in enumerate(read_lines(merges_text), 1):
         if not line:
             continue
         parts = line.split(" ")
@@ -316,7 +318,7 @@ def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> Me
             raise ValueError(f"merges line {line_no}: expected 'left right'")
         merges.append((parts[0], parts[1]))
     entries: list[tuple[str, int]] = []
-    for line_no, line in enumerate(vocab_text.splitlines(), 1):
+    for line_no, line in enumerate(read_lines(vocab_text), 1):
         if not line:
             continue
         parts = line.split("\t")

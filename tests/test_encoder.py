@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,20 @@ def tiny_model(seed=0, **overrides):
 def _cfg_dict(cfg):
     from dataclasses import asdict
     return asdict(cfg)
+
+
+def record_attention(monkeypatch):
+    """Collect each layer's [heads, seq_len, seq_len] attention weights."""
+    sink = []
+    softmax_rows = T.softmax_rows
+
+    def recording(x):
+        out = softmax_rows(x)
+        sink.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(T, "softmax_rows", recording)
+    return sink
 
 
 def test_config_validation():
@@ -102,19 +117,20 @@ def test_sinusoidal_mode_has_no_position_parameter():
     assert np.allclose(delta[0, 1::2], np.cos(0.0))
 
 
-def test_single_position_attention_weight_is_one():
+def test_single_position_attention_weight_is_one(monkeypatch):
     model = tiny_model(seed=2)
-    sink = []
-    encode(embed([5], model), model, attn_sink=sink)
+    sink = record_attention(monkeypatch)
+    encode(embed([5], model), model)
+    assert len(sink) == 1
     for layer_attn in sink:
         assert layer_attn.shape == (2, 1, 1)
         assert np.allclose(layer_attn, 1.0, atol=0.0)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     model = tiny_model(seed=4, num_layers=2)
-    sink = []
-    encode(embed([1, 2, 3, 4, 5], model), model, attn_sink=sink)
+    sink = record_attention(monkeypatch)
+    encode(embed([1, 2, 3, 4, 5], model), model)
     assert len(sink) == 2
     for layer_attn in sink:
         assert np.abs(layer_attn.sum(axis=-1) - 1.0).max() < 1e-6
@@ -138,12 +154,11 @@ def test_encode_shape_error():
         encode(T.constant(np.zeros((3, 5))), model)
 
 
-def test_pad_mask_blocks_attention():
+def test_pad_mask_blocks_attention(monkeypatch):
     model = tiny_model(seed=6)
     ids = [1, 2, 3, 0]
-    sink = []
-    encode(embed(ids, model), model, pad_mask=np.array([True, True, True, False]),
-           attn_sink=sink)
+    sink = record_attention(monkeypatch)
+    encode(embed(ids, model), model, pad_mask=np.array([True, True, True, False]))
     assert np.abs(sink[0][:, :, -1]).max() < 1e-6
 
 
@@ -257,6 +272,23 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
         assert a.name == b.name and np.array_equal(a.data, b.data)
 
 
+# sha256 of the seed-0 archive of each config; pins the initializer and its
+# draw order across refactors of the constructor
+SEED0_DIGESTS = [
+    (TINY, "c0ca37535f4f480fc29f3ba168b95b0e836889b3a643599279c00ea857550fca"),
+    (ModelConfig(num_layers=2, hidden_size=4, num_heads=2, ffn_size=8, vocab_size=10,
+                 max_positions=8, num_labels=3, position_mode="sinusoidal"),
+     "b1eca8f0d45b40a5adbb3b7b2e0dd552d9dc9c45c23ad592382c570d86032623"),
+]
+
+
+@pytest.mark.parametrize("config,digest", SEED0_DIGESTS, ids=["tiny", "two-layer-sinusoidal"])
+def test_seeded_init_archive_digest_is_pinned(tmp_path, config, digest):
+    path = tmp_path / "m.tarch"
+    save_model(EncoderModel(config, seed=0), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_load_model_rejects_wrong_shapes(tmp_path):
     model = tiny_model(seed=16)
     path = tmp_path / "m.tarch"
@@ -290,3 +322,24 @@ def test_import_pretrained_via_name_mapping(tmp_path):
     bad.write_text("missing\tembeddings.token\n", encoding="utf-8")
     with pytest.raises(CompatibilityError):
         import_pretrained(target, str(arch), str(bad))
+
+
+@pytest.mark.parametrize("second_line", [
+    "missing\tembeddings.segment",
+    "enc/l0/q_w\tlayer9.attention.query.weight",
+    "enc/l0/q_w\tembeddings.token",
+    "enc/l0/q_w",
+], ids=["not-in-archive", "not-in-model", "wrong-shape", "not-a-pair"])
+def test_import_pretrained_rejected_line_leaves_model_unchanged(tmp_path, second_line):
+    donor = tiny_model(seed=18)
+    arch = tmp_path / "external.tarch"
+    T.save_archive([("enc/tok_table", donor.token_emb.data),
+                    ("enc/l0/q_w", donor.layers[0].wq.data)], str(arch))
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text(f"enc/tok_table\tembeddings.token\n{second_line}\n", encoding="utf-8")
+    target = tiny_model(seed=99)
+    before = [p.data.copy() for p in target.parameters()]
+    with pytest.raises(ValueError):
+        import_pretrained(target, str(arch), str(mapping))
+    for p, data in zip(target.parameters(), before):
+        assert np.array_equal(p.data, data), p.name

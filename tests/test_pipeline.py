@@ -8,16 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handover_ie import evaluation, pipeline
+from handover_ie import encoder, evaluation, pipeline
+from handover_ie import tensor as T
 from handover_ie.cli import main as cli_main
 from handover_ie.corpus import (
+    LabelScheme,
     RecordSet,
     default_synthetic_scheme,
     dump_scheme,
     generate_synthetic,
     serialize_records,
 )
-from handover_ie.encoder import CompatibilityError, ModelConfig
+from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
 REPO = Path(__file__).resolve().parents[1]
@@ -146,6 +148,48 @@ def test_encoder_must_match_table_and_scheme(tiny_setup, tmp_path):
         replace(ckpt, model_config=bad).save(tmp_path / field)
         with pytest.raises(CompatibilityError, match=field):
             pipeline.Checkpoint.load(tmp_path / field)
+
+
+def test_loading_draws_no_initialization(tiny_setup, tmp_path, monkeypatch):
+    scheme, train, valid, table, model_config = tiny_setup
+    config = tiny_train_config(epochs=1)
+    pipeline.Checkpoint(kind="encoder", scheme=scheme, train_config=config,
+                        model_config=model_config, model=EncoderModel(model_config, seed=3),
+                        table=table).save(tmp_path / "ck")
+    archive = tmp_path / "ck" / "model.tarch"
+    entries = T.load_archive(str(archive))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a load path drew a random initialization")
+
+    monkeypatch.setattr(encoder, "truncated_normal", no_draw)
+    # a zero learning rate leaves the pretrained start as the result
+    tuned, _ = pipeline.fine_tune(
+        train, valid, scheme, table,
+        replace(config, pretrained=str(archive), learning_rate=0.0), model_config)
+    for model in (encoder.load_model(model_config, str(archive)),
+                  pipeline.Checkpoint.load(tmp_path / "ck").model, tuned.model):
+        assert [p.name for p in model.parameters()] == list(entries)
+        for p, data in zip(model.parameters(), entries.values()):
+            assert p.data.dtype == np.float64 and np.array_equal(p.data, data), p.name
+
+
+def test_checkpoint_round_trips_line_separator_characters(tmp_path):
+    # \x85, \u2028, \v and \x1c break lines for str.splitlines, not for the
+    # checkpoint writers, so labels and config values may hold them
+    scheme = LabelScheme(labels=("N.A.", "a\x85b", "c\u2028d", "e\vf", "g\x1ch"))
+    table = train_bpe({"alpha": 2, "beta": 1}, 5)
+    model_config = ModelConfig(num_layers=1, hidden_size=4, num_heads=2, ffn_size=8,
+                               vocab_size=len(table.pieces), max_positions=16,
+                               num_labels=len(scheme.labels))
+    train_config = pipeline.TrainConfig(pretrained="w\x85\u2028.tarch")
+    pipeline.Checkpoint(kind="encoder", scheme=scheme, train_config=train_config,
+                        model_config=model_config, model=EncoderModel(model_config),
+                        table=table).save(tmp_path / "ck")
+    loaded = pipeline.Checkpoint.load(tmp_path / "ck")
+    assert loaded.scheme == scheme
+    assert loaded.table == table
+    assert loaded.train_config == train_config
 
 
 def test_predict_empty_and_repeatable(tiny_setup):
