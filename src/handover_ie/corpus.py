@@ -27,9 +27,11 @@ NA_CATEGORY = "N.A."
 SPLITS = ("train", "validation", "test")
 
 _ID_COMMENT = "# id:"
-# a word holding one of these breaks the line and column structure of the
-# records TSV and of a CRF checkpoint's features file
-_UNWRITABLE = re.compile(r"[\t\n\r]")
+# The one word rule of records and the tokenizer: a word is nonempty and
+# holds none of these, which break the line and column structure of the
+# records TSV, a CRF checkpoint's features file and merges.txt. Every other
+# character, Unicode whitespace such as \x85 or \u2028 included, is text.
+WORD_BREAKS = re.compile(r"[\t\n\r ]")
 
 
 class ParseError(ValueError):
@@ -109,8 +111,9 @@ class Record:
             )
         if not self.words:
             raise ValueError(f"record {self.id!r} is empty")
-        if "" in self.words or _UNWRITABLE.search("".join(self.words)):
-            raise ValueError(f"record {self.id!r}: a word is empty or holds a tab or line break")
+        if "" in self.words or WORD_BREAKS.search("".join(self.words)):
+            raise ValueError(
+                f"record {self.id!r}: a word is empty or holds a space, tab or line break")
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +189,8 @@ def parse_records(
         word, label = cols
         if not word:
             raise ParseError("empty word field", line_no)
+        if WORD_BREAKS.search(word):
+            raise ParseError(f"word {word!r} holds a space or line break", line_no)
         if not label:
             raise ParseError("empty label field", line_no)
         words.append(word)

@@ -6,7 +6,8 @@ each conjoined with the current label; a |Y| x |Y| block of weights scores
 label transitions. Notes are featurized once into flat arrays of
 observation ids and the positions they fire at, so one scatter-add gives
 the unary scores and another the unary gradient. Inference is log-space
-forward-backward and Viterbi; training is penalized maximum likelihood
+forward-backward and Viterbi, each run once over all notes of a call in a
+length-sorted packed layout; training is penalized maximum likelihood
 under a limited-memory quasi-Newton optimizer with a strong Wolfe line
 search, so runs are bit-reproducible. A saved model is a features file
 with one row per observation, in id order, plus a weights archive.
@@ -36,6 +37,11 @@ UNIGRAM_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("w[-1]|w[0]|w[+1]", (-1, 0, 1)),
 )
 
+# (template index, start, stop): at position p a template's surface is
+# padded[p + start:p + stop] of the BOS/EOS-padded words
+TEMPLATE_SLICES = tuple((ti, 1 + offs[0], 2 + offs[-1])
+                        for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES))
+
 # L-BFGS history length and strong Wolfe sufficient-decrease/curvature constants
 LBFGS_MEMORY = 10
 WOLFE_C1 = 1e-4
@@ -45,11 +51,8 @@ WOLFE_C2 = 0.9
 def extract_features(words: Sequence[str]) -> list[list[tuple[int, tuple[str, ...]]]]:
     """Per position: (template index, surface) firings, in template order."""
     padded = (BOS, *words, EOS)
-    return [
-        [(ti, padded[pos + 1 + offs[0]:pos + 2 + offs[-1]])
-         for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES)]
-        for pos in range(len(words))
-    ]
+    return [[(ti, padded[p + a:p + b]) for ti, a, b in TEMPLATE_SLICES]
+            for p in range(len(words))]
 
 
 class Featurized(NamedTuple):
@@ -91,11 +94,14 @@ class FeatureIndex:
         """Featurize (words, labels) notes; unseen surfaces are dropped and
         each position's ids keep template order."""
         ids, pos, gold, starts = [], [], [], [0]
+        get = self.obs.get
+        # the firings of extract_features, looked up as they are sliced
         for words, labels in notes:
             offset = starts[-1]
-            for p, firings in enumerate(extract_features(words)):
-                for key in firings:
-                    obs = self.obs.get(key)
+            padded = (BOS, *words, EOS)
+            for p in range(len(words)):
+                for ti, a, b in TEMPLATE_SLICES:
+                    obs = get((ti, padded[p + a:p + b]))
                     if obs is not None:
                         ids.append(obs)
                         pos.append(offset + p)
@@ -162,10 +168,12 @@ class CrfModel:
             raise ValueError(f"weights shape {weights.shape}, expected ({expected},)")
         return weights[:n_obs * y].reshape(n_obs, y), weights[n_obs * y:].reshape(y, y)
 
-    def scores(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(unary [T, |Y|], transition [|Y|, |Y|]) score matrices."""
+    def scores(self, notes: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unary [positions, |Y|], note starts, transition [|Y|, |Y|]) for
+        the concatenated notes; note i spans rows starts[i]:starts[i + 1]."""
         unary_w, trans = self.split(self.weights)
-        return unary_scores(unary_w, self.index.transform([(words, ())])), trans
+        feats = self.index.transform((words, ()) for words in notes)
+        return unary_scores(unary_w, feats), feats.starts, trans
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -173,37 +181,101 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def posteriors(unary: np.ndarray, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node marginals [T, |Y|], pairwise marginals [T-1, |Y|, |Y|] and log Z,
-    by the log-space forward-backward recursions."""
-    t_len, y = unary.shape
-    alpha = np.zeros((t_len, y))
-    beta = np.zeros((t_len, y))
-    alpha[0] = unary[0]
-    for t in range(1, t_len):
-        alpha[t] = unary[t] + _logsumexp(alpha[t - 1][:, None] + transition, axis=0)
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = _logsumexp(transition + unary[t + 1][None, :] + beta[t + 1][None, :], axis=1)
-    log_z = float(_logsumexp(alpha[-1], axis=0))
-    node = np.exp(alpha + beta - log_z)
-    pair = np.exp(alpha[:-1, :, None] + transition + (unary[1:] + beta[1:])[:, None, :] - log_z)
-    return node, pair, log_z
+class Packed(NamedTuple):
+    """Notes in time-major packed order: step 0 of every note, then step 1
+    of every note that has one, and so on. Notes are sorted by length,
+    longest first (ties keep input order), so the notes still running at a
+    step are a prefix of the sorted notes and each step's rows are one
+    contiguous block, in sorted-note order."""
+
+    perm: np.ndarray      # flat position held by each packed row
+    note: np.ndarray      # sorted-note index of each packed row
+    steps: list[tuple[int, int, int]]   # per step after the first: (start of the
+                                        # previous block, start, end)
+    last: np.ndarray      # packed row of each sorted note's last position
+    order: np.ndarray     # input index of each sorted note
 
 
-def viterbi(unary: np.ndarray, transition: np.ndarray) -> list[int]:
-    """Highest-scoring path; ties resolve to the lower label id at each step."""
-    t_len, y = unary.shape
-    delta = unary[0].astype(np.float64)
-    back = np.zeros((t_len, y), dtype=np.int64)
-    for t in range(1, t_len):
-        cand = delta[:, None] + transition
-        back[t] = cand.argmax(axis=0)          # argmax returns the first (lowest) id
-        delta = unary[t] + cand.max(axis=0)
-    path = [int(delta.argmax())]
-    for t in range(t_len - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path
+def pack(starts: np.ndarray) -> Packed:
+    """Packed layout of notes spanning flat rows starts[i]:starts[i + 1]."""
+    lengths = starts[1:] - starts[:-1]
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    running = np.arange(lengths[0] if lengths.size else 0)[:, None] < lengths   # [steps, notes]
+    step, note = running.nonzero()
+    offsets = [0, *np.bincount(step).cumsum().tolist()]   # block bounds, one per step
+    last = [offsets[n - 1] + i for i, n in enumerate(lengths.tolist())]
+    return Packed(starts[order][note] + step, note, list(zip(offsets, offsets[1:], offsets[2:])),
+                  np.array(last, dtype=np.int64), order)
+
+
+def posteriors(
+    unary: np.ndarray, starts: np.ndarray, transition: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node marginals [positions, |Y|], pairwise marginals summed over every
+    note and step [|Y|, |Y|], and each note's log Z [notes].
+
+    The log-space forward and backward recursions each run once over all
+    notes, one step at a time, in the packed layout; no array holds a
+    pairwise marginal per position.
+    """
+    pk = pack(starts)
+    u = unary[pk.perm]
+    alpha = u.copy()
+    for prev, lo, hi in pk.steps:
+        alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
+    log_z = _logsumexp(alpha[pk.last], axis=1)
+    beta = np.zeros_like(u)      # zero at each note's last position
+    pair = np.zeros_like(transition)
+    for prev, lo, hi in reversed(pk.steps):
+        k = hi - lo
+        beta[prev:prev + k] = _logsumexp(
+            transition + u[lo:hi, None, :] + beta[lo:hi, None, :], axis=2)
+        pair += np.exp(alpha[prev:prev + k, :, None] + transition
+                       + (u[lo:hi] + beta[lo:hi])[:, None, :]
+                       - log_z[:k, None, None]).sum(axis=0)
+    node = np.empty_like(unary)
+    node[pk.perm] = np.exp(alpha + beta - log_z[pk.note][:, None])
+    by_note = np.empty_like(log_z)
+    by_note[pk.order] = log_z
+    return node, pair, by_note
+
+
+def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:
+    """Highest-scoring path of each note, all notes decoded in one pass;
+    ties resolve to the lower label id at each step."""
+    pk = pack(starts)
+    u = unary[pk.perm]
+    back = np.empty(u.shape, dtype=np.int64)
+    final = np.empty((pk.order.size, u.shape[1]))   # path scores at each note's last step
+    delta = u[:pk.order.size]   # path scores at the current step of each running note
+    # one step is a handful of numpy calls on tiny arrays, which is all a
+    # one-note call does: out= and the bare ufunc reduce skip a copy and a
+    # Python wrapper each
+    for prev, lo, hi in pk.steps:
+        k = hi - lo
+        if k < lo - prev:       # notes that ended at the previous step
+            final[k:lo - prev] = delta[k:]
+        cand = delta[:k, :, None] + transition
+        cand.argmax(axis=1, out=back[lo:hi])       # argmax returns the first (lowest) id
+        delta = u[lo:hi] + np.maximum.reduce(cand, axis=1)
+    final[:len(delta)] = delta
+    # Chase the back-pointers one scalar at a time: a row at step t points
+    # into the row of the same note at step t - 1, one block earlier. A
+    # vector op per step would cost ten scalar steps on a one-note call.
+    rows, y = back.shape
+    pointers = back.ravel().tolist()      # row r, label j at r * |Y| + j
+    path = [0] * rows
+    for r, best in zip(pk.last.tolist(), final.argmax(axis=1).tolist()):
+        path[r] = best
+    for prev, lo, hi in reversed(pk.steps):
+        for r in range(lo, hi):
+            path[r - lo + prev] = pointers[r * y + path[r]]
+    labels = [0] * rows
+    for r, flat in enumerate(pk.perm.tolist()):
+        labels[flat] = path[r]
+    bounds = starts.tolist()
+    return [labels[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def nll_and_grad(
@@ -229,14 +301,8 @@ def nll_and_grad(
     inner[feats.starts[1:] - 1] = False
     prev, cur = gold[inner], gold[positions[inner] + 1]
 
-    node = np.zeros_like(unary)
-    pair_sum = np.zeros((y, y))
-    log_z_sum = 0.0
-    for lo, hi in zip(feats.starts[:-1], feats.starts[1:]):
-        node[lo:hi], pair, log_z = posteriors(unary[lo:hi], trans_w)
-        pair_sum += pair.sum(axis=0)
-        log_z_sum += log_z
-    loss = log_z_sum - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
+    node, pair_sum, log_z = posteriors(unary, feats.starts, trans_w)
+    loss = float(log_z.sum()) - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
 
     grad = np.zeros_like(w)
     grad_unary, grad_trans = model.split(grad)
@@ -386,45 +452,9 @@ def train(
     return fitted, history, converged
 
 
-def predict_labels(model: CrfModel, words: Sequence[str]) -> list[int]:
-    unary, trans = model.scores(words)
-    return viterbi(unary, trans)
-
-
-# --- transfer-learning initialization -------------------------------------------
-
-def tl_init(
-    source: CrfModel,
-    second_layer: np.ndarray,
-    target_index: FeatureIndex,
-    target_labels: tuple[str, ...],
-    l2_lambda: float = 1.0,
-) -> CrfModel:
-    """Initialize target weights as source weights composed with a label map.
-
-    second_layer maps the source label space to the target label space
-    (shape [source labels, target labels]): every target unary row is the
-    source row times the map, transitions compose bilinearly, and
-    observations absent from the source start at zero.
-    """
-    mapping = np.asarray(second_layer, dtype=np.float64)
-    if mapping.shape != (source.num_labels, len(target_labels)):
-        raise ValueError(
-            f"second layer shape {mapping.shape} does not map "
-            f"{source.num_labels} source labels to {len(target_labels)} target labels"
-        )
-    target = CrfModel(
-        labels=target_labels, index=target_index, l2_lambda=l2_lambda,
-        weights=np.zeros(weight_count(target_index.num_obs, len(target_labels))),
-    )
-    unary, trans = target.split(target.weights)
-    src_unary, src_trans = source.split(source.weights)
-    for key, tgt_obs in target_index.obs.items():
-        src_obs = source.index.obs.get(key)
-        if src_obs is not None:
-            unary[tgt_obs] = src_unary[src_obs] @ mapping
-    trans[:] = mapping.T @ src_trans @ mapping
-    return target
+def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list[int]]:
+    """Viterbi label ids of each note, all notes decoded at once."""
+    return viterbi(*model.scores(notes))
 
 
 # --- serialization ---------------------------------------------------------------

@@ -232,32 +232,6 @@ def _emit_csv(report: EvalReport, counts: ClassCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text: str, scheme: LabelScheme) -> EvalReport:
-    """Rebuild an EvalReport from CSV; macro and category rows are recomputed."""
-    lines = [l for l in text.splitlines() if l]
-    if not lines or lines[0] != "class,tp,fp,fn,precision,recall,f1":
-        raise ValueError("bad CSV report header")
-    tp = [0] * len(scheme.labels)
-    fp = [0] * len(scheme.labels)
-    fn = [0] * len(scheme.labels)
-    evaluated_ids = set()
-    for line in lines[1:]:
-        if line.startswith('"'):
-            end = line.index('"', 1)
-            while end + 1 < len(line) and line[end + 1] == '"':
-                end = line.index('"', end + 2)
-            name = line[1:end].replace('""', '"')
-            rest = line[end + 2:]
-        else:
-            name, rest = line.split(",", 1)
-        t, f_, n_, _, _, _ = rest.split(",")
-        i = scheme.index(name)
-        tp[i], fp[i], fn[i] = int(t), int(f_), int(n_)
-        evaluated_ids.add(i)
-    counts = ClassCounts(labels=scheme.labels, tp=tuple(tp), fp=tuple(fp), fn=tuple(fn))
-    return build_report(counts, scheme, frozenset(evaluated_ids))
-
-
 def _subclass_name(scheme: LabelScheme, label: str) -> str:
     if scheme.main_category(label) != NA_CATEGORY and "/" in label:
         return label.split("/", 1)[1].strip()

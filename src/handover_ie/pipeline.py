@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -144,6 +146,11 @@ def check_compatible(model_config: ModelConfig, table: MergeTable, scheme: Label
                                  f"the {len(scheme.labels)} labels of the scheme")
 
 
+# every file a checkpoint directory may hold
+CHECKPOINT_FILES = frozenset({"config.txt", "labels.txt", "merges.txt", "vocab.txt",
+                              "model.tarch", "crf_features.tsv", "crf_weights.tarch"})
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to predict: model + tokenizer + scheme + configs."""
@@ -157,8 +164,43 @@ class Checkpoint:
     crf: Optional[crf_mod.CrfModel] = None
 
     def save(self, directory: str | Path) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
+        """Write every file into a sibling staging directory, then rename it
+        into place: a save that fails leaves no partial checkpoint behind
+        and keeps the checkpoint already at the target, if any.
+
+        The target is replaced whole, so it may hold checkpoint files only,
+        and it may not be the working directory.
+        """
+        target = Path(directory).resolve()
+        if target.exists():
+            if not target.is_dir():
+                raise ValueError(f"{target} is not a directory")
+            foreign = sorted(p.name for p in target.iterdir() if p.name not in CHECKPOINT_FILES)
+            if foreign:
+                raise ValueError(f"{target} holds files that are not part of a checkpoint: "
+                                 + ", ".join(foreign))
+            if target == Path.cwd():
+                raise ValueError(f"{target} is the working directory")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+        new, old = staging / "new", staging / "old"
+        try:
+            new.mkdir()
+            self._write_files(new)
+            if target.exists():
+                target.rename(old)
+            try:
+                new.rename(target)
+            except OSError:
+                if old.exists():
+                    old.rename(target)
+                raise
+        finally:
+            # if the old checkpoint could not be moved back, it stays in staging
+            if target.exists() or not old.exists():
+                shutil.rmtree(staging)
+
+    def _write_files(self, d: Path) -> None:
         configs = [c for c in (self.train_config, self.model_config) if c is not None]
         (d / "config.txt").write_text(dump_config(*configs), encoding="utf-8")
         (d / "labels.txt").write_text(dump_scheme(self.scheme), encoding="utf-8")
@@ -390,11 +432,9 @@ def predict(checkpoint: Checkpoint, records: RecordSet) -> RecordSet:
             checkpoint.model, checkpoint.table, checkpoint.train_config.max_len, records
         )
     if checkpoint.kind == "crf":
-        out = [
-            Record(id=r.id, words=r.words,
-                   labels=tuple(crf_mod.predict_labels(checkpoint.crf, r.words)))
-            for r in records.records
-        ]
+        paths = crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records))
+        out = [Record(id=r.id, words=r.words, labels=tuple(path))
+               for r, path in zip(records.records, paths)]
         return RecordSet(split=records.split, records=tuple(out))
     raise ValueError(f"cannot predict with model kind {checkpoint.kind!r}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import read_lines
+from .corpus import WORD_BREAKS, read_lines
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -129,8 +129,9 @@ def train_bpe(
     for word, count in word_frequency.items():
         if count < 1:
             raise ValueError(f"count for {word!r} must be >= 1")
-        if not word or any(ch.isspace() for ch in word):
-            raise ValueError(f"unsupported word {word!r}: empty or contains whitespace")
+        if not word or WORD_BREAKS.search(word):
+            raise ValueError(
+                f"unsupported word {word!r}: empty or holds a space, tab or line break")
         key = tuple(word.lower() if lowercase else word)
         words[key] = words.get(key, 0) + count
 

@@ -55,6 +55,22 @@ def path_score(unary, transition, path) -> float:
     return score
 
 
+def loop_viterbi(unary, transition) -> list[int]:
+    """Per-note reference for crf.viterbi: one step and one label at a time;
+    ties resolve to the lower label id."""
+    t_len, y = unary.shape
+    delta = list(unary[0])
+    back = []
+    for t in range(1, t_len):
+        cand = [[delta[i] + transition[i, j] for i in range(y)] for j in range(y)]
+        back.append([max(range(y), key=lambda i: (c[i], -i)) for c in cand])
+        delta = [unary[t, j] + cand[j][back[-1][j]] for j in range(y)]
+    path = [max(range(y), key=lambda j: (delta[j], -j))]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
+    return path[::-1]
+
+
 def loop_nll_and_grad(model, records, weights):
     """Per-position loop reference for crf.nll_and_grad: its own
     forward-backward, one position and one transition at a time."""

@@ -28,7 +28,7 @@ from handover_ie.evaluation import prf_from_counts
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
 from helpers import path_score, probed, randomize, word_accuracy
-from test_crf import brute_force as crf_brute_force, random_instance
+from test_crf import brute_force as crf_brute_force, notes_of, random_instance
 from test_tokenizer import brute_force_merges, random_corpus
 
 REPO = Path(__file__).resolve().parents[1]
@@ -130,18 +130,20 @@ def test_criterion_4_crf_bruteforce_equivalence():
     t0 = time.time()
     for trial in range(110):
         rng = np.random.default_rng(trial)
-        unary, trans = random_instance(rng)
-        log_z, node, pair, best, tie_path = crf_brute_force(unary, trans)
-        got_node, got_pair, got_log_z = posteriors(unary, trans)
-        assert abs(got_log_z - log_z) < 1e-8
-        assert np.abs(got_node - node).max() < 1e-8
-        if pair.size:
-            assert np.abs(got_pair - pair).max() < 1e-8
-        got = viterbi(unary, trans)
-        assert abs(path_score(unary, trans, got) - best) < 1e-9
-        assert tuple(got) == tie_path
+        unary, starts, trans = random_instance(rng)
+        got_node, got_pair, got_log_z = posteriors(unary, starts, trans)
+        got_paths = viterbi(unary, starts, trans)
+        pair_sum = np.zeros_like(trans)
+        for i, note in enumerate(notes_of(unary, starts)):
+            log_z, node, pair, best, tie_path = crf_brute_force(note, trans)
+            assert abs(got_log_z[i] - log_z) < 1e-8
+            assert np.abs(got_node[starts[i]:starts[i + 1]] - node).max() < 1e-8
+            pair_sum += pair.sum(axis=0)
+            assert abs(path_score(note, trans, got_paths[i]) - best) < 1e-9
+            assert tuple(got_paths[i]) == tie_path
+        assert np.abs(got_pair - pair_sum).max() < 1e-8
     report(4, "log-partition, marginals, and Viterbi equal exhaustive enumeration "
-              "on 110 random instances (T<=5, |Y|<=4)", t0, budget=60.0)
+              "on 110 random calls of 2-4 notes each (T<=5, |Y|<=4)", t0, budget=60.0)
 
 
 def test_criterion_5_bpe_oracle():

@@ -86,6 +86,10 @@ def test_parse_malformed_line_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse_records("a\tb\tc\n")
     assert err.value.line_no == 1
+    # a word holding a space could never be a BPE symbol sequence in merges.txt
+    with pytest.raises(ParseError) as err:
+        parse_records("ok\tN.A.\nno way\tN.A.\n")
+    assert err.value.line_no == 2
 
 
 def test_parse_unknown_label_with_fixed_scheme():

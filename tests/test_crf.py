@@ -25,13 +25,12 @@ from handover_ie.crf import (
     predict_labels,
     save_crf,
     load_crf,
-    tl_init,
     train,
     viterbi,
 )
 from handover_ie.tensor import TrainingDivergence
 
-from helpers import loop_nll_and_grad, path_score
+from helpers import loop_nll_and_grad, loop_viterbi, path_score
 
 
 def brute_force(unary, trans):
@@ -56,9 +55,17 @@ def brute_force(unary, trans):
 
 
 def random_instance(rng):
-    t_len = int(rng.integers(1, 6))
+    """Brute-forceable notes of 1-5 steps sharing one transition matrix,
+    one of them a single step, as (unary rows, note starts, transition)."""
     y = int(rng.integers(2, 5))
-    return rng.normal(0, 2, (t_len, y)), rng.normal(0, 2, (y, y))
+    lengths = [1, *(int(t) for t in rng.integers(1, 6, int(rng.integers(1, 4))))]
+    rng.shuffle(lengths)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    return rng.normal(0, 2, (starts[-1], y)), starts, rng.normal(0, 2, (y, y))
+
+
+def notes_of(unary, starts):
+    return [unary[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def test_extract_features_boundary_sentinels():
@@ -127,65 +134,114 @@ def test_feature_cutoff_prunes_rare_observations():
 
 
 def test_zero_weights_log_partition_and_marginals():
-    for t_len, y in ((1, 2), (4, 3), (6, 4)):
-        unary = np.zeros((t_len, y))
+    lengths = (1, 4, 6)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    for y in (2, 3, 4):
+        unary = np.zeros((starts[-1], y))
         trans = np.zeros((y, y))
-        node, pair, log_z = posteriors(unary, trans)
-        assert abs(log_z - t_len * math.log(y)) < 1e-12
+        node, pair, log_z = posteriors(unary, starts, trans)
+        assert np.abs(log_z - np.array(lengths) * math.log(y)).max() < 1e-12
         assert np.abs(node - 1.0 / y).max() < 1e-12
-        if t_len > 1:
-            assert np.abs(pair - 1.0 / y ** 2).max() < 1e-12
+        assert np.abs(pair - sum(t - 1 for t in lengths) / y ** 2).max() < 1e-12
 
 
 def test_inference_matches_bruteforce_enumeration():
     for trial in range(120):
         rng = np.random.default_rng(trial)
-        unary, trans = random_instance(rng)
-        log_z, node, pair, best, tie_path = brute_force(unary, trans)
-        got_node, got_pair, got_log_z = posteriors(unary, trans)
-        assert abs(got_log_z - log_z) < 1e-8
-        assert np.abs(got_node - node).max() < 1e-8
-        if pair.size:
-            assert np.abs(got_pair - pair).max() < 1e-8
-        got_path = viterbi(unary, trans)
-        assert abs(path_score(unary, trans, got_path) - best) < 1e-9
-        assert tuple(got_path) == tie_path
+        unary, starts, trans = random_instance(rng)
+        got_node, got_pair, got_log_z = posteriors(unary, starts, trans)
+        got_paths = viterbi(unary, starts, trans)
+        pair_sum = np.zeros_like(trans)
+        for i, note in enumerate(notes_of(unary, starts)):
+            log_z, node, pair, best, tie_path = brute_force(note, trans)
+            assert abs(got_log_z[i] - log_z) < 1e-8
+            assert np.abs(got_node[starts[i]:starts[i + 1]] - node).max() < 1e-8
+            pair_sum += pair.sum(axis=0)
+            assert abs(path_score(note, trans, got_paths[i]) - best) < 1e-9
+            assert tuple(got_paths[i]) == tie_path
+        assert np.abs(got_pair - pair_sum).max() < 1e-8
 
 
 def test_pairwise_marginals_consistent_with_unary():
     for trial in range(20):
         rng = np.random.default_rng(500 + trial)
-        unary, trans = random_instance(rng)
-        node, pair, _ = posteriors(unary, trans)
+        unary, starts, trans = random_instance(rng)
+        node, pair, _ = posteriors(unary, starts, trans)
         assert np.abs(node.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(node >= 0.0) and np.all(node <= 1.0 + 1e-12)
-        for t in range(pair.shape[0]):
-            assert np.abs(pair[t].sum(axis=1) - node[t]).max() < 1e-8
-            assert np.abs(pair[t].sum(axis=0) - node[t + 1]).max() < 1e-8
+        # summed over every step: row sums give the node marginals of each
+        # step that has a successor, column sums those of each that has a predecessor
+        has_next = np.ones(len(node), dtype=bool)
+        has_next[starts[1:] - 1] = False
+        has_prev = np.ones(len(node), dtype=bool)
+        has_prev[starts[:-1]] = False
+        assert np.abs(pair.sum(axis=1) - node[has_next].sum(axis=0)).max() < 1e-8
+        assert np.abs(pair.sum(axis=0) - node[has_prev].sum(axis=0)).max() < 1e-8
 
 
 def test_partition_dominates_every_single_path():
     for trial in range(20):
         rng = np.random.default_rng(900 + trial)
-        unary, trans = random_instance(rng)
-        _, _, log_z = posteriors(unary, trans)
-        t_len, y = unary.shape
-        for p in itertools.product(range(y), repeat=t_len):
-            assert log_z >= path_score(unary, trans, p) - 1e-10
+        unary, starts, trans = random_instance(rng)
+        _, _, log_z = posteriors(unary, starts, trans)
+        for i, note in enumerate(notes_of(unary, starts)):
+            t_len, y = note.shape
+            for p in itertools.product(range(y), repeat=t_len):
+                assert log_z[i] >= path_score(note, trans, p) - 1e-10
 
 
 def test_viterbi_all_zero_scores_returns_lowest_ids():
-    assert viterbi(np.zeros((5, 4)), np.zeros((4, 4))) == [0] * 5
+    assert viterbi(np.zeros((8, 4)), np.array([0, 5, 6, 8]), np.zeros((4, 4))) == [
+        [0] * 5, [0], [0] * 2]
 
 
 def test_boosted_gold_path_wins():
     rng = np.random.default_rng(3)
-    unary = rng.normal(0, 1, (4, 3))
+    unary = rng.normal(0, 1, (5, 3))
     trans = rng.normal(0, 1, (3, 3))
-    gold = [2, 0, 1, 1]
+    gold = [2, 0, 1, 1, 2]
     for t, lab in enumerate(gold):
         unary[t, lab] += 10.0
-    assert viterbi(unary, trans) == gold
+    assert viterbi(unary, np.array([0, 4, 5]), trans) == [gold[:4], gold[4:]]
+
+
+def ragged_set(lengths, seed):
+    """Synthetic records cut to the given lengths, in the given order."""
+    scheme = default_synthetic_scheme()
+    pool = [row for r in generate_synthetic(40, scheme, seed=seed).records
+            for row in zip(r.words, r.labels)]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for length in lengths:
+        start = int(rng.integers(len(pool) - length))
+        rows.append(pool[start:start + length])
+    return make_set(rows)
+
+
+def test_one_call_over_ragged_notes_matches_per_note_results():
+    scheme = default_synthetic_scheme()
+    lengths = np.random.default_rng(60).permutation(np.arange(1, 31))
+    rs = ragged_set(lengths, seed=61)
+    model = CrfModel.build(rs, scheme, l2_lambda=0.5)
+    w = np.random.default_rng(62).normal(0, 1, model.weights.shape)
+    loss, grad = nll_and_grad(model, rs, weights=w)
+    want_loss, want_grad = loop_nll_and_grad(model, rs, w)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(grad - want_grad).max() <= 1e-10
+
+    model.weights = w
+    words = [r.words for r in rs.records]
+    unary, starts, trans = model.scores(words)
+    node, _, log_z = posteriors(unary, starts, trans)
+    paths = predict_labels(model, words)
+    for i, note in enumerate(words):
+        alone = model.scores([note])
+        assert np.array_equal(alone[0], unary[starts[i]:starts[i + 1]])
+        one_node, _, one_log_z = posteriors(*alone)
+        assert np.array_equal(one_node, node[starts[i]:starts[i + 1]])
+        assert one_log_z[0] == log_z[i]
+        assert predict_labels(model, [note]) == [paths[i]]
+        assert paths[i] == loop_viterbi(alone[0], trans)
 
 
 def make_set(rows, split="train"):
@@ -252,15 +308,16 @@ def test_scores_unary_equals_per_position_sums_bitwise():
     model = CrfModel.build(generate_synthetic(40, scheme, seed=26), scheme)
     model.weights = np.random.default_rng(27).normal(0, 1, model.weights.shape)
     unary_w, trans_w = model.split(model.weights)
-    for rec in generate_synthetic(30, scheme, seed=28).records:
-        unary, trans = model.scores(rec.words)
-        want = np.zeros_like(unary)
-        for pos, firings in enumerate(extract_features(rec.words)):
+    notes = [rec.words for rec in generate_synthetic(30, scheme, seed=28).records]
+    unary, starts, trans = model.scores(notes)
+    assert np.array_equal(trans, trans_w)
+    for i, words in enumerate(notes):
+        want = np.zeros((len(words), len(scheme.labels)))
+        for pos, firings in enumerate(extract_features(words)):
             active = [model.index.obs[key] for key in firings if key in model.index.obs]
             if active:
                 want[pos] = unary_w[active].sum(axis=0)
-        assert np.array_equal(unary, want)
-        assert np.array_equal(trans, trans_w)
+        assert np.array_equal(unary[starts[i]:starts[i + 1]], want)
 
 
 def test_regularizer_only_gradient_for_empty_records():
@@ -281,8 +338,8 @@ def test_train_separable_records_reach_full_accuracy():
     fitted, history, converged = train(model, rs)
     assert converged
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
-    for rec in rs.records:
-        assert predict_labels(fitted, rec.words) == list(rec.labels)
+    assert predict_labels(fitted, (rec.words for rec in rs.records)) == [
+        list(rec.labels) for rec in rs.records]
 
 
 def test_train_reports_when_lbfgs_stops_short():
@@ -298,10 +355,10 @@ def test_viterbi_score_dominates_gold_after_convergence():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(8, scheme, seed=22)
     fitted, _, _ = train(CrfModel.build(rs, scheme, l2_lambda=0.05), rs)
-    for rec in rs.records:
-        unary, trans = fitted.scores(rec.words)
-        best = viterbi(unary, trans)
-        assert path_score(unary, trans, best) >= path_score(unary, trans, rec.labels) - 1e-9
+    unary, starts, trans = fitted.scores(rec.words for rec in rs.records)
+    paths = viterbi(unary, starts, trans)
+    for rec, note, best in zip(rs.records, notes_of(unary, starts), paths):
+        assert path_score(note, trans, best) >= path_score(note, trans, rec.labels) - 1e-9
 
 
 def test_huge_l2_drives_weights_to_zero():
@@ -310,8 +367,7 @@ def test_huge_l2_drives_weights_to_zero():
     model = CrfModel.build(rs, scheme, l2_lambda=1e6)
     fitted, _, _ = train(model, rs)
     assert np.abs(fitted.weights).max() < 1e-3
-    unary, trans = fitted.scores(rs.records[0].words)
-    node, _, _ = posteriors(unary, trans)
+    node, _, _ = posteriors(*fitted.scores([rs.records[0].words]))
     assert np.abs(node - 1.0 / len(scheme.labels)).max() < 1e-3
 
 
@@ -354,56 +410,6 @@ def test_lbfgs_solves_quadratic():
     assert all(later <= sooner + 1e-12 for sooner, later in zip(history, history[1:]))
 
 
-def source_model():
-    scheme = LabelScheme(labels=("N.A.", "s1"))
-    rs = make_set([[("a", 0), ("b", 1)]])
-    model = CrfModel.build(rs, scheme)
-    model.weights = np.random.default_rng(7).normal(0, 1, model.weights.shape)
-    return model, rs
-
-
-def test_tl_init_identity_mapping_copies_weights():
-    src, rs = source_model()
-    target_index = FeatureIndex().fit(r.words for r in rs.records)
-    out = tl_init(src, np.eye(2), target_index, src.labels)
-    assert np.allclose(out.weights, src.weights)
-
-
-def test_tl_init_zero_mapping_annihilates():
-    src, rs = source_model()
-    target_index = FeatureIndex().fit(r.words for r in rs.records)
-    out = tl_init(src, np.zeros((2, 2)), target_index, src.labels)
-    assert np.all(out.weights == 0.0)
-
-
-def test_tl_init_random_mapping_matches_hand_computation():
-    src, rs = source_model()
-    rng = np.random.default_rng(8)
-    mapping = rng.normal(0, 1, (2, 3))
-    target_labels = ("N.A.", "t1", "t2")
-    target_index = FeatureIndex().fit([["a", "b"], ["zz"]])
-    out = tl_init(src, mapping, target_index, target_labels)
-    out_unary, out_trans = out.split(out.weights)
-    src_unary, src_trans = src.split(src.weights)
-    for key, tgt_obs in target_index.obs.items():
-        if key in src.index.obs:
-            expected = np.array([
-                sum(src_unary[src.index.obs[key], s] * mapping[s, t] for s in range(2))
-                for t in range(3)
-            ])
-            assert np.allclose(out_unary[tgt_obs], expected)
-        else:
-            assert np.all(out_unary[tgt_obs] == 0.0)
-    assert np.allclose(out_trans, mapping.T @ src_trans @ mapping)
-
-
-def test_tl_init_dimension_mismatch():
-    src, rs = source_model()
-    target_index = FeatureIndex().fit(r.words for r in rs.records)
-    with pytest.raises(ValueError):
-        tl_init(src, np.eye(3), target_index, ("N.A.", "x"))
-
-
 def test_crf_serialization_round_trip(tmp_path):
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(6, scheme, seed=25)
@@ -420,8 +426,8 @@ def test_crf_serialization_round_trip(tmp_path):
     back = load_crf(str(features), str(weights), scheme)
     assert back.index.obs == fitted.index.obs
     assert np.array_equal(back.weights, fitted.weights)
-    for rec in rs.records:
-        assert predict_labels(back, rec.words) == predict_labels(fitted, rec.words)
+    notes = [rec.words for rec in rs.records]
+    assert predict_labels(back, notes) == predict_labels(fitted, notes)
 
     bad = tmp_path / "bad.tsv"
     for text, message in (

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -14,7 +16,6 @@ from handover_ie.evaluation import (
     emit_report,
     macro_average,
     majority_label,
-    parse_report_csv,
     parse_report_json,
     prf_from_counts,
 )
@@ -222,12 +223,22 @@ def test_json_round_trip_is_byte_identical():
     assert again == text
 
 
-def test_csv_round_trip_reconstructs_report():
+def test_csv_report_rows_match_counts():
     report, counts, scheme = _reference_report()
-    text = emit_report(report, counts, "csv", scheme)
-    assert text.splitlines()[0] == "class,tp,fp,fn,precision,recall,f1"
-    back = parse_report_csv(text, scheme)
-    assert back == report
+    # a label holding a comma, a quote and a line separator stays one cell
+    odd = LabelScheme(labels=(*scheme.labels, 'x,"y"\x85z'))
+    odd_counts = ClassCounts(labels=odd.labels, tp=(*counts.tp, 3), fp=(*counts.fp, 1),
+                             fn=(*counts.fn, 2))
+    odd_report = build_report(odd_counts, odd, frozenset(range(len(odd.labels))))
+    text = emit_report(odd_report, odd_counts, "csv", odd)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["class", "tp", "fp", "fn", "precision", "recall", "f1"]
+    assert [row[0] for row in rows[1:]] == list(odd_report.evaluated)
+    for name, *cells in rows[1:]:
+        i = odd.labels.index(name)
+        assert [int(c) for c in cells[:3]] == [odd_counts.tp[i], odd_counts.fp[i],
+                                               odd_counts.fn[i]]
+        assert tuple(float(c) for c in cells[3:]) == odd_report.per_class[name]
 
 
 def test_table_matches_golden_fixture(tmp_path):

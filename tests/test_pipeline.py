@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handover_ie import encoder, evaluation, pipeline
+from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
 from handover_ie.cli import main as cli_main
 from handover_ie.corpus import (
@@ -330,6 +330,84 @@ def test_crf_checkpoint_round_trip(tmp_path):
     ckpt.save(tmp_path / "crf_ck")
     loaded = pipeline.Checkpoint.load(tmp_path / "crf_ck")
     assert pipeline.predict(loaded, valid) == before
+
+
+def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
+    scheme = default_synthetic_scheme()
+    train = generate_synthetic(8, scheme, seed=36)
+    no_valid = RecordSet(split="validation", records=())
+    first, _ = pipeline.train_crf(train, no_valid, scheme,
+                                  pipeline.TrainConfig(kind="crf", max_iters=3))
+    second, _ = pipeline.train_crf(train, no_valid, scheme,
+                                   pipeline.TrainConfig(kind="crf", max_iters=6))
+    real_save_crf = crf.save_crf
+
+    def crash_mid_save(model, features_path, weights_path):
+        Path(features_path).write_text("w[0]\thalf\n", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(crf, "save_crf", crash_mid_save)
+    with pytest.raises(OSError, match="disk full"):
+        first.save(tmp_path / "fresh")
+    assert not (tmp_path / "fresh").exists()
+
+    monkeypatch.setattr(crf, "save_crf", real_save_crf)
+    first.save(tmp_path / "kept")
+    pinned = {p.name: p.read_bytes() for p in (tmp_path / "kept").iterdir()}
+    monkeypatch.setattr(crf, "save_crf", crash_mid_save)
+    with pytest.raises(OSError, match="disk full"):
+        second.save(tmp_path / "kept")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "kept").iterdir()} == pinned
+    assert np.array_equal(pipeline.Checkpoint.load(tmp_path / "kept").crf.weights,
+                          first.crf.weights)
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]   # no staging left behind
+
+    # a save that succeeds replaces the checkpoint; a directory of other files stays
+    monkeypatch.setattr(crf, "save_crf", real_save_crf)
+    second.save(tmp_path / "kept")
+    assert np.array_equal(pipeline.Checkpoint.load(tmp_path / "kept").crf.weights,
+                          second.crf.weights)
+    # the whole directory is replaced, so one that also holds other files is
+    # refused and left as it is, a checkpoint beside them included
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "train.tsv").write_text("x\tN.A.\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not part of a checkpoint: train.tsv"):
+        first.save(tmp_path / "data")
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["train.tsv"]
+    (tmp_path / "kept" / "pred.tsv").write_text("x\tN.A.\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="not part of a checkpoint: pred.tsv"):
+        first.save(tmp_path / "kept")
+    assert np.array_equal(pipeline.Checkpoint.load(tmp_path / "kept").crf.weights,
+                          second.crf.weights)
+    assert (tmp_path / "kept" / "pred.tsv").is_file()
+
+    # the working directory is never moved away
+    (tmp_path / "kept" / "pred.tsv").unlink()
+    monkeypatch.chdir(tmp_path / "kept")
+    for here in (".", tmp_path / "kept"):
+        with pytest.raises(ValueError, match="working directory"):
+            first.save(here)
+    assert np.array_equal(pipeline.Checkpoint.load(".").crf.weights, second.crf.weights)
+    monkeypatch.chdir(tmp_path)
+
+    # if the old checkpoint cannot be moved back, it is kept in the staging
+    # directory rather than deleted
+    real_rename = Path.rename
+
+    def rename_back_fails(self, dest):
+        if Path(dest) == tmp_path / "kept":
+            raise OSError("rename failed")
+        return real_rename(self, dest)
+
+    monkeypatch.setattr(Path, "rename", rename_back_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        first.save(tmp_path / "kept")
+    monkeypatch.setattr(Path, "rename", real_rename)
+    [staging] = [p for p in tmp_path.iterdir() if p.name.startswith(".kept.")]
+    assert sorted(p.name for p in staging.iterdir()) == ["new", "old"]
+    assert not (tmp_path / "kept").exists()
+    assert np.array_equal(pipeline.Checkpoint.load(staging / "old").crf.weights,
+                          second.crf.weights)
 
 
 @pytest.mark.parametrize("with_grid", [False, True])

@@ -3,6 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from handover_ie.corpus import Record, RecordSet
+from handover_ie.pipeline import fit_tokenizer
 from handover_ie.tokenizer import (
     CLS,
     CONTINUATION,
@@ -321,6 +323,24 @@ def test_load_table_validates():
         load_table("a b c\n", dump_vocab(table))
     with pytest.raises(ValueError):
         load_table(dump_merges(table), "x\t0\n")
+
+
+def test_records_and_tokenizer_share_one_word_rule():
+    # Unicode whitespace other than the space is text to both
+    words = ("a\x85b", "c\u2028d", "e\vf", "g\x1ch", "a\x85b")
+    rs = RecordSet(split="train",
+                   records=(Record(id="r", words=words, labels=(0,) * len(words)),))
+    table = fit_tokenizer(rs, 5, False)
+    assert ("a", "\x85") in table.merges
+    assert decode(encode(words, table)) == list(words)
+    back = load_table(dump_merges(table), dump_vocab(table))
+    assert (back.merges, back.pieces) == (table.merges, table.pieces)
+    # a space, tab or line break is refused by both
+    for word in ("a b", "a\tb", "a\nb", "a\rb", ""):
+        with pytest.raises(ValueError):
+            Record(id="r", words=(word,), labels=(0,))
+        with pytest.raises(ValueError):
+            train_bpe({word: 1}, 5)
 
 
 def test_word_frequencies_counts_and_lowercases():
