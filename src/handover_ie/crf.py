@@ -42,10 +42,12 @@ UNIGRAM_TEMPLATES: tuple[tuple[str, tuple[int, ...]], ...] = (
 TEMPLATE_SLICES = tuple((ti, 1 + offs[0], 2 + offs[-1])
                         for ti, (_, offs) in enumerate(UNIGRAM_TEMPLATES))
 
-# L-BFGS history length and strong Wolfe sufficient-decrease/curvature constants
+# L-BFGS history length, strong Wolfe sufficient-decrease/curvature constants,
+# and the most trial steps one line search (and each of its zooms) takes
 LBFGS_MEMORY = 10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+WOLFE_MAX_STEPS = 25
 
 
 def extract_features(words: Sequence[str]) -> list[list[tuple[int, tuple[str, ...]]]]:
@@ -330,7 +332,6 @@ def _wolfe_line_search(
     f0: float,
     g0: np.ndarray,
     direction: np.ndarray,
-    max_steps: int = 25,
 ) -> tuple[float, float, np.ndarray] | None:
     """Strong Wolfe search along direction; returns (step, f, g) or None."""
     d0 = float(g0 @ direction)
@@ -342,7 +343,7 @@ def _wolfe_line_search(
         return f, float(g @ direction), g
 
     def zoom(lo, f_lo, hi) -> tuple[float, float, np.ndarray] | None:
-        for _ in range(max_steps):
+        for _ in range(WOLFE_MAX_STEPS):
             step = 0.5 * (lo + hi)
             f, d, g = phi(step)
             if not np.isfinite(f):
@@ -359,7 +360,7 @@ def _wolfe_line_search(
 
     prev_step, prev_f = 0.0, f0
     step = 1.0
-    for i in range(max_steps):
+    for i in range(WOLFE_MAX_STEPS):
         f, d, g = phi(step)
         if not np.isfinite(f):
             raise TrainingDivergence(f"non-finite loss {f} during line search")

@@ -20,6 +20,7 @@ from .tensor import Parameter, Tensor
 from .tokenizer import IGNORE_INDEX, TokenizedSequence
 
 POSITION_MODES = ("learned", "sinusoidal")
+INIT_STD = 0.02
 
 
 class CompatibilityError(ValueError):
@@ -54,13 +55,13 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with draws beyond two deviations resampled."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) with draws beyond two deviations resampled."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out
 
 
@@ -189,24 +190,16 @@ def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel) -> Tensor
 def encode(
     x: Tensor,
     model: EncoderModel,
-    pad_mask: Optional[np.ndarray] = None,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Apply all encoder layers to a [seq_len, H] input.
-
-    pad_mask marks real (non-[PAD]) positions; masked positions are
-    excluded from attention.
-    """
+    """Apply all encoder layers to a [seq_len, H] input."""
     cfg = model.config
     h, a = cfg.hidden_size, cfg.num_heads
     if x.data.ndim != 2 or x.data.shape[1] != h:
         raise T.ShapeError(f"encode expects [seq_len, {h}], got {x.data.shape}")
     t = x.data.shape[0]
     dh = h // a
-    bias = None
-    if pad_mask is not None:
-        bias = T.constant(np.where(np.asarray(pad_mask, bool), 0.0, -1e9)[None, None, :])
     drop = cfg.dropout if train else 0.0
     if drop > 0.0 and rng is None:
         raise ValueError("training-mode dropout requires an rng")
@@ -219,8 +212,6 @@ def encode(
         k = heads(T.add(T.matmul(x, layer.wk), layer.bk))
         v = heads(T.add(T.matmul(x, layer.wv), layer.bv))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        if bias is not None:
-            scores = T.add(scores, bias)
         attn = T.softmax_rows(scores)
         ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (t, h))
         out = T.add(T.matmul(ctx, layer.wo), layer.bo)
@@ -244,11 +235,10 @@ def classify(hidden: Tensor, model: EncoderModel) -> Tensor:
     return T.log_softmax_rows(T.add(T.matmul(hidden, model.cls_w), model.cls_b))
 
 
-def token_loss(
-    log_probs: Tensor, aligned_labels: Sequence[int], ignore_index: int = IGNORE_INDEX
-) -> Tensor:
-    """Mean gold negative log-probability over non-ignored positions."""
-    return T.masked_nll(log_probs, aligned_labels, ignore_index)
+def token_loss(log_probs: Tensor, aligned_labels: Sequence[int]) -> Tensor:
+    """Mean gold negative log-probability over positions not labelled
+    IGNORE_INDEX."""
+    return T.masked_nll(log_probs, aligned_labels, IGNORE_INDEX)
 
 
 def run_token_classifier(

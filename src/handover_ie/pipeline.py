@@ -29,6 +29,7 @@ from .corpus import (
     evaluated_classes,
     load_scheme,
     read_lines,
+    validate_against_scheme,
 )
 from .encoder import CompatibilityError, EncoderModel, ModelConfig
 from .evaluation import (
@@ -263,23 +264,14 @@ class Adam:
             p.data = p.data - self.lr * update
 
 
-def _tokenize_set(records: RecordSet, table: MergeTable, max_len: int):
-    """(sequence, aligned labels) pairs for every window of every record."""
-    out: list[tuple[TokenizedSequence, list[int]]] = []
-    for rec in records.records:
-        for seq in encode_words(rec.words, table, max_len):
-            lo, hi = seq.word_span
-            labels, _ = align_labels(seq, rec.labels[lo:hi])
-            out.append((seq, labels))
-    return out
-
-
-def _predict_encoder(model: EncoderModel, table: MergeTable, max_len: int,
-                     records: RecordSet) -> RecordSet:
+def _predict_encoder(model: EncoderModel, records: RecordSet,
+                     windows: list[list[TokenizedSequence]]) -> RecordSet:
+    """Label each record from its windows; a word seen by several windows
+    takes its label from the one where it sits farthest from an edge."""
     out = []
-    for rec in records.records:
+    for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
-        for seq in encode_words(rec.words, table, max_len):
+        for seq in seqs:
             log_probs = enc.run_token_classifier(model, seq).data
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
@@ -318,20 +310,24 @@ def fine_tune(
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay)
-    windows = _tokenize_set(train, table, config.max_len)
+    # every record is encoded here once; the epochs reuse its windows
+    examples = [(seq, align_labels(seq, rec.labels[slice(*seq.word_span)]))
+                for rec in train.records
+                for seq in encode_words(rec.words, table, config.max_len)]
+    valid_windows = [encode_words(rec.words, table, config.max_len) for rec in valid.records]
     evaluated = evaluated_classes(train, scheme)
 
     best_f1 = -1.0
     best_state: list[np.ndarray] = [p.data.copy() for p in model.parameters()]
     metrics: list[dict] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
             for j in batch:
-                seq, labels = windows[j]
+                seq, labels = examples[j]
                 log_probs = enc.run_token_classifier(model, seq, train=True, rng=rng)
                 loss = enc.token_loss(log_probs, labels)
                 if not np.isfinite(loss.data):
@@ -341,11 +337,11 @@ def fine_tune(
                 epoch_loss += float(loss.data)
                 T.backward(loss, seed=1.0 / len(batch))
             optimizer.step()
-        val_pred = _predict_encoder(model, table, config.max_len, valid)
+        val_pred = _predict_encoder(model, valid, valid_windows)
         val_f1 = validation_macro_f1(val_pred, valid, scheme, evaluated)
         metrics.append({
             "epoch": epoch,
-            "train_loss": epoch_loss / max(len(windows), 1),
+            "train_loss": epoch_loss / max(len(examples), 1),
             "val_macro_f1": val_f1,
         })
         if val_f1 > best_f1:
@@ -419,18 +415,13 @@ def train_model(
 
 def predict(checkpoint: Checkpoint, records: RecordSet) -> RecordSet:
     """Label records word-for-word; inference is dropout-free."""
-    for rec in records.records:
-        for lab in rec.labels:
-            if not 0 <= lab < len(checkpoint.scheme.labels):
-                raise CompatibilityError(
-                    f"record {rec.id!r} carries label id {lab} outside the checkpoint scheme"
-                )
+    validate_against_scheme(records, checkpoint.scheme)
     if not records.records:
         return RecordSet(split=records.split, records=())
     if checkpoint.kind == "encoder":
-        return _predict_encoder(
-            checkpoint.model, checkpoint.table, checkpoint.train_config.max_len, records
-        )
+        max_len = checkpoint.train_config.max_len
+        windows = [encode_words(rec.words, checkpoint.table, max_len) for rec in records.records]
+        return _predict_encoder(checkpoint.model, records, windows)
     if checkpoint.kind == "crf":
         paths = crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records))
         out = [Record(id=r.id, words=r.words, labels=tuple(path))

@@ -219,14 +219,14 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     h = x.data.shape[-1]
     if gain.data.shape != (h,) or bias.data.shape != (h,):
         raise _shape_error("layer_norm", x.data, gain.data)
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mean) * inv
     data = xhat * gain.data + bias.data
 

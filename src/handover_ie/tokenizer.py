@@ -38,10 +38,6 @@ class MergeTable:
     lowercase: bool = False
 
     @property
-    def pad_id(self) -> int:
-        return self.vocab[PAD]
-
-    @property
     def unk_id(self) -> int:
         return self.vocab[UNK]
 
@@ -70,13 +66,6 @@ class TokenizedSequence:
     first_subtoken_of: Mapping[int, int]
     word_span: tuple[int, int]
     piece_span: tuple[int, int]
-
-    def covered_words(self) -> list[int]:
-        seen: list[int] = []
-        for w in self.word_index_of:
-            if w is not None and (not seen or seen[-1] != w):
-                seen.append(w)
-        return seen
 
 
 def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
@@ -239,8 +228,8 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int = 128) -> list[
         ids.append(table.sep_id)
         pieces.append(SEP)
         word_idx.append(None)
-        covered = sorted({word_of_piece[k] for k in range(s, e)})
-        span = (covered[0], covered[-1] + 1) if covered else (0, 0)
+        # word_of_piece never decreases, so the window's end pieces bound its words
+        span = (word_of_piece[s], word_of_piece[e - 1] + 1) if e > s else (0, 0)
         out.append(
             TokenizedSequence(
                 token_ids=tuple(ids),
@@ -254,49 +243,16 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int = 128) -> list[
     return out
 
 
-def decode(seqs: Sequence[TokenizedSequence]) -> list[str]:
-    """Reassemble word surfaces from windows (overlap pieces deduplicated)."""
-    by_word: dict[int, list[tuple[int, str]]] = {}
-    for seq in seqs:
-        flat = seq.piece_span[0]
-        for piece, w in zip(seq.pieces, seq.word_index_of):
-            if w is None:
-                continue
-            by_word.setdefault(w, [])
-            if all(pos != flat for pos, _ in by_word[w]):
-                by_word[w].append((flat, piece))
-            flat += 1
-    words = []
-    for w in sorted(by_word):
-        parts = [p for _, p in sorted(by_word[w])]
-        words.append("".join(p[len(CONTINUATION):] if p.startswith(CONTINUATION) else p
-                             for p in parts))
-    return words
+def align_labels(seq: TokenizedSequence, word_labels: Sequence[int]) -> list[int]:
+    """Per-position labels: every subtoken of a word carries the word's
+    label; specials receive IGNORE_INDEX and are excluded from the loss.
 
-
-def align_labels(
-    seq: TokenizedSequence, word_labels: Sequence[int]
-) -> tuple[list[int], list[bool]]:
-    """Propagate word labels to subtokens; mask selects first subtokens.
-
-    Specials receive IGNORE_INDEX and are excluded from loss and metrics.
+    word_labels holds one label per word of seq.word_span.
     """
-    covered = seq.covered_words()
-    if len(word_labels) != len(covered):
-        raise AlignmentError(
-            f"{len(word_labels)} word labels for {len(covered)} words in sequence"
-        )
-    label_of = dict(zip(covered, word_labels))
-    labels: list[int] = []
-    mask: list[bool] = []
-    for pos, w in enumerate(seq.word_index_of):
-        if w is None:
-            labels.append(IGNORE_INDEX)
-            mask.append(False)
-        else:
-            labels.append(label_of[w])
-            mask.append(seq.first_subtoken_of.get(w) == pos)
-    return labels, mask
+    lo, hi = seq.word_span
+    if len(word_labels) != hi - lo:
+        raise AlignmentError(f"{len(word_labels)} word labels for {hi - lo} words in sequence")
+    return [IGNORE_INDEX if w is None else word_labels[w - lo] for w in seq.word_index_of]
 
 
 # --- file formats ------------------------------------------------------------
@@ -310,34 +266,32 @@ def dump_vocab(table: MergeTable) -> str:
 
 
 def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> MergeTable:
+    """Read the text of merges.txt and vocab.txt, as dump_merges and
+    dump_vocab write them: vocab line k reads exactly piece<TAB>k-1, every
+    piece once; each merge line reads 'left right', and left, right and
+    their join are all vocab pieces."""
+    vocab: dict[str, int] = {}
+    for line_no, line in enumerate(read_lines(vocab_text), 1):
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] != str(line_no - 1):
+            raise ValueError(f"vocab line {line_no}: expected 'piece<TAB>{line_no - 1}'")
+        if parts[0] in vocab:
+            raise ValueError(f"vocab line {line_no}: duplicate piece {parts[0]!r}")
+        vocab[parts[0]] = line_no - 1
+    for sp in SPECIALS:
+        if sp not in vocab:
+            raise ValueError(f"vocab is missing special token {sp}")
     merges = []
     for line_no, line in enumerate(read_lines(merges_text), 1):
-        if not line:
-            continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise ValueError(f"merges line {line_no}: expected 'left right'")
+        for piece in (parts[0], parts[1], parts[0] + parts[1]):
+            if piece not in vocab:
+                raise ValueError(f"merges line {line_no}: {piece!r} is not a vocab piece")
         merges.append((parts[0], parts[1]))
-    entries: list[tuple[str, int]] = []
-    for line_no, line in enumerate(read_lines(vocab_text), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"vocab line {line_no}: expected 'piece<TAB>id'")
-        entries.append((parts[0], int(parts[1])))
-    entries.sort(key=lambda kv: kv[1])
-    if [i for _, i in entries] != list(range(len(entries))):
-        raise ValueError("vocab ids must be dense from 0")
-    pieces = tuple(p for p, _ in entries)
-    for sp in SPECIALS:
-        if sp not in pieces:
-            raise ValueError(f"vocab is missing special token {sp}")
     return MergeTable(
-        merges=tuple(merges),
-        pieces=pieces,
-        vocab={p: i for i, p in enumerate(pieces)},
-        lowercase=lowercase,
+        merges=tuple(merges), pieces=tuple(vocab), vocab=vocab, lowercase=lowercase
     )
 
 

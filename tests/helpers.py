@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from handover_ie import tensor as T
 from handover_ie.crf import extract_features
+from handover_ie.tokenizer import CONTINUATION
 
 
 def probed(loss_fn, params, rng):
@@ -45,6 +46,20 @@ def word_accuracy(gold, pred) -> float:
             total += 1
             correct += a == b
     return correct / total
+
+
+def decode(seqs) -> list[str]:
+    """Reassemble word surfaces from encoder windows (overlap pieces
+    deduplicated): the inverse of tokenizer.encode at the word level."""
+    by_word: dict[int, dict[int, str]] = {}
+    for seq in seqs:
+        flat = seq.piece_span[0]
+        for piece, w in zip(seq.pieces, seq.word_index_of):
+            if w is not None:
+                by_word.setdefault(w, {}).setdefault(flat, piece)
+                flat += 1
+    return ["".join(by_word[w][k].removeprefix(CONTINUATION) for k in sorted(by_word[w]))
+            for w in sorted(by_word)]
 
 
 def path_score(unary, transition, path) -> float:

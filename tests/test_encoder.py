@@ -154,14 +154,6 @@ def test_encode_shape_error():
         encode(T.constant(np.zeros((3, 5))), model)
 
 
-def test_pad_mask_blocks_attention(monkeypatch):
-    model = tiny_model(seed=6)
-    ids = [1, 2, 3, 0]
-    sink = record_attention(monkeypatch)
-    encode(embed(ids, model), model, pad_mask=np.array([True, True, True, False]))
-    assert np.abs(sink[0][:, :, -1]).max() < 1e-6
-
-
 def test_classify_zero_head_is_uniform():
     model = tiny_model(seed=7)
     model.cls_w.data[...] = 0.0

@@ -12,6 +12,7 @@ from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
 from handover_ie.cli import main as cli_main
 from handover_ie.corpus import (
+    LabelingError,
     LabelScheme,
     RecordSet,
     default_synthetic_scheme,
@@ -211,8 +212,26 @@ def test_predict_rejects_labels_outside_scheme(tiny_setup):
     alien = RecordSet(split="test", records=(
         Record(id="x", words=("a",), labels=(99,)),
     ))
-    with pytest.raises(CompatibilityError):
+    with pytest.raises(LabelingError):
         pipeline.predict(ckpt, alien)
+
+
+def test_fine_tune_encodes_each_record_once(tiny_setup, monkeypatch):
+    scheme, train, valid, table, model_config = tiny_setup
+    encode_words = pipeline.encode_words
+    calls = []
+
+    def counting(words, *args, **kwargs):
+        calls.append(tuple(words))
+        return encode_words(words, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_words", counting)
+    for epochs in (1, 3):
+        calls.clear()
+        pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(epochs=epochs),
+                           model_config)
+        # one call per train and validation record, however many epochs run
+        assert sorted(calls) == sorted(r.words for r in train.records + valid.records)
 
 
 def test_divergent_settings_raise(tiny_setup):

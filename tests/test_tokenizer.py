@@ -1,9 +1,11 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handover_ie.corpus import Record, RecordSet
+from handover_ie.corpus import WORD_BREAKS, Record, RecordSet
 from handover_ie.pipeline import fit_tokenizer
 from handover_ie.tokenizer import (
     CLS,
@@ -13,15 +15,18 @@ from handover_ie.tokenizer import (
     SPECIALS,
     AlignmentError,
     align_labels,
-    decode,
     dump_merges,
     dump_vocab,
     encode,
     load_table,
+    read_table,
+    save_table,
     segment_word,
     train_bpe,
     word_frequencies,
 )
+
+from helpers import decode
 
 SENNRICH_CORPUS = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
 
@@ -260,18 +265,18 @@ def test_word_index_nondecreasing_and_every_word_covered(case):
 def test_align_one_subtoken_per_word_masks_every_interior_position():
     table = train_bpe(SENNRICH_CORPUS, 10)
     (seq,) = encode(["low", "newest"], table, max_len=8)
-    labels, mask = align_labels(seq, [4, 2])
+    labels = align_labels(seq, [4, 2])
     assert labels == [IGNORE_INDEX, 4, 2, IGNORE_INDEX]
-    assert mask == [False, True, True, False]
+    assert seq.first_subtoken_of == {0: 1, 1: 2}
 
 
 def test_align_multi_subtoken_word_repeats_label_and_masks_tail():
     table = train_bpe({"ab": 2}, 0)
     (seq,) = encode(["abc"], table, max_len=8)
     assert len(seq.token_ids) == 5
-    labels, mask = align_labels(seq, [7])
+    labels = align_labels(seq, [7])
     assert labels == [IGNORE_INDEX, 7, 7, 7, IGNORE_INDEX]
-    assert mask == [False, True, False, False, False]
+    assert seq.first_subtoken_of == {0: 1}
 
 
 def test_align_length_mismatch_raises():
@@ -290,10 +295,11 @@ def test_masked_readback_has_word_length(case):
     picked = {}
     for seq in encode(sentence, table, max_len=max_len):
         lo, hi = seq.word_span
-        labels, mask = align_labels(seq, word_labels[lo:hi])
-        for pos, m in enumerate(mask):
-            if m:
-                picked[seq.word_index_of[pos]] = labels[pos]
+        labels = align_labels(seq, word_labels[lo:hi])
+        assert {w for w in seq.word_index_of if w is not None} == set(range(lo, hi))
+        for w, pos in seq.first_subtoken_of.items():
+            assert seq.word_index_of[pos] == w
+            picked[w] = labels[pos]
     assert len(picked) == len(sentence)
     assert [picked[i] for i in range(len(sentence))] == word_labels
 
@@ -323,6 +329,69 @@ def test_load_table_validates():
         load_table("a b c\n", dump_vocab(table))
     with pytest.raises(ValueError):
         load_table(dump_merges(table), "x\t0\n")
+
+
+def vocab_lines(table):
+    return dump_vocab(table).splitlines(keepends=True)
+
+
+# 14 pieces: the specials, a b c and the merges ab, abc, each bare and ##-prefixed
+ABC = train_bpe({"abc": 1}, 2)
+
+
+@pytest.mark.parametrize("line_no, spelling", [
+    (5, "4 "), (5, "4\x85"), (5, "+4"), (5, "\u0664"), (11, "1_0"),
+])
+def test_load_table_rejects_vocab_id_not_written_as_line_number(line_no, spelling):
+    lines = vocab_lines(ABC)
+    piece = ABC.pieces[line_no - 1]
+    lines[line_no - 1] = f"{piece}\t{spelling}\n"
+    with pytest.raises(ValueError, match=f"vocab line {line_no}:"):
+        load_table(dump_merges(ABC), "".join(lines))
+
+
+def test_load_table_rejects_out_of_order_ids():
+    lines = vocab_lines(ABC)
+    lines[4], lines[5] = lines[5], lines[4]
+    with pytest.raises(ValueError, match="vocab line 5:"):
+        load_table(dump_merges(ABC), "".join(lines))
+
+
+def test_load_table_rejects_duplicate_piece():
+    lines = vocab_lines(ABC)
+    assert lines[4:6] == ["a\t4\n", "##a\t5\n"]
+    lines[5] = "a\t5\n"
+    with pytest.raises(ValueError, match="vocab line 6: duplicate piece 'a'"):
+        load_table(dump_merges(ABC), "".join(lines))
+
+
+@pytest.mark.parametrize("merge, missing", [("x b", "x"), ("a y", "y"), ("b c", "bc")])
+def test_load_table_rejects_merge_outside_vocab(merge, missing):
+    merges = dump_merges(ABC) + merge + "\n"
+    with pytest.raises(ValueError, match=f"merges line 3: {missing!r} is not a vocab piece"):
+        load_table(merges, dump_vocab(ABC))
+
+
+# any character but the word breaks; surrogates cannot be written as UTF-8
+TABLE_WORDS = st.lists(
+    st.text(st.characters().filter(lambda c: not WORD_BREAKS.match(c)), min_size=1, max_size=8),
+    min_size=1, max_size=8)
+
+
+@given(TABLE_WORDS, st.integers(0, 30), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
+    table = train_bpe(word_frequencies([words], lowercase=lowercase), num_merges,
+                      lowercase=lowercase)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        save_table(table, first)
+        back = read_table(first, lowercase)
+        save_table(back, second)
+        for name in ("merges.txt", "vocab.txt"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+    assert (back.merges, back.pieces, back.vocab, back.lowercase) == (
+        table.merges, table.pieces, table.vocab, table.lowercase)
 
 
 def test_records_and_tokenizer_share_one_word_rule():
