@@ -20,13 +20,14 @@ from handover_ie.corpus import (
     RecordSet,
     convert_standoff,
     load_scheme,
+    read_lines,
     serialize_records,
 )
 
 
 def read_spans(path: Path) -> list[tuple[int, int, str]]:
     spans = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_lines(path.read_text(encoding="utf-8")), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

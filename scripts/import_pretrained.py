@@ -17,8 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from handover_ie.encoder import EncoderModel, ModelConfig, import_pretrained, save_model
-from handover_ie.pipeline import load_train_config
+from handover_ie.encoder import EncoderModel, import_pretrained, save_model
+from handover_ie.pipeline import build_model_config, load_train_config
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     train_config, model_kw = load_train_config(args.config)
-    model = EncoderModel(ModelConfig(**model_kw), seed=train_config.seed)
+    model = EncoderModel(build_model_config(model_kw), seed=train_config.seed)
     imported = import_pretrained(model, args.archive, args.mapping)
     save_model(model, args.out)
     print(f"imported {len(imported)} tensors; wrote {args.out}")

@@ -126,7 +126,7 @@ def _cmd_baseline(args) -> int:
     rs, _ = _read_records(args.input, scheme=scheme, split="test")
     if args.kind == "random":
         evaluated = corpus.evaluated_classes(train_rs, scheme)
-        pred = evaluation.baseline_random(rs, scheme, args.seed, evaluated)
+        pred = evaluation.baseline_random(rs, args.seed, evaluated)
     else:
         label = (scheme.index(args.majority_label) if args.majority_label
                  else evaluation.majority_label(train_rs, scheme))
@@ -141,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequence labeling for clinical handover form filling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = pipeline.TrainConfig()
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
     p.add_argument("--n", type=int, required=True)
@@ -153,20 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
     tok_sub = tok.add_subparsers(dest="tok_command", required=True)
     p = tok_sub.add_parser("train", help="learn a merge table from a TSV corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--num-merges", type=int, default=200)
+    p.add_argument("--num-merges", type=int, default=defaults.num_merges)
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_tokenizer_train)
     p = tok_sub.add_parser("encode", help="tokenize a TSV corpus")
     p.add_argument("--table", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--max-len", type=int, default=128)
+    p.add_argument("--max-len", type=int, default=defaults.max_len)
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tokenizer_encode)
 
     p = sub.add_parser("train", help="train a token classifier")
-    p.add_argument("--model", choices=("encoder", "crf"), required=True)
+    p.add_argument("--model", choices=pipeline.MODEL_KINDS, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--valid", required=True)
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--train", required=True)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=evaluation.FORMATS, default="table")
     p.add_argument("--exclude-na", action="store_true",
                    help="drop the N.A. class from the macro average")
     p.add_argument("--scheme")

@@ -14,8 +14,8 @@ with one row per observation, in id order, plus a weights archive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,13 +50,6 @@ WOLFE_C2 = 0.9
 WOLFE_MAX_STEPS = 25
 
 
-def extract_features(words: Sequence[str]) -> list[list[tuple[int, tuple[str, ...]]]]:
-    """Per position: (template index, surface) firings, in template order."""
-    padded = (BOS, *words, EOS)
-    return [[(ti, padded[p + a:p + b]) for ti, a, b in TEMPLATE_SLICES]
-            for p in range(len(words))]
-
-
 class Featurized(NamedTuple):
     """Notes as flat arrays: observation ``ids[k]`` fires at position
     ``pos[k]`` of the concatenated notes, note i spans positions
@@ -79,16 +72,19 @@ class FeatureIndex:
     def num_obs(self) -> int:
         return len(self.obs)
 
-    def fit(self, record_words: Iterable[Sequence[str]], min_count: int = 1) -> "FeatureIndex":
-        """Index observations seen at least min_count times (1 = keep all)."""
+    def fit(self, record_words: Iterable[Sequence[str]], min_count: int) -> "FeatureIndex":
+        """Index observations seen at least min_count times (1 = keep all);
+        ids follow the order in which observations reach min_count."""
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
         seen: dict[tuple[int, tuple[str, ...]], int] = {}
         for words in record_words:
-            for firings in extract_features(words):
-                for key in firings:
-                    seen[key] = seen.get(key, 0) + 1
-                    if seen[key] >= min_count and key not in self.obs:
+            padded = (BOS, *words, EOS)
+            for p in range(len(words)):
+                for ti, a, b in TEMPLATE_SLICES:
+                    key = (ti, padded[p + a:p + b])
+                    seen[key] = count = seen.get(key, 0) + 1
+                    if count >= min_count and key not in self.obs:
                         self.obs[key] = len(self.obs)
         return self
 
@@ -97,7 +93,6 @@ class FeatureIndex:
         each position's ids keep template order."""
         ids, pos, gold, starts = [], [], [], [0]
         get = self.obs.get
-        # the firings of extract_features, looked up as they are sliced
         for words, labels in notes:
             offset = starts[-1]
             padded = (BOS, *words, EOS)
@@ -135,23 +130,13 @@ class CrfModel:
     labels: tuple[str, ...]
     index: FeatureIndex
     weights: np.ndarray
-    l2_lambda: float = 1.0
 
     @classmethod
-    def build(
-        cls,
-        train: RecordSet,
-        scheme: LabelScheme,
-        l2_lambda: float = 1.0,
-        feature_cutoff: int = 1,
-    ) -> "CrfModel":
-        index = FeatureIndex().fit(
-            (r.words for r in train.records), min_count=feature_cutoff
-        )
+    def build(cls, train: RecordSet, scheme: LabelScheme, feature_cutoff: int) -> "CrfModel":
+        """Index the observations of the training words, zero weights."""
+        index = FeatureIndex().fit((r.words for r in train.records), feature_cutoff)
         n = weight_count(index.num_obs, len(scheme.labels))
-        return cls(
-            labels=scheme.labels, index=index, weights=np.zeros(n), l2_lambda=l2_lambda
-        )
+        return cls(labels=scheme.labels, index=index, weights=np.zeros(n))
 
     @property
     def num_labels(self) -> int:
@@ -281,20 +266,16 @@ def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> li
 
 
 def nll_and_grad(
-    model: CrfModel,
-    records: RecordSet | Featurized,
-    weights: Optional[np.ndarray] = None,
+    model: CrfModel, feats: Featurized, weights: np.ndarray, l2_lambda: float
 ) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its exact gradient.
+    """Penalized negative log-likelihood of labelled notes at the given
+    weights, and its exact gradient.
 
-    loss = sum over records of (log Z - gold path score) + (lambda/2) ||w||^2;
+    loss = sum over notes of (log Z - gold path score) + (lambda/2) ||w||^2;
     gradient = expected feature counts - empirical counts + lambda * w.
     """
-    feats = (model.index.transform((r.words, r.labels) for r in records.records)
-             if isinstance(records, RecordSet) else records)
-    w = model.weights if weights is None else weights
     y = model.num_labels
-    unary_w, trans_w = model.split(w)
+    unary_w, trans_w = model.split(weights)
     unary = unary_scores(unary_w, feats)
     gold = feats.gold
     positions = np.arange(gold.size)
@@ -306,25 +287,18 @@ def nll_and_grad(
     node, pair_sum, log_z = posteriors(unary, feats.starts, trans_w)
     loss = float(log_z.sum()) - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
 
-    grad = np.zeros_like(w)
+    grad = np.zeros_like(weights)
     grad_unary, grad_trans = model.split(grad)
     node[positions, gold] -= 1.0
     np.add.at(grad_unary, feats.ids, node[feats.pos])
     grad_trans += pair_sum - np.bincount(prev * y + cur, minlength=y * y).reshape(y, y)
 
-    lam = model.l2_lambda
-    loss += 0.5 * lam * float(w @ w)
-    grad += lam * w
+    loss += 0.5 * l2_lambda * float(weights @ weights)
+    grad += l2_lambda * weights
     return loss, grad
 
 
 # --- limited-memory quasi-Newton optimizer -------------------------------------
-
-@dataclass
-class OptimizerSettings:
-    max_iters: int = 100
-    grad_tol: float = 1e-5
-
 
 def _wolfe_line_search(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -378,9 +352,12 @@ def _wolfe_line_search(
 def minimize_lbfgs(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
-    settings: OptimizerSettings = OptimizerSettings(),
+    max_iters: int,
+    grad_tol: float,
 ) -> tuple[np.ndarray, list[float], bool]:
-    """Two-loop-recursion L-BFGS; returns (x, accepted losses, converged)."""
+    """Two-loop-recursion L-BFGS for at most max_iters iterations; converged
+    means the largest gradient entry is at most grad_tol. Returns (x,
+    accepted losses, converged)."""
     x = x0.astype(np.float64).copy()
     f, g = fun(x)
     if not np.isfinite(f):
@@ -388,9 +365,9 @@ def minimize_lbfgs(
     history = [f]
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    for _ in range(settings.max_iters):
+    for _ in range(max_iters):
         gnorm = float(np.abs(g).max()) if g.size else 0.0
-        if gnorm <= settings.grad_tol:
+        if gnorm <= grad_tol:
             return x, history, True
         q = g.copy()
         alphas = []
@@ -429,28 +406,24 @@ def minimize_lbfgs(
         x = x + s
         f, g = f_new, g_new
         history.append(f)
-    return x, history, float(np.abs(g).max()) <= settings.grad_tol
+    return x, history, float(np.abs(g).max()) <= grad_tol
 
 
 def train(
-    model: CrfModel,
-    records: RecordSet,
-    settings: OptimizerSettings = OptimizerSettings(),
+    model: CrfModel, records: RecordSet, l2_lambda: float, max_iters: int, grad_tol: float
 ) -> tuple[CrfModel, list[float], bool]:
-    """Fit weights by penalized maximum likelihood; deterministic. Returns
-    the fitted model, the accepted losses and whether L-BFGS converged."""
+    """Fit weights by penalized maximum likelihood, starting from the
+    model's; deterministic. Returns the fitted model, the accepted losses
+    and whether L-BFGS converged."""
     if not records.records:
         raise ValueError("cannot train on an empty record set")
     feats = model.index.transform((r.words, r.labels) for r in records.records)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return nll_and_grad(model, feats, weights=w)
+        return nll_and_grad(model, feats, w, l2_lambda)
 
-    weights, history, converged = minimize_lbfgs(objective, model.weights, settings)
-    fitted = CrfModel(
-        labels=model.labels, index=model.index, weights=weights, l2_lambda=model.l2_lambda
-    )
-    return fitted, history, converged
+    weights, history, converged = minimize_lbfgs(objective, model.weights, max_iters, grad_tol)
+    return replace(model, weights=weights), history, converged
 
 
 def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list[int]]:
@@ -476,9 +449,7 @@ def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
     save_archive([("weights", model.weights)], weights_path)
 
 
-def load_crf(
-    features_path: str, weights_path: str, scheme: LabelScheme, l2_lambda: float = 1.0
-) -> CrfModel:
+def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfModel:
     templates = {name: (ti, len(offs)) for ti, (name, offs) in enumerate(UNIGRAM_TEMPLATES)}
     index = FeatureIndex()
     with open(features_path, encoding="utf-8") as fh:
@@ -496,7 +467,11 @@ def load_crf(
             if key in index.obs:
                 raise ValueError(f"features line {line_no}: duplicate observation")
             index.obs[key] = len(index.obs)
-    weights = load_archive(weights_path)["weights"].astype(np.float64)
-    model = CrfModel(labels=scheme.labels, index=index, weights=weights, l2_lambda=l2_lambda)
+    entries = load_archive(weights_path)
+    if list(entries) != ["weights"]:
+        raise ValueError(f"{weights_path}: expected one entry named 'weights', "
+                         f"got {sorted(entries)}")
+    weights = entries["weights"].astype(np.float64)
+    model = CrfModel(labels=scheme.labels, index=index, weights=weights)
     model.split(weights)   # raises ValueError for weights sized for another model
     return model

@@ -41,6 +41,10 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("num_layers", "hidden_size", "num_heads", "ffn_size", "vocab_size",
+                     "max_positions", "num_segments"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden_size % self.num_heads:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"

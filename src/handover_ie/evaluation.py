@@ -124,13 +124,12 @@ def build_report(
 # --- trivial baselines ------------------------------------------------------
 
 def baseline_random(
-    records: RecordSet,
-    scheme: LabelScheme,
-    seed: int,
-    evaluated_ids: frozenset[int] | set[int] | None = None,
+    records: RecordSet, seed: int, evaluated_ids: frozenset[int] | set[int]
 ) -> RecordSet:
     """Uniform seeded draws over the evaluated label set for every word."""
-    choices = sorted(evaluated_ids) if evaluated_ids else list(range(len(scheme.labels)))
+    if not evaluated_ids:
+        raise ValueError("no evaluated labels to draw from")
+    choices = sorted(evaluated_ids)
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
     for rec in records.records:

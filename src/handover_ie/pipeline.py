@@ -12,7 +12,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -90,6 +90,7 @@ class TrainConfig:
 
 _TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 _MODEL_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
+_REQUIRED_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.default is MISSING)
 
 
 def _convert(type_name: str, value: str):
@@ -125,6 +126,15 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
         else:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
     return train_kw, model_kw
+
+
+def build_model_config(model_kw: dict) -> ModelConfig:
+    """ModelConfig from parsed model keys; a missing required key is a
+    ValueError that names it."""
+    missing = [key for key in _REQUIRED_MODEL_KEYS if key not in model_kw]
+    if missing:
+        raise ValueError(f"config lacks model key(s): {', '.join(missing)}")
+    return ModelConfig(**model_kw)
 
 
 def load_train_config(path: str) -> tuple[TrainConfig, dict]:
@@ -220,7 +230,7 @@ class Checkpoint:
         train_config = TrainConfig(**train_kw)
         scheme = load_scheme((d / "labels.txt").read_text(encoding="utf-8"))
         if train_config.kind == "encoder":
-            model_config = ModelConfig(**model_kw)
+            model_config = build_model_config(model_kw)
             table = read_table(d, train_config.lowercase)
             check_compatible(model_config, table, scheme)
             model = enc.load_model(model_config, str(d / "model.tarch"))
@@ -228,10 +238,7 @@ class Checkpoint:
                 kind="encoder", scheme=scheme, train_config=train_config,
                 model_config=model_config, model=model, table=table,
             )
-        crf = crf_mod.load_crf(
-            str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"),
-            scheme, l2_lambda=train_config.l2_lambda,
-        )
+        crf = crf_mod.load_crf(str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"), scheme)
         return cls(kind="crf", scheme=scheme, train_config=train_config, crf=crf)
 
 
@@ -240,7 +247,7 @@ class Adam:
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Sequence[T.Parameter], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: Sequence[T.Parameter], lr: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
@@ -365,11 +372,9 @@ def train_crf(
 ) -> tuple[Checkpoint, list[dict]]:
     """Quasi-Newton CRF fit; validation macro F1 and whether L-BFGS
     converged are reported once at the end."""
-    model = crf_mod.CrfModel.build(
-        train, scheme, l2_lambda=config.l2_lambda, feature_cutoff=config.feature_cutoff
-    )
-    settings = crf_mod.OptimizerSettings(max_iters=config.max_iters, grad_tol=config.grad_tol)
-    fitted, history, converged = crf_mod.train(model, train, settings)
+    model = crf_mod.CrfModel.build(train, scheme, config.feature_cutoff)
+    fitted, history, converged = crf_mod.train(
+        model, train, config.l2_lambda, config.max_iters, config.grad_tol)
     checkpoint = Checkpoint(kind="crf", scheme=scheme, train_config=config, crf=fitted)
     metrics = [{"epoch": 0, "train_loss": history[-1], "val_macro_f1": None,
                 "converged": converged}]
@@ -391,7 +396,7 @@ def derive_model_config(model_kw: dict, table: MergeTable, scheme: LabelScheme,
                         config: TrainConfig) -> ModelConfig:
     """ModelConfig from shape keys plus the fields the data decides: the
     vocabulary size, the label count, and room for max_len positions."""
-    return ModelConfig(**{
+    return build_model_config({
         **model_kw,
         "vocab_size": len(table.pieces),
         "num_labels": len(scheme.labels),
@@ -498,7 +503,7 @@ def run_experiment(
     predictions = {
         "encoder": predict(enc_ckpt, test),
         "crf": predict(crf_ckpt, test),
-        "random": baseline_random(test, scheme, seed=base.seed, evaluated_ids=evaluated),
+        "random": baseline_random(test, base.seed, evaluated),
         "majority": baseline_majority(test, majority_label(train, scheme)),
     }
     enc_ckpt.save(work / "encoder_checkpoint")

@@ -288,7 +288,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _result(x.data.transpose(axes), (x,), vjp)
 
 
-def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int = -100) -> Tensor:
+def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int) -> Tensor:
     """Mean negative log-probability of gold labels over non-ignored rows."""
     labs = np.asarray(labels, dtype=np.int64)
     if log_probs.data.ndim != 2 or labs.shape != (log_probs.data.shape[0],):

@@ -199,7 +199,7 @@ def _plan_windows(word_of_piece: list[int], capacity: int) -> list[tuple[int, in
         start = nxt
 
 
-def encode(words: Sequence[str], table: MergeTable, max_len: int = 128) -> list[TokenizedSequence]:
+def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[TokenizedSequence]:
     """Tokenize a word sequence into one or more [CLS] ... [SEP] windows."""
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")

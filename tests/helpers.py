@@ -5,7 +5,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from handover_ie import tensor as T
-from handover_ie.crf import extract_features
+from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
 from handover_ie.tokenizer import CONTINUATION
 
 
@@ -62,6 +62,20 @@ def decode(seqs) -> list[str]:
             for w in sorted(by_word)]
 
 
+def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
+    """Per position: (template index, surface) firings, in template order;
+    the nested-list reference for FeatureIndex.fit and transform."""
+    padded = (BOS, *words, EOS)
+    return [[(ti, padded[p + a:p + b]) for ti, a, b in TEMPLATE_SLICES]
+            for p in range(len(words))]
+
+
+def featurize(model, records):
+    """A record set's words and gold labels as the Featurized form that
+    crf.nll_and_grad takes."""
+    return model.index.transform((r.words, r.labels) for r in records.records)
+
+
 def path_score(unary, transition, path) -> float:
     """Score of one label path: its unary entries plus its transitions."""
     score = float(unary[np.arange(len(path)), list(path)].sum())
@@ -86,7 +100,7 @@ def loop_viterbi(unary, transition) -> list[int]:
     return path[::-1]
 
 
-def loop_nll_and_grad(model, records, weights):
+def loop_nll_and_grad(model, records, weights, l2_lambda):
     """Per-position loop reference for crf.nll_and_grad: its own
     forward-backward, one position and one transition at a time."""
     y = model.num_labels
@@ -122,7 +136,6 @@ def loop_nll_and_grad(model, records, weights):
         for t in range(t_len - 1):
             grad_trans += np.exp(alpha[t][:, None] + trans_w + unary[t + 1] + beta[t + 1] - log_z)
             grad_trans[gold[t], gold[t + 1]] -= 1.0
-    lam = model.l2_lambda
-    loss += 0.5 * lam * float(weights @ weights)
-    grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + lam * weights
+    loss += 0.5 * l2_lambda * float(weights @ weights)
+    grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + l2_lambda * weights
     return loss, grad

@@ -27,7 +27,7 @@ from handover_ie.encoder import EncoderModel, ModelConfig, classify, embed, enco
 from handover_ie.evaluation import prf_from_counts
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
-from helpers import path_score, probed, randomize, word_accuracy
+from helpers import featurize, path_score, probed, randomize, word_accuracy
 from test_crf import brute_force as crf_brute_force, notes_of, random_instance
 from test_tokenizer import brute_force_merges, random_corpus
 
@@ -109,14 +109,16 @@ def test_criterion_3_gradient_suites():
                 labels=tuple(int(rng.integers(3)) for _ in range(length)),
             ))
         rs = RecordSet(split="train", records=tuple(records))
-        model = CrfModel.build(rs, scheme, l2_lambda=float(rng.uniform(0.1, 2)))
+        lam = float(rng.uniform(0.1, 2))
+        model = CrfModel.build(rs, scheme, 1)
+        feats = featurize(model, rs)
         w = rng.normal(0, 0.5, model.weights.shape)
-        _, grad = nll_and_grad(model, rs, weights=w)
+        _, grad = nll_and_grad(model, feats, w, lam)
         for k in range(w.size):
             wp = w.copy(); wp[k] += eps
             wm = w.copy(); wm[k] -= eps
-            numeric = (nll_and_grad(model, rs, weights=wp)[0]
-                       - nll_and_grad(model, rs, weights=wm)[0]) / (2 * eps)
+            numeric = (nll_and_grad(model, feats, wp, lam)[0]
+                       - nll_and_grad(model, feats, wm, lam)[0]) / (2 * eps)
             denom = abs(grad[k]) + abs(numeric)
             if denom > 1e-12:
                 worst_crf = max(worst_crf, abs(grad[k] - numeric) / denom)
@@ -188,7 +190,7 @@ def test_criterion_6_overfit_and_baseline_margins():
         return evaluation.build_report(counts, scheme, evaluated).macro_f1
 
     crf_f1 = macro_f1(pipeline.predict(crf_ckpt, test))
-    random_f1 = macro_f1(evaluation.baseline_random(test, scheme, seed=0,
+    random_f1 = macro_f1(evaluation.baseline_random(test, seed=0,
                                                     evaluated_ids=evaluated))
     majority = evaluation.majority_label(crf_train, scheme)
     majority_f1 = macro_f1(evaluation.baseline_majority(test, majority))

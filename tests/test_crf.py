@@ -17,8 +17,6 @@ from handover_ie.crf import (
     UNIGRAM_TEMPLATES,
     CrfModel,
     FeatureIndex,
-    OptimizerSettings,
-    extract_features,
     minimize_lbfgs,
     nll_and_grad,
     posteriors,
@@ -28,9 +26,13 @@ from handover_ie.crf import (
     train,
     viterbi,
 )
+from handover_ie.pipeline import TrainConfig
 from handover_ie.tensor import TrainingDivergence
 
-from helpers import loop_nll_and_grad, loop_viterbi, path_score
+from helpers import extract_features, featurize, loop_nll_and_grad, loop_viterbi, path_score
+
+# the L-BFGS budget and tolerance train_crf uses by default
+MAX_ITERS, GRAD_TOL = TrainConfig().max_iters, TrainConfig().grad_tol
 
 
 def brute_force(unary, trans):
@@ -93,22 +95,22 @@ def test_extract_features_middle_position_conjunctions():
 
 def test_feature_ids_stable_across_rebuilds():
     words = [["a", "b"], ["b", "c", "a"]]
-    one = FeatureIndex().fit(words)
-    two = FeatureIndex().fit(words)
+    one = FeatureIndex().fit(words, 1)
+    two = FeatureIndex().fit(words, 1)
     assert one.obs == two.obs
     a, b = (index.transform([(["a", "b"], ())]) for index in (one, two))
     assert np.array_equal(a.ids, b.ids) and np.array_equal(a.pos, b.pos)
 
 
 def test_unseen_surfaces_are_dropped():
-    index = FeatureIndex().fit([["a", "b"]])
+    index = FeatureIndex().fit([["a", "b"]], 1)
     feats = index.transform([(["z", "q"], ())])
     firing_counts = np.bincount(feats.pos, minlength=2)
     assert all(c < 6 for c in firing_counts)
 
 
 def test_transform_flattens_notes_in_order():
-    index = FeatureIndex().fit([["a", "b"], ["c"]])
+    index = FeatureIndex().fit([["a", "b"], ["c"]], 1)
     feats = index.transform([(["a", "b"], (1, 0)), (["c"], (2,))])
     expected_ids, expected_pos = [], []
     for offset, words in ((0, ["a", "b"]), (2, ["c"])):
@@ -123,7 +125,7 @@ def test_transform_flattens_notes_in_order():
 
 def test_feature_cutoff_prunes_rare_observations():
     words = [["a", "b"], ["a", "b"], ["c"]]
-    keep_all = FeatureIndex().fit(words)
+    keep_all = FeatureIndex().fit(words, 1)
     pruned = FeatureIndex().fit(words, min_count=2)
     assert pruned.num_obs < keep_all.num_obs
     # the twice-seen unigram survives, the once-seen word does not
@@ -131,6 +133,18 @@ def test_feature_cutoff_prunes_rare_observations():
     assert (1, ("c",)) not in pruned.obs
     with pytest.raises(ValueError):
         FeatureIndex().fit(words, min_count=0)
+    # fit slices the same firings as the reference extract_features, and
+    # numbers observations in the order they reach min_count
+    notes = [r.words for r in generate_synthetic(20, default_synthetic_scheme(), seed=29).records]
+    for min_count in (1, 2):
+        seen, want = {}, {}
+        for note in notes + words:
+            for key in itertools.chain.from_iterable(extract_features(note)):
+                seen[key] = seen.get(key, 0) + 1
+                if seen[key] == min_count:
+                    want[key] = len(want)
+        got = FeatureIndex().fit(notes + words, min_count).obs
+        assert list(got.items()) == list(want.items())
 
 
 def test_zero_weights_log_partition_and_marginals():
@@ -222,10 +236,10 @@ def test_one_call_over_ragged_notes_matches_per_note_results():
     scheme = default_synthetic_scheme()
     lengths = np.random.default_rng(60).permutation(np.arange(1, 31))
     rs = ragged_set(lengths, seed=61)
-    model = CrfModel.build(rs, scheme, l2_lambda=0.5)
+    model = CrfModel.build(rs, scheme, 1)
     w = np.random.default_rng(62).normal(0, 1, model.weights.shape)
-    loss, grad = nll_and_grad(model, rs, weights=w)
-    want_loss, want_grad = loop_nll_and_grad(model, rs, w)
+    loss, grad = nll_and_grad(model, featurize(model, rs), w, 0.5)
+    want_loss, want_grad = loop_nll_and_grad(model, rs, w, 0.5)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.abs(grad - want_grad).max() <= 1e-10
 
@@ -255,8 +269,8 @@ def make_set(rows, split="train"):
 def test_nll_zero_weights_is_uniform_loss():
     scheme = LabelScheme(labels=("N.A.", "a", "b"))
     rs = make_set([[("x", 0), ("y", 1), ("z", 2), ("w", 0)]])
-    model = CrfModel.build(rs, scheme, l2_lambda=0.0)
-    loss, _ = nll_and_grad(model, rs)
+    model = CrfModel.build(rs, scheme, 1)
+    loss, _ = nll_and_grad(model, featurize(model, rs), model.weights, 0.0)
     assert abs(loss - 4 * math.log(3)) < 1e-12
 
 
@@ -272,15 +286,17 @@ def test_nll_gradient_matches_finite_differences():
             rows.append([(f"w{int(rng.integers(6))}", int(rng.integers(3)))
                          for _ in range(length)])
         rs = make_set(rows)
-        model = CrfModel.build(rs, scheme, l2_lambda=float(rng.uniform(0, 2)))
+        lam = float(rng.uniform(0, 2))
+        model = CrfModel.build(rs, scheme, 1)
+        feats = featurize(model, rs)
         w = rng.normal(0, 0.5, model.weights.shape)
-        _, grad = nll_and_grad(model, rs, weights=w)
+        _, grad = nll_and_grad(model, feats, w, lam)
         eps = 1e-5
         for k in rng.choice(w.size, size=min(40, w.size), replace=False):
             wp = w.copy(); wp[k] += eps
             wm = w.copy(); wm[k] -= eps
-            num = (nll_and_grad(model, rs, weights=wp)[0]
-                   - nll_and_grad(model, rs, weights=wm)[0]) / (2 * eps)
+            num = (nll_and_grad(model, feats, wp, lam)[0]
+                   - nll_and_grad(model, feats, wm, lam)[0]) / (2 * eps)
             denom = abs(grad[k]) + abs(num)
             if denom > 1e-12:
                 worst_all = max(worst_all, abs(grad[k] - num) / denom)
@@ -295,17 +311,18 @@ def test_objective_matches_loop_oracle():
     for trial in range(5):
         rng = np.random.default_rng(70 + trial)
         rs = generate_synthetic(int(rng.integers(1, 30)), scheme, seed=70 + trial)
-        model = CrfModel.build(rs, scheme, l2_lambda=float(rng.uniform(0, 2)))
+        lam = float(rng.uniform(0, 2))
+        model = CrfModel.build(rs, scheme, 1)
         w = rng.normal(0, 1, model.weights.shape)
-        loss, grad = nll_and_grad(model, rs, weights=w)
-        want_loss, want_grad = loop_nll_and_grad(model, rs, w)
+        loss, grad = nll_and_grad(model, featurize(model, rs), w, lam)
+        want_loss, want_grad = loop_nll_and_grad(model, rs, w, lam)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(grad - want_grad).max() <= 1e-10
 
 
 def test_scores_unary_equals_per_position_sums_bitwise():
     scheme = default_synthetic_scheme()
-    model = CrfModel.build(generate_synthetic(40, scheme, seed=26), scheme)
+    model = CrfModel.build(generate_synthetic(40, scheme, seed=26), scheme, 1)
     model.weights = np.random.default_rng(27).normal(0, 1, model.weights.shape)
     unary_w, trans_w = model.split(model.weights)
     notes = [rec.words for rec in generate_synthetic(30, scheme, seed=28).records]
@@ -323,10 +340,10 @@ def test_scores_unary_equals_per_position_sums_bitwise():
 def test_regularizer_only_gradient_for_empty_records():
     scheme = LabelScheme(labels=("N.A.", "a"))
     fit_on = make_set([[("x", 0), ("y", 1)]])
-    model = CrfModel.build(fit_on, scheme, l2_lambda=0.5)
+    model = CrfModel.build(fit_on, scheme, 1)
     empty = RecordSet(split="train", records=())
     w = np.arange(model.weights.size, dtype=np.float64)
-    loss, grad = nll_and_grad(model, empty, weights=w)
+    loss, grad = nll_and_grad(model, featurize(model, empty), w, 0.5)
     assert np.array_equal(grad, 0.5 * w)
     assert abs(loss - 0.25 * float(w @ w)) < 1e-9
 
@@ -334,8 +351,8 @@ def test_regularizer_only_gradient_for_empty_records():
 def test_train_separable_records_reach_full_accuracy():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(10, scheme, seed=21)
-    model = CrfModel.build(rs, scheme, l2_lambda=0.05)
-    fitted, history, converged = train(model, rs)
+    model = CrfModel.build(rs, scheme, 1)
+    fitted, history, converged = train(model, rs, 0.05, MAX_ITERS, GRAD_TOL)
     assert converged
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     assert predict_labels(fitted, (rec.words for rec in rs.records)) == [
@@ -345,8 +362,8 @@ def test_train_separable_records_reach_full_accuracy():
 def test_train_reports_when_lbfgs_stops_short():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(10, scheme, seed=21)
-    model = CrfModel.build(rs, scheme, l2_lambda=0.05)
-    _, history, converged = train(model, rs, OptimizerSettings(max_iters=1))
+    model = CrfModel.build(rs, scheme, 1)
+    _, history, converged = train(model, rs, 0.05, 1, GRAD_TOL)
     assert len(history) == 2
     assert not converged
 
@@ -354,7 +371,7 @@ def test_train_reports_when_lbfgs_stops_short():
 def test_viterbi_score_dominates_gold_after_convergence():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(8, scheme, seed=22)
-    fitted, _, _ = train(CrfModel.build(rs, scheme, l2_lambda=0.05), rs)
+    fitted, _, _ = train(CrfModel.build(rs, scheme, 1), rs, 0.05, MAX_ITERS, GRAD_TOL)
     unary, starts, trans = fitted.scores(rec.words for rec in rs.records)
     paths = viterbi(unary, starts, trans)
     for rec, note, best in zip(rs.records, notes_of(unary, starts), paths):
@@ -364,8 +381,8 @@ def test_viterbi_score_dominates_gold_after_convergence():
 def test_huge_l2_drives_weights_to_zero():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(5, scheme, seed=23)
-    model = CrfModel.build(rs, scheme, l2_lambda=1e6)
-    fitted, _, _ = train(model, rs)
+    model = CrfModel.build(rs, scheme, 1)
+    fitted, _, _ = train(model, rs, 1e6, MAX_ITERS, GRAD_TOL)
     assert np.abs(fitted.weights).max() < 1e-3
     node, _, _ = posteriors(*fitted.scores([rs.records[0].words]))
     assert np.abs(node - 1.0 / len(scheme.labels)).max() < 1e-3
@@ -374,16 +391,16 @@ def test_huge_l2_drives_weights_to_zero():
 def test_training_is_bitwise_deterministic():
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(12, scheme, seed=24)
-    a, _, _ = train(CrfModel.build(rs, scheme), rs)
-    b, _, _ = train(CrfModel.build(rs, scheme), rs)
+    a, _, _ = train(CrfModel.build(rs, scheme, 1), rs, 1.0, MAX_ITERS, GRAD_TOL)
+    b, _, _ = train(CrfModel.build(rs, scheme, 1), rs, 1.0, MAX_ITERS, GRAD_TOL)
     assert np.array_equal(a.weights, b.weights)
 
 
 def test_train_rejects_empty_set():
     scheme = LabelScheme(labels=("N.A.", "a"))
-    model = CrfModel.build(make_set([[("x", 0)]]), scheme)
+    model = CrfModel.build(make_set([[("x", 0)]]), scheme, 1)
     with pytest.raises(ValueError):
-        train(model, RecordSet(split="train", records=()))
+        train(model, RecordSet(split="train", records=()), 1.0, MAX_ITERS, GRAD_TOL)
 
 
 def test_lbfgs_diverging_objective_raises():
@@ -392,7 +409,7 @@ def test_lbfgs_diverging_objective_raises():
             return float(-np.exp(w[0])), np.array([-np.exp(w[0])])
 
     with pytest.raises(TrainingDivergence):
-        minimize_lbfgs(bad, np.array([700.0]), OptimizerSettings(max_iters=50))
+        minimize_lbfgs(bad, np.array([700.0]), 50, GRAD_TOL)
 
 
 def test_lbfgs_solves_quadratic():
@@ -404,7 +421,7 @@ def test_lbfgs_solves_quadratic():
     def quad(w):
         return 0.5 * float(w @ h @ w) - float(b @ w), h @ w - b
 
-    x, history, converged = minimize_lbfgs(quad, np.zeros(8), OptimizerSettings())
+    x, history, converged = minimize_lbfgs(quad, np.zeros(8), MAX_ITERS, GRAD_TOL)
     assert converged
     assert np.abs(h @ x - b).max() < 1e-4
     assert all(later <= sooner + 1e-12 for sooner, later in zip(history, history[1:]))
@@ -413,8 +430,7 @@ def test_lbfgs_solves_quadratic():
 def test_crf_serialization_round_trip(tmp_path):
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(6, scheme, seed=25)
-    fitted, _, _ = train(CrfModel.build(rs, scheme), rs,
-                         OptimizerSettings(max_iters=15))
+    fitted, _, _ = train(CrfModel.build(rs, scheme, 1), rs, 1.0, 15, GRAD_TOL)
     features, weights = tmp_path / "features.tsv", tmp_path / "weights.tarch"
     save_crf(fitted, str(features), str(weights))
     rows = features.read_text(encoding="utf-8").splitlines()

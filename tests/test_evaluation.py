@@ -179,7 +179,7 @@ def test_baseline_majority_misses_everything_else(small_scheme):
 
 def test_baseline_random_degenerate_single_class(small_scheme):
     gold = _rs("test", (0, 0, 0))
-    pred = baseline_random(gold, small_scheme, seed=5, evaluated_ids={0})
+    pred = baseline_random(gold, seed=5, evaluated_ids={0})
     assert pred.records[0].labels == (0, 0, 0)
     counts = confusion_counts(gold, pred, small_scheme)
     assert build_report(counts, small_scheme, {0}).macro_f1 == 1.0
@@ -187,8 +187,8 @@ def test_baseline_random_degenerate_single_class(small_scheme):
 
 def test_baseline_random_seeded_and_restricted(small_scheme):
     gold = _rs("test", tuple([0] * 50))
-    a = baseline_random(gold, small_scheme, seed=3, evaluated_ids={0, 2})
-    b = baseline_random(gold, small_scheme, seed=3, evaluated_ids={0, 2})
+    a = baseline_random(gold, seed=3, evaluated_ids={0, 2})
+    b = baseline_random(gold, seed=3, evaluated_ids={0, 2})
     assert a == b
     assert set(a.records[0].labels) <= {0, 2}
 

@@ -283,7 +283,7 @@ def test_grid_search_beats_random_baseline(tiny_setup):
     evaluated = evaluated_classes(train, scheme)
     grid = [tiny_train_config(epochs=6), tiny_train_config(learning_rate=1e-9, epochs=1)]
     _, leaderboard = pipeline.grid_search(grid, train, valid, scheme, model_config, table)
-    rand = evaluation.baseline_random(valid, scheme, seed=0, evaluated_ids=evaluated)
+    rand = evaluation.baseline_random(valid, seed=0, evaluated_ids=evaluated)
     counts = evaluation.confusion_counts(valid, rand, scheme)
     rand_f1 = evaluation.build_report(counts, scheme, evaluated).macro_f1
     assert leaderboard[0]["val_macro_f1"] > rand_f1
@@ -554,6 +554,54 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _predict_with_edited_config(tiny_setup, tmp_path, old, new):
+    """Exit code of `predict` on a saved encoder checkpoint whose config.txt
+    has old replaced by new."""
+    scheme, _, _, table, model_config = tiny_setup
+    _, paths = _write_corpus(tmp_path)
+    ck = tmp_path / "ck"
+    pipeline.Checkpoint(kind="encoder", scheme=scheme, train_config=tiny_train_config(),
+                        model_config=model_config, model=EncoderModel(model_config),
+                        table=table).save(ck)
+    config = ck / "config.txt"
+    text = config.read_text(encoding="utf-8")
+    assert old in text
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    return cli_main(["predict", "--checkpoint", str(ck), "--input", str(paths["test"])])
+
+
+def test_cli_rejects_checkpoint_config_without_a_model_key(tiny_setup, tmp_path, capsys):
+    assert _predict_with_edited_config(tiny_setup, tmp_path, "num_layers=1\n", "") == 2
+    assert "lacks model key(s): num_layers" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_attention_heads(tiny_setup, tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, num_heads=0)
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "trained")]) == 2
+    assert "num_heads must be >= 1" in capsys.readouterr().err
+    assert _predict_with_edited_config(tiny_setup, tmp_path, "num_heads=2\n",
+                                       "num_heads=0\n") == 2
+    assert "num_heads must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_crf_weights_not_named_weights(tmp_path, capsys):
+    scheme, paths = _write_corpus(tmp_path)
+    train = generate_synthetic(8, scheme, seed=37)
+    ckpt, _ = pipeline.train_crf(train, RecordSet(split="validation", records=()), scheme,
+                                 pipeline.TrainConfig(kind="crf", max_iters=3))
+    ck = tmp_path / "ck"
+    ckpt.save(ck)
+    weights = ckpt.crf.weights
+    for entries in ([("weight", weights)], [("weights", weights), ("extra", weights)]):
+        T.save_archive(entries, str(ck / "crf_weights.tarch"))
+        assert cli_main(["predict", "--checkpoint", str(ck),
+                         "--input", str(paths["test"])]) == 2
+        assert "expected one entry named 'weights'" in capsys.readouterr().err
+
+
 def test_cli_divergence_exit_code(tmp_path, capsys):
     _, paths = _write_corpus(tmp_path)
     cfg = _write_config(tmp_path, learning_rate=1e8, weight_decay=1e8, epochs=30)
@@ -639,6 +687,27 @@ def test_standoff_conversion_script(tmp_path):
     )
 
 
+def test_standoff_conversion_script_splits_annotations_at_line_breaks_only(tmp_path):
+    # a label may hold \x85 or \u2028, as a scheme file may; the .ann line stays whole
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "rec1.txt").write_text("Mary rests quietly", encoding="utf-8")
+    (docs / "rec1.ann").write_text("0\t4\tna\x85me\r\n5\t10\tst\u2028ate\r\n",
+                                   encoding="utf-8", newline="")
+    scheme_path = tmp_path / "labels.txt"
+    scheme_path.write_text("N.A.\nna\x85me\nst\u2028ate\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "convert_standoff.py"),
+         "--input-dir", str(docs), "--scheme", str(scheme_path), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8") == (
+        "# id: rec1\nMary\tna\x85me\nrests\tst\u2028ate\nquietly\tN.A.\n\n"
+    )
+
+
 def test_import_pretrained_script(tmp_path):
     from handover_ie import tensor as T
     from handover_ie.encoder import EncoderModel
@@ -664,3 +733,15 @@ def test_import_pretrained_script(tmp_path):
     entries = T.load_archive(str(out))
     assert np.array_equal(entries["embeddings.token"], donor.token_emb.data)
     assert np.array_equal(entries["classifier.weight"], EncoderModel(config, seed=7).cls_w.data)
+
+    # a config without a required model key is a ValueError that names the key
+    text = cfg_path.read_text(encoding="utf-8")
+    cfg_path.write_text(text.replace("ffn_size=16\n", ""), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "import_pretrained.py"),
+         "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
+         "--config", str(cfg_path), "--out", str(tmp_path / "other.tarch")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "ValueError: config lacks model key(s): ffn_size" in proc.stderr

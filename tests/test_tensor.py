@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handover_ie import tensor as T
+from handover_ie.tokenizer import IGNORE_INDEX
 
 def rows(min_cols=2, max_cols=6):
     return st.lists(
@@ -77,7 +78,7 @@ def test_embedding_range_check():
 def test_masked_nll_requires_unignored_position():
     lp = T.constant(np.log(np.full((2, 3), 1 / 3)))
     with pytest.raises(ValueError):
-        T.masked_nll(lp, [-100, -100])
+        T.masked_nll(lp, [IGNORE_INDEX, IGNORE_INDEX], IGNORE_INDEX)
 
 
 def test_grad_check_epsilon_validation():
@@ -121,7 +122,7 @@ def test_grad_check_cross_entropy_softmax_matmul():
     labels = [1, 4, 0, 2]
 
     def f():
-        return T.masked_nll(T.log_softmax_rows(T.matmul(a, b)), labels)
+        return T.masked_nll(T.log_softmax_rows(T.matmul(a, b)), labels, IGNORE_INDEX)
 
     assert T.grad_check(f, [a, b], epsilon=1e-5) < 1e-6
 
@@ -211,8 +212,9 @@ def _primitive_check(name: str, rng) -> float:
         )
     if name == "masked_nll":
         a = par((5, 3))
-        labels = [0, -100, 2, 1, -100]
-        return T.grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels), [a])
+        labels = [0, IGNORE_INDEX, 2, 1, IGNORE_INDEX]
+        return T.grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX),
+                            [a])
     raise AssertionError(name)
 
 
@@ -240,7 +242,8 @@ F32_OPS = {
     "dropout": lambda x, rng: T.mul(x, T.dropout_mask(x, 0.3, rng)),
     "reshape": lambda x, rng: T.reshape(x, (12,)),
     "transpose": lambda x, rng: T.transpose(x, (1, 0)),
-    "masked_nll": lambda x, rng: T.masked_nll(T.log_softmax_rows(x), [0, -100, 3]),
+    "masked_nll": lambda x, rng: T.masked_nll(T.log_softmax_rows(x), [0, IGNORE_INDEX, 3],
+                                              IGNORE_INDEX),
 }
 
 
