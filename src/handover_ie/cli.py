@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-VALIDATION_ERRORS = (ValueError, FileNotFoundError, IndexError)
+VALIDATION_ERRORS = (ValueError, OSError, IndexError)
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,8 @@ _ID_COMMENT = "# id:"
 # records TSV, a CRF checkpoint's features file and merges.txt. Every other
 # character, Unicode whitespace such as \x85 or \u2028 included, is text.
 WORD_BREAKS = re.compile(r"[\t\n\r ]")
+# one word of free text under that rule
+WORD = re.compile(r"[^\t\n\r ]+")
 
 
 class ParseError(ValueError):
@@ -314,12 +316,14 @@ def convert_standoff(
 ) -> Record:
     """Convert a raw document plus character-offset span annotations.
 
-    Words are whitespace tokens; a word takes the label of the first
-    (by start, then end) span overlapping its character range, else N.A.
+    Words are the runs of text between WORD_BREAKS, as in a records file,
+    so U+0085, U+2028 and other Unicode whitespace stay inside a word; a
+    word takes the label of the first (by start, then end) span
+    overlapping its character range, else N.A.
     """
     ordered = sorted(spans, key=lambda s: (s[0], s[1]))
     words, labels = [], []
-    for m in re.finditer(r"\S+", text):
+    for m in WORD.finditer(text):
         s, e = m.span()
         label = scheme.na_label
         for a, b, name in ordered:

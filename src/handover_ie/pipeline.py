@@ -86,6 +86,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for key in ("l2_lambda", "max_iters", "grad_tol"):
+            if not getattr(self, key) >= 0:    # NaN fails too
+                raise ValueError(f"{key} must be >= 0")
 
 
 _TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -443,13 +446,26 @@ def grid_search(
     model_config: Optional[ModelConfig],
     table: Optional[MergeTable],
 ) -> tuple[TrainConfig, list[dict]]:
-    """Evaluate every config; ties go to smaller learning rate, then epochs."""
+    """Evaluate every config; ties go to smaller learning rate, then epochs.
+
+    Configs that differ only in epochs share one run at their largest
+    epoch count: training reads epochs only as its loop bound, so a
+    config's epochs are the first rows of that run's metrics.
+    """
     if not grid:
         raise ValueError("empty hyperparameter grid")
+    # the config text tells 0.0 from -0.0, which == and hash do not
+    keys = [dump_config(replace(config, epochs=1)) for config in grid]
+    longest: dict[str, TrainConfig] = {}
+    for key, config in zip(keys, grid):
+        if key not in longest or config.epochs > longest[key].epochs:
+            longest[key] = config
+    runs: dict[str, list[dict]] = {}
     rows = []
-    for i, config in enumerate(grid):
-        _, metrics = train_model(train, valid, scheme, config, model_config, table)
-        best = max((m["val_macro_f1"] or 0.0) for m in metrics)
+    for i, (key, config) in enumerate(zip(keys, grid)):
+        if key not in runs:
+            _, runs[key] = train_model(train, valid, scheme, longest[key], model_config, table)
+        best = max((m["val_macro_f1"] or 0.0) for m in runs[key][:config.epochs])
         rows.append({"config": config, "val_macro_f1": best, "order": i})
     rows.sort(key=lambda r: (-r["val_macro_f1"], r["config"].learning_rate,
                              r["config"].epochs, r["order"]))

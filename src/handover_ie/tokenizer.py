@@ -12,7 +12,7 @@ unless a single word overflows the window by itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,12 +30,19 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class MergeTable:
-    """Ordered merge rules plus the derived subword vocabulary."""
+    """Ordered merge rules plus the derived subword vocabulary.
+
+    ``segmentations`` memoizes segment_word per word for encode. It is private
+    to each table (init=False, so dataclasses.replace starts it empty),
+    unbounded, and grows with the distinct words the table encodes.
+    """
 
     merges: tuple[tuple[str, str], ...]
     pieces: tuple[str, ...]          # piece string per token id
     vocab: dict[str, int]            # piece string -> token id
     lowercase: bool = False
+    segmentations: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def unk_id(self) -> int:
@@ -206,9 +213,12 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[Tokeni
     surfaces: list[str] = []
     word_of_piece: list[int] = []
     first_flat: list[int] = []
+    memo = table.segmentations
     for w, word in enumerate(words):
         first_flat.append(len(surfaces))
-        pcs = segment_word(word, table)
+        pcs = memo.get(word)
+        if pcs is None:
+            pcs = memo[word] = tuple(segment_word(word, table))
         surfaces.extend(pcs)
         word_of_piece.extend([w] * len(pcs))
 

@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from handover_ie import tensor as T
 from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
+from handover_ie.pipeline import train_model
 from handover_ie.tokenizer import CONTINUATION
 
 
@@ -139,3 +140,17 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
     loss += 0.5 * l2_lambda * float(weights @ weights)
     grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + l2_lambda * weights
     return loss, grad
+
+
+def loop_grid_search(grid, train, valid, scheme, model_config, table):
+    """Per-config reference for pipeline.grid_search: one train_model run
+    per config, no run shared between configs that differ only in epochs."""
+    rows = []
+    for i, config in enumerate(grid):
+        _, metrics = train_model(train, valid, scheme, config, model_config, table)
+        best = max((m["val_macro_f1"] or 0.0) for m in metrics)
+        rows.append({"config": config, "val_macro_f1": best, "order": i})
+    rows.sort(key=lambda r: (-r["val_macro_f1"], r["config"].learning_rate,
+                             r["config"].epochs, r["order"]))
+    leaderboard = [{"config": r["config"], "val_macro_f1": r["val_macro_f1"]} for r in rows]
+    return rows[0]["config"], leaderboard

@@ -252,3 +252,12 @@ def test_convert_standoff_overlap_rules():
     # partial overlap still labels the word; earliest span wins
     rec = convert_standoff("d2", "abcdef", [(2, 4, "y"), (0, 3, "x")], scheme)
     assert [scheme.labels[l] for l in rec.labels] == ["x"]
+
+
+def test_convert_standoff_cuts_words_by_the_word_rule():
+    scheme = LabelScheme(labels=("N.A.", "name"))
+    rec = convert_standoff("d", "Mary\x85Jones rests", [(0, 10, "name")], scheme)
+    assert rec.words == ("Mary\x85Jones", "rests")
+    assert rec.labels == (1, 0)
+    rec = convert_standoff("d", "a\u2028b\x0bc\td\r\ne", [], scheme)
+    assert rec.words == ("a\u2028b\x0bc", "d", "e")

@@ -23,6 +23,8 @@ from handover_ie.corpus import (
 from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
+from helpers import loop_grid_search
+
 REPO = Path(__file__).resolve().parents[1]
 METHODS = ("encoder", "crf", "random", "majority")
 EXPERIMENT_FILES = {"encoder_checkpoint", "crf_checkpoint", "leaderboard.json"} | {
@@ -58,6 +60,14 @@ def test_train_config_validation():
         pipeline.TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         pipeline.TrainConfig(learning_rate=-1e-3)
+
+
+@pytest.mark.parametrize("key, value", [("l2_lambda", -0.5), ("max_iters", -3),
+                                        ("grad_tol", -1.0), ("l2_lambda", float("nan")),
+                                        ("grad_tol", float("nan"))])
+def test_train_config_rejects_negative_crf_setting(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+        pipeline.TrainConfig(kind="crf", **{key: value})
 
 
 def test_config_text_round_trip():
@@ -287,6 +297,75 @@ def test_grid_search_beats_random_baseline(tiny_setup):
     counts = evaluation.confusion_counts(valid, rand, scheme)
     rand_f1 = evaluation.build_report(counts, scheme, evaluated).macro_f1
     assert leaderboard[0]["val_macro_f1"] > rand_f1
+
+
+# configs that differ only in epochs, listed out of epoch order
+EPOCH_GRID = [tiny_train_config(learning_rate=lr, epochs=ep)
+              for lr in (3e-3, 1e-3) for ep in (1, 3, 2)]
+
+
+@pytest.fixture(scope="module")
+def loop_grid_result(tiny_setup):
+    scheme, train, valid, table, model_config = tiny_setup
+    return loop_grid_search(EPOCH_GRID, train, valid, scheme, model_config, table)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace pipeline.<name> by a wrapper that records the config of each call."""
+    calls = []
+    fn = getattr(pipeline, name)
+
+    def counted(*args):
+        calls.append(next(a for a in args if isinstance(a, pipeline.TrainConfig)))
+        return fn(*args)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_grid_search_shares_one_run_per_epoch_free_config(tiny_setup, loop_grid_result,
+                                                          monkeypatch):
+    scheme, train, valid, table, model_config = tiny_setup
+    calls = _count_calls(monkeypatch, "fine_tune")
+    result = pipeline.grid_search(EPOCH_GRID, train, valid, scheme, model_config, table)
+    assert result == loop_grid_result
+    assert calls == [EPOCH_GRID[1], EPOCH_GRID[4]]
+    # the epoch counts are not all tied, so reading the wrong rows would show
+    assert len({row["val_macro_f1"] for row in result[1]}) > 2
+
+
+def test_grid_search_shares_one_crf_fit_across_epochs(tiny_setup, monkeypatch):
+    scheme, train, valid, _, _ = tiny_setup
+    grid = [pipeline.TrainConfig(kind="crf", max_iters=3, epochs=ep) for ep in (2, 1)]
+    expected = loop_grid_search(grid, train, valid, scheme, None, None)
+    calls = _count_calls(monkeypatch, "train_crf")
+    assert pipeline.grid_search(grid, train, valid, scheme, None, None) == expected
+    assert calls == [grid[0]]
+
+
+def test_fine_tune_epochs_are_a_prefix_of_a_longer_run(tiny_setup):
+    scheme, train, valid, table, model_config = tiny_setup
+    _, short = pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(epochs=2),
+                                  model_config)
+    _, long = pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(epochs=4),
+                                 model_config)
+    assert short == long[:2]
+
+
+def test_run_experiment_grid_leaderboard_equals_per_config_loop(tiny_setup, loop_grid_result,
+                                                                tmp_path):
+    scheme, train, valid, table, model_config = tiny_setup
+    test = RecordSet(split="test", records=generate_synthetic(3, scheme, seed=32).records)
+    base = tiny_train_config(epochs=1, num_merges=40, max_iters=3)
+    model_kw = dict(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32)
+    # run_experiment derives the same table and model shape as tiny_setup
+    assert pipeline.fit_tokenizer(train, 40, False) == table
+    pipeline.run_experiment(train, valid, test, scheme, base, model_kw, EPOCH_GRID, tmp_path)
+    expected = [{"learning_rate": r["config"].learning_rate,
+                 "batch_size": r["config"].batch_size, "epochs": r["config"].epochs,
+                 "val_macro_f1": r["val_macro_f1"]} for r in loop_grid_result[1]]
+    text = (tmp_path / "grid_leaderboard.json").read_text(encoding="utf-8")
+    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 def test_window_votes_resolve_to_farthest_from_boundary(tiny_setup, monkeypatch):
@@ -552,6 +631,24 @@ def test_cli_validation_exit_code(tmp_path, capsys):
                      "--out", str(tmp_path / "tok")])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_crf_setting(tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, max_iters=-3)
+    assert cli_main(["train", "--model", "crf", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert "max_iters must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_cli_predict_rejects_a_file_as_checkpoint(tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    assert cli_main(["predict", "--checkpoint", str(paths["train"]),
+                     "--input", str(paths["test"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _predict_with_edited_config(tiny_setup, tmp_path, old, new):

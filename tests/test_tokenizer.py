@@ -1,5 +1,6 @@
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from handover_ie.corpus import WORD_BREAKS, Record, RecordSet
 from handover_ie.pipeline import fit_tokenizer
+from handover_ie import tokenizer
 from handover_ie.tokenizer import (
     CLS,
     CONTINUATION,
@@ -192,6 +194,51 @@ def test_encode_ids_stay_inside_vocab():
     table = train_bpe(SENNRICH_CORPUS, 6)
     for seq in encode(["lowest", "wider", "xyz"], table, max_len=6):
         assert all(0 <= i < len(table.pieces) for i in seq.token_ids)
+
+
+def test_encode_segments_each_distinct_word_once(monkeypatch):
+    table = train_bpe(SENNRICH_CORPUS, 10)
+    notes = [["lower", "newest", "low", "lower"], ["widest", "low", "lowest", "low"]]
+    calls = Counter()
+
+    def counted(word, t):
+        calls[word] += 1
+        return segment_word(word, t)
+
+    monkeypatch.setattr(tokenizer, "segment_word", counted)
+    first = [encode(words, table, 6) for words in notes]
+    again = [encode(words, table, 6) for words in notes]
+    assert calls == Counter({word for words in notes for word in words})
+    assert sum(len(seqs) for seqs in first) > len(notes)   # several windows per note
+    fresh = replace(table)
+    assert fresh.segmentations == {} and len(table.segmentations) == len(calls)
+    assert first == again == [encode(words, fresh, 6) for words in notes]
+    assert fresh == table
+
+
+def rank_order_segment(word, table):
+    """Lowest-rank-first BPE: merge the leftmost adjacent pair whose merge
+    rule comes first in the table, until no pair has a rule."""
+    rank = {pair: r for r, pair in enumerate(table.merges)}
+    seq = list(word)
+    while True:
+        ranked = [(rank[pair], i) for i, pair in enumerate(zip(seq, seq[1:])) if pair in rank]
+        if not ranked:
+            break
+        _, i = min(ranked)
+        seq[i:i + 2] = [seq[i] + seq[i + 1]]
+    return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
+
+
+def test_rank_order_segmentation_can_differ_from_merge_list_order():
+    # a table load_table accepts whose merge (x, abcd) ranks before the merge
+    # (abc, d) that forms abcd on the way segment_word walks the list
+    merges = [("a", "b"), ("ab", "c"), ("c", "d"), ("ab", "cd"), ("x", "abcd"), ("abc", "d")]
+    pieces = [*SPECIALS, *sorted({p for a, b in merges for p in (a, b, a + b)})]
+    table = load_table("".join(f"{a} {b}\n" for a, b in merges),
+                       "".join(f"{p}\t{i}\n" for i, p in enumerate(pieces)))
+    assert segment_word("xabcd", table) == ["x", "##abcd"]
+    assert rank_order_segment("xabcd", table) == ["xabcd"]
 
 
 def test_encode_requires_room_for_specials():
