@@ -121,8 +121,10 @@ class EncoderModel:
     """Holds all Parameters; shapes are fully determined by the config.
 
     `weights` maps every name of the parameter layout to an array of its
-    shape (a loaded archive, say); the model binds float64 copies of them.
-    Without `weights` the model draws its initialization from `seed`.
+    shape (a loaded archive, say). The model takes float64 arrays over as
+    they are, without copying them, and converts any other dtype to a
+    float64 copy. Without `weights` the model draws its initialization
+    from `seed`.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0,
@@ -293,5 +295,5 @@ def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str)
             imported.append(internal)
     checked = EncoderModel(model.config, weights=weights)
     for p, new in zip(model.parameters(), checked.parameters()):
-        p.data, p.grad = new.data, new.grad
+        p.data = new.data
     return imported

@@ -79,14 +79,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}")
-        # zero is allowed so a null-update run stays expressible
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        for key in ("l2_lambda", "max_iters", "grad_tol"):
+        # a zero learning rate is allowed so a null-update run stays expressible
+        for key in ("learning_rate", "weight_decay", "l2_lambda", "max_iters", "grad_tol"):
             if not getattr(self, key) >= 0:    # NaN fails too
                 raise ValueError(f"{key} must be >= 0")
 
@@ -282,7 +280,8 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
-            log_probs = enc.run_token_classifier(model, seq).data
+            with T.no_grad():
+                log_probs = enc.run_token_classifier(model, seq).data
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
                 dist = min(w - lo, hi - 1 - w)
@@ -327,8 +326,9 @@ def fine_tune(
     valid_windows = [encode_words(rec.words, table, config.max_len) for rec in valid.records]
     evaluated = evaluated_classes(train, scheme)
 
+    # macro F1 is never below 0, so the first epoch always sets best_state
     best_f1 = -1.0
-    best_state: list[np.ndarray] = [p.data.copy() for p in model.parameters()]
+    best_state: list[np.ndarray] = []
     metrics: list[dict] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -359,7 +359,7 @@ def fine_tune(
             best_state = [p.data.copy() for p in model.parameters()]
     for p, data in zip(model.parameters(), best_state):
         p.data = data
-        p.grad = np.zeros_like(data)
+        p.grad = None
     checkpoint = Checkpoint(
         kind="encoder", scheme=scheme, train_config=config,
         model_config=model_config, model=model, table=table,

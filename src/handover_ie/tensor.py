@@ -1,7 +1,8 @@
 """Dense tensors with exact reverse-mode gradients for a fixed primitive set.
 
 Every differentiable primitive records a vector-Jacobian closure so that
-``backward`` on a scalar fills exact gradients for all reachable leaves.
+``backward`` on a scalar fills exact gradients for all reachable leaves;
+inside ``no_grad()`` none is recorded.
 float64 is the default precision; float32 is accepted and preserved.
 Also home to the finite-difference gradient checker and the bit-exact
 tensor archive used for checkpoints.
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Callable, Iterable, Sequence
+import sys
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -55,19 +58,45 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf; its gradient buffer always matches its value."""
+    """Named trainable leaf. It binds the float array it is given without
+    copying it. Its gradient buffer matches its value and is allocated,
+    zeroed, the first time it is read; setting it to None frees it."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_grad")
 
     def __init__(self, data, name: str):
-        super().__init__(np.array(data, copy=True), requires_grad=True)
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block: results keep no parents and no
+    vector-Jacobian closure, so a forward holds only what it still uses."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -352,8 +381,9 @@ def grad_check(
 # --- tensor archive --------------------------------------------------------------
 
 ARCHIVE_MAGIC = b"TARCH1\n"
-_DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_TAG_OF = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+# values are stored little-endian and loaded in native order
+_DTYPE_TAGS = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
+_TAG_OF = {dtype: tag for tag, dtype in _DTYPE_TAGS.items()}
 
 
 def save_archive(entries: Iterable[tuple[str, np.ndarray]], path: str) -> None:
@@ -377,8 +407,9 @@ def save_archive(entries: Iterable[tuple[str, np.ndarray]], path: str) -> None:
 def load_archive(path: str) -> dict[str, np.ndarray]:
     """Read an archive back into an ordered name -> array mapping.
 
-    A file that ends inside an entry, a duplicate entry name or an unknown
-    dtype tag raises ValueError.
+    Each value is read straight into its own native-order array. A file
+    that ends inside an entry, a duplicate entry name or an unknown dtype
+    tag raises ValueError.
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
@@ -387,9 +418,12 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
         if magic != ARCHIVE_MAGIC:
             raise ValueError(f"bad archive magic {magic!r}")
 
-        def read(n: int) -> bytes:
+        def check(n: int) -> None:
             if fh.tell() + n > size:
                 raise ValueError("truncated archive")
+
+        def read(n: int) -> bytes:
+            check(n)
             return fh.read(n)
 
         def read_u32() -> int:
@@ -404,7 +438,11 @@ def load_archive(path: str) -> dict[str, np.ndarray]:
             if tag not in _DTYPE_TAGS:
                 raise ValueError(f"entry {name!r}: unknown dtype tag {tag}")
             dtype = _DTYPE_TAGS[tag]
-            buf = read(math.prod(shape) * dtype.itemsize)
-            out[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).astype(
-                dtype.newbyteorder("="))
+            check(math.prod(shape) * dtype.itemsize)
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError("truncated archive")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
+            out[name] = arr
     return out

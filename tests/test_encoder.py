@@ -335,3 +335,26 @@ def test_import_pretrained_rejected_line_leaves_model_unchanged(tmp_path, second
         import_pretrained(target, str(arch), str(mapping))
     for p, data in zip(target.parameters(), before):
         assert np.array_equal(p.data, data), p.name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_no_grad_forward_is_bit_equal_to_recording_forward(dtype):
+    model = tiny_model(seed=5, num_layers=2)
+    randomize(model.parameters(), np.random.default_rng(6))
+    for p in model.parameters():
+        p.data = p.data.astype(dtype)
+    ids = [1, 7, 3, 3, 0, 9]
+    recorded = classify(encode(embed(ids, model), model, train=False), model)
+    with T.no_grad():
+        bare = classify(encode(embed(ids, model), model, train=False), model)
+    assert recorded.requires_grad and not bare.requires_grad
+    assert bare.data.dtype == dtype
+    assert bare.data.tobytes() == recorded.data.tobytes()
+
+
+def test_model_binds_the_float64_arrays_it_is_given(tmp_path):
+    path = tmp_path / "m.tarch"
+    save_model(tiny_model(seed=4), str(path))
+    weights = T.load_archive(str(path))
+    model = EncoderModel(TINY, weights=weights)
+    assert all(p.data is weights[p.name] for p in model.parameters())

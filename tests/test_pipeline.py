@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +69,16 @@ def test_train_config_validation():
 def test_train_config_rejects_negative_crf_setting(key, value):
     with pytest.raises(ValueError, match=f"{key} must be >= 0"):
         pipeline.TrainConfig(kind="crf", **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", float("nan")),
+                                        ("weight_decay", -0.5),
+                                        ("weight_decay", float("nan"))],
+                         ids=["nan-learning-rate", "negative-weight-decay",
+                              "nan-weight-decay"])
+def test_train_config_rejects_bad_encoder_setting(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+        pipeline.TrainConfig(**{key: value})
 
 
 def test_config_text_round_trip():
@@ -183,6 +194,34 @@ def test_loading_draws_no_initialization(tiny_setup, tmp_path, monkeypatch):
         assert [p.name for p in model.parameters()] == list(entries)
         for p, data in zip(model.parameters(), entries.values()):
             assert p.data.dtype == np.float64 and np.array_equal(p.data, data), p.name
+
+
+def test_loaded_checkpoint_holds_one_copy_of_its_weights(tmp_path):
+    scheme = default_synthetic_scheme()
+    train = generate_synthetic(10, scheme, seed=30)
+    table = train_bpe(word_frequencies(r.words for r in train.records), 40)
+    model_config = ModelConfig(num_layers=2, hidden_size=256, num_heads=4, ffn_size=1024,
+                               vocab_size=len(table.pieces), max_positions=128,
+                               num_labels=len(scheme.labels))
+    pipeline.Checkpoint(kind="encoder", scheme=scheme,
+                        train_config=pipeline.TrainConfig(max_len=128),
+                        model_config=model_config, model=EncoderModel(model_config, seed=3),
+                        table=table).save(tmp_path / "ck")
+    weight_bytes = 8 * encoder.param_count(model_config)    # about 13 MB
+    notes = generate_synthetic(3, scheme, seed=31)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ckpt = pipeline.Checkpoint.load(tmp_path / "ck")
+        held, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pipeline.predict(ckpt, notes)
+        predict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_peak - base <= 1.1 * weight_bytes
+    assert held - base <= 1.05 * weight_bytes
+    assert predict_peak - base <= 1.5 * weight_bytes
 
 
 def test_checkpoint_round_trips_line_separator_characters(tmp_path):
@@ -640,6 +679,17 @@ def test_cli_rejects_negative_crf_setting(tmp_path, capsys):
                      "--train", str(paths["train"]), "--valid", str(paths["valid"]),
                      "--out", str(tmp_path / "ck")]) == 2
     assert "max_iters must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("weight_decay", "-0.5")])
+def test_cli_rejects_bad_encoder_setting(tmp_path, capsys, key, value):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, **{key: value})
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert f"{key} must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "ck").exists()
 
 

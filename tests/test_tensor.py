@@ -330,3 +330,73 @@ def test_parameter_gradient_shape_invariant():
     assert p.name == "w"
     T.zero_grad([p])
     assert p.grad.shape == (3, 2)
+
+
+def test_archive_loads_writeable_native_arrays_that_own_their_memory(tmp_path):
+    path = tmp_path / "a.tarch"
+    T.save_archive([("w", np.arange(6.0).reshape(2, 3)),
+                    ("h", np.arange(4, dtype=np.float32)),
+                    ("empty", np.ones((0, 3))), ("scalar", np.array(2.5))], str(path))
+    loaded = T.load_archive(str(path))
+    assert [v.dtype for v in loaded.values()] == [np.float64, np.float32, np.float64,
+                                                  np.float64]
+    for name, arr in loaded.items():
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+        assert arr.flags.owndata and arr.base is None, name
+        assert arr.dtype.isnative, name
+
+
+def test_parameter_binds_its_array_and_allocates_grad_on_first_read():
+    data = np.arange(6.0).reshape(3, 2)
+    p = T.Parameter(data, "w")
+    assert p.data is data
+    grad = p.grad
+    assert grad.shape == data.shape and grad.dtype == data.dtype and not grad.any()
+    assert p.grad is grad
+    p.grad = None
+    assert p.grad is not grad and not p.grad.any()
+
+
+def _tape():
+    rng = np.random.default_rng(7)
+    a = T.Parameter(rng.normal(0, 1, (3, 4)), "a")
+    b = T.Parameter(rng.normal(0, 1, (4, 2)), "b")
+    return a, b, lambda: T.masked_nll(T.log_softmax_rows(T.matmul(T.gelu(a), b)),
+                                      [0, 1, IGNORE_INDEX], IGNORE_INDEX)
+
+
+def test_no_grad_builds_nodes_without_parents_or_vjp():
+    a, b, f = _tape()
+    recorded = f()
+    with T.no_grad():
+        loss = f()
+        hidden = T.matmul(a, b)
+    for node in (loss, hidden):
+        assert node._parents == () and node._vjp is None and not node.requires_grad
+    assert loss.data.tobytes() == recorded.data.tobytes()
+    assert recorded.requires_grad and recorded._vjp is not None
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    a, _, _ = _tape()
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    assert T.scale(a, 2.0)._parents == (a,)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert T.scale(a, 2.0)._parents == ()
+    assert T.scale(a, 2.0)._parents == (a,)
+
+
+def test_backward_fills_gradients_of_a_graph_built_before_no_grad():
+    a, b, f = _tape()
+    T.backward(f())
+    want = [a.grad.copy(), b.grad.copy()]
+    T.zero_grad([a, b])
+    loss = f()
+    with T.no_grad():
+        T.backward(loss)
+    assert np.array_equal(a.grad, want[0]) and np.array_equal(b.grad, want[1])
+    assert want[0].any() and want[1].any()
