@@ -165,18 +165,10 @@ class EncoderModel:
         """Every Parameter in parameter-layout order."""
         return list(self._params)
 
-    def zero_grad(self) -> None:
-        T.zero_grad(self.parameters())
-
     def position_rows(self, seq_len: int) -> Tensor:
         if self.position_emb is not None:
             return T.embedding_lookup(self.position_emb, np.arange(seq_len))
         return T.constant(self._position_table[:seq_len])
-
-
-def param_count(config: ModelConfig) -> int:
-    """Exact number of trainable scalars implied by the architecture."""
-    return sum(math.prod(shape) for _, shape in parameter_layout(config))
 
 
 def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel) -> Tensor:

@@ -195,31 +195,6 @@ def _emit_json(report: EvalReport, counts: ClassCounts) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_report_json(text: str) -> tuple[EvalReport, ClassCounts]:
-    obj = json.loads(text)
-    labels = tuple(obj["labels"])
-    counts = ClassCounts(
-        labels=labels,
-        tp=tuple(obj["counts"][n]["tp"] for n in labels),
-        fp=tuple(obj["counts"][n]["fp"] for n in labels),
-        fn=tuple(obj["counts"][n]["fn"] for n in labels),
-    )
-    report = EvalReport(
-        evaluated=tuple(obj["evaluated"]),
-        per_class={
-            n: (d["precision"], d["recall"], d["f1"]) for n, d in obj["per_class"].items()
-        },
-        macro_precision=obj["macro_precision"],
-        macro_recall=obj["macro_recall"],
-        macro_f1=obj["macro_f1"],
-        categories={
-            c: (d["tp"], d["fp"], d["fn"], d["precision"], d["recall"], d["f1"])
-            for c, d in obj["categories"].items()
-        },
-    )
-    return report, counts
-
-
 def _emit_csv(report: EvalReport, counts: ClassCounts) -> str:
     lines = ["class,tp,fp,fn,precision,recall,f1"]
     for name in report.evaluated:

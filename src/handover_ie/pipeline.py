@@ -9,6 +9,7 @@ and reports byte-identical across repeated runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -85,8 +86,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         # a zero learning rate is allowed so a null-update run stays expressible
         for key in ("learning_rate", "weight_decay", "l2_lambda", "max_iters", "grad_tol"):
-            if not getattr(self, key) >= 0:    # NaN fails too
-                raise ValueError(f"{key} must be >= 0")
+            value = getattr(self, key)
+            if value < 0 or not math.isfinite(value):    # NaN and inf fail too
+                raise ValueError(f"{key} must be >= 0 and finite")
 
 
 _TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -261,7 +263,8 @@ class Adam:
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+            # a parameter backward did not reach has a zero gradient
+            g = 0.0 if p.grad is None else p.grad
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
@@ -335,7 +338,7 @@ def fine_tune(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            model.zero_grad()
+            T.zero_grad(model.parameters())
             for j in batch:
                 seq, labels = examples[j]
                 log_probs = enc.run_token_classifier(model, seq, train=True, rng=rng)
@@ -359,7 +362,7 @@ def fine_tune(
             best_state = [p.data.copy() for p in model.parameters()]
     for p, data in zip(model.parameters(), best_state):
         p.data = data
-        p.grad = None
+    T.zero_grad(model.parameters())
     checkpoint = Checkpoint(
         kind="encoder", scheme=scheme, train_config=config,
         model_config=model_config, model=model, table=table,
@@ -391,7 +394,7 @@ def train_crf(
 
 def fit_tokenizer(records: RecordSet, num_merges: int, lowercase: bool) -> MergeTable:
     """BPE merge table learned from the words of one split."""
-    freqs = word_frequencies((r.words for r in records.records), lowercase=lowercase)
+    freqs = word_frequencies(r.words for r in records.records)
     return train_bpe(freqs, num_merges, lowercase=lowercase)
 
 

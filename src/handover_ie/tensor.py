@@ -2,10 +2,10 @@
 
 Every differentiable primitive records a vector-Jacobian closure so that
 ``backward`` on a scalar fills exact gradients for all reachable leaves;
-inside ``no_grad()`` none is recorded.
+inside ``no_grad()`` none is recorded. A tensor's ``grad`` is None until
+backward first reaches it, and ``zero_grad`` sets it back to None.
 float64 is the default precision; float32 is accepted and preserved.
-Also home to the finite-difference gradient checker and the bit-exact
-tensor archive used for checkpoints.
+Also home to the bit-exact tensor archive used for checkpoints.
 """
 from __future__ import annotations
 
@@ -59,24 +59,13 @@ class Tensor:
 
 class Parameter(Tensor):
     """Named trainable leaf. It binds the float array it is given without
-    copying it. Its gradient buffer matches its value and is allocated,
-    zeroed, the first time it is read; setting it to None frees it."""
+    copying it."""
 
-    __slots__ = ("name", "_grad")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self._grad = value
 
 
 _recording = True
@@ -103,12 +92,26 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, rows: np.ndarray | None = None) -> None:
+    """Add g into t.grad, or scatter-add it into the given rows of t.grad.
+
+    The only place a gradient buffer is made: the first contribution
+    allocates it in t.data's layout. BLAS sums a transposed operand in
+    another order, so a buffer in any other layout changes the last bits
+    of the weights a training run ends with.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        if rows is None:
+            t.grad[...] = g
+            return
+        t.grad[...] = 0.0
+    if rows is None:
+        t.grad += g
+    else:
+        np.add.at(t.grad, rows, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -146,9 +149,10 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
             node._vjp(node.grad)
 
 
-def zero_grad(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
+def zero_grad(tensors: Iterable[Tensor]) -> None:
+    """Drop the gradients: each is None until backward reaches its tensor again."""
+    for t in tensors:
+        t.grad = None
 
 
 # --- primitives ---------------------------------------------------------------
@@ -216,10 +220,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     data = table.data[idx]
 
     def vjp(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+        _accum(table, g, idx)
 
     return _result(data, (table,), vjp)
 
@@ -337,45 +338,6 @@ def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int) -> T
             _accum(log_probs, gl)
 
     return _result(data, (log_probs,), vjp)
-
-
-# --- gradient checking ----------------------------------------------------------
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Parameter],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Coordinates where |analytic| + |numeric| <= 1e-12 are skipped. ``f``
-    must be deterministic and return a scalar Tensor built from params.
-    """
-    if not 0.0 < epsilon <= 1e-2:
-        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
-    out = f()
-    if not np.all(np.isfinite(out.data)):
-        raise ValueError("function value is not finite")
-    zero_grad(params)
-    backward(out)
-    analytic = [p.grad.copy() for p in params]
-
-    max_rel = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + epsilon
-            hi = float(f().data)
-            flat[k] = orig - epsilon
-            lo = float(f().data)
-            flat[k] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            a = float(ana.reshape(-1)[k])
-            denom = abs(a) + abs(numeric)
-            if denom > 1e-12:
-                max_rel = max(max_rel, abs(a - numeric) / denom)
-    return max_rel
 
 
 # --- tensor archive --------------------------------------------------------------

@@ -320,9 +320,9 @@ def read_table(directory: str | Path, lowercase: bool) -> MergeTable:
                       (d / "vocab.txt").read_text(encoding="utf-8"), lowercase=lowercase)
 
 
-def word_frequencies(word_lists: Iterable[Sequence[str]], lowercase: bool = False) -> dict[str, int]:
+def word_frequencies(word_lists: Iterable[Sequence[str]]) -> dict[str, int]:
+    """Each word's count as written; train_bpe does any lowercasing."""
     counts: Counter = Counter()
     for words in word_lists:
-        for w in words:
-            counts[w.lower() if lowercase else w] += 1
+        counts.update(words)
     return dict(counts)

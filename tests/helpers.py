@@ -1,13 +1,83 @@
 """Shared test utilities."""
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 from scipy.special import logsumexp
 
 from handover_ie import tensor as T
 from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
+from handover_ie.encoder import parameter_layout
+from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
 from handover_ie.tokenizer import CONTINUATION
+
+
+def grad_check(f, params, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Coordinates where |analytic| + |numeric| <= 1e-12 are skipped; a
+    parameter backward does not reach has a zero analytic gradient. ``f``
+    must be deterministic and return a scalar Tensor built from params.
+    """
+    if not 0.0 < epsilon <= 1e-2:
+        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
+    out = f()
+    if not np.all(np.isfinite(out.data)):
+        raise ValueError("function value is not finite")
+    T.zero_grad(params)
+    T.backward(out)
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    max_rel = 0.0
+    for p, ana in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + epsilon
+            hi = float(f().data)
+            flat[k] = orig - epsilon
+            lo = float(f().data)
+            flat[k] = orig
+            numeric = (hi - lo) / (2.0 * epsilon)
+            a = float(ana.reshape(-1)[k])
+            denom = abs(a) + abs(numeric)
+            if denom > 1e-12:
+                max_rel = max(max_rel, abs(a - numeric) / denom)
+    return max_rel
+
+
+def param_count(config) -> int:
+    """Exact number of trainable scalars implied by the architecture."""
+    return sum(math.prod(shape) for _, shape in parameter_layout(config))
+
+
+def parse_report_json(text: str) -> tuple[EvalReport, ClassCounts]:
+    """Read back what evaluation.emit_report writes in the json format."""
+    obj = json.loads(text)
+    labels = tuple(obj["labels"])
+    counts = ClassCounts(
+        labels=labels,
+        tp=tuple(obj["counts"][n]["tp"] for n in labels),
+        fp=tuple(obj["counts"][n]["fp"] for n in labels),
+        fn=tuple(obj["counts"][n]["fn"] for n in labels),
+    )
+    report = EvalReport(
+        evaluated=tuple(obj["evaluated"]),
+        per_class={
+            n: (d["precision"], d["recall"], d["f1"]) for n, d in obj["per_class"].items()
+        },
+        macro_precision=obj["macro_precision"],
+        macro_recall=obj["macro_recall"],
+        macro_f1=obj["macro_f1"],
+        categories={
+            c: (d["tp"], d["fp"], d["fn"], d["precision"], d["recall"], d["f1"])
+            for c, d in obj["categories"].items()
+        },
+    )
+    return report, counts
 
 
 def probed(loss_fn, params, rng):

@@ -23,11 +23,14 @@ from handover_ie.corpus import (
     serialize_records,
 )
 from handover_ie.crf import CrfModel, nll_and_grad, posteriors, viterbi
-from handover_ie.encoder import EncoderModel, ModelConfig, classify, embed, encode, param_count, token_loss
+from handover_ie.encoder import EncoderModel, ModelConfig, classify, embed, encode, token_loss
 from handover_ie.evaluation import prf_from_counts
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
-from helpers import featurize, path_score, probed, randomize, word_accuracy
+from helpers import (
+    featurize, grad_check, param_count, parse_report_json, path_score, probed, randomize,
+    word_accuracy,
+)
 from test_crf import brute_force as crf_brute_force, notes_of, random_instance
 from test_tokenizer import brute_force_merges, random_corpus
 
@@ -89,7 +92,7 @@ def test_criterion_3_gradient_suites():
 
         worst_encoder = max(
             worst_encoder,
-            T.grad_check(probed(loss_fn, params, rng), params, epsilon=1e-5),
+            grad_check(probed(loss_fn, params, rng), params, epsilon=1e-5),
         )
     assert worst_encoder < 1e-5
 
@@ -271,7 +274,7 @@ def test_criterion_8_documented_reproduction_path(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     for method in ("encoder", "crf", "random", "majority"):
-        rep, _ = evaluation.parse_report_json(
+        rep, _ = parse_report_json(
             (work / f"report_{method}.json").read_text(encoding="utf-8"))
         assert 0.0 <= rep.macro_f1 <= 1.0
     report(8, "README documents the dataset + pretrained-weights reproduction "

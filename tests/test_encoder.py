@@ -14,12 +14,11 @@ from handover_ie.encoder import (
     encode,
     import_pretrained,
     load_model,
-    param_count,
     save_model,
     token_loss,
 )
 
-from helpers import probed, randomize
+from helpers import grad_check, param_count, probed, randomize
 
 TINY = ModelConfig(num_layers=1, hidden_size=4, num_heads=2, ffn_size=8,
                    vocab_size=10, max_positions=8, num_labels=3)
@@ -226,7 +225,7 @@ def test_full_model_grad_check_tiny_config():
     def loss_fn():
         return token_loss(classify(encode(embed(ids, model), model), model), labels)
 
-    err = T.grad_check(probed(loss_fn, model.parameters(), rng), model.parameters(),
+    err = grad_check(probed(loss_fn, model.parameters(), rng), model.parameters(),
                        epsilon=1e-5)
     assert err < 1e-5
 

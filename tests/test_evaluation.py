@@ -16,10 +16,10 @@ from handover_ie.evaluation import (
     emit_report,
     macro_average,
     majority_label,
-    parse_report_json,
     prf_from_counts,
 )
 
+from helpers import parse_report_json
 from reference_tables import (
     REFERENCE_CATEGORY_METRICS,
     REFERENCE_COUNTS,

@@ -1,13 +1,16 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
@@ -24,7 +27,7 @@ from handover_ie.corpus import (
 from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
-from helpers import loop_grid_search
+from helpers import loop_grid_search, param_count, parse_report_json
 
 REPO = Path(__file__).resolve().parents[1]
 METHODS = ("encoder", "crf", "random", "majority")
@@ -65,7 +68,8 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("key, value", [("l2_lambda", -0.5), ("max_iters", -3),
                                         ("grad_tol", -1.0), ("l2_lambda", float("nan")),
-                                        ("grad_tol", float("nan"))])
+                                        ("grad_tol", float("nan")), ("l2_lambda", float("inf")),
+                                        ("grad_tol", float("inf"))])
 def test_train_config_rejects_negative_crf_setting(key, value):
     with pytest.raises(ValueError, match=f"{key} must be >= 0"):
         pipeline.TrainConfig(kind="crf", **{key: value})
@@ -73,9 +77,11 @@ def test_train_config_rejects_negative_crf_setting(key, value):
 
 @pytest.mark.parametrize("key, value", [("learning_rate", float("nan")),
                                         ("weight_decay", -0.5),
-                                        ("weight_decay", float("nan"))],
+                                        ("weight_decay", float("nan")),
+                                        ("learning_rate", float("inf")),
+                                        ("weight_decay", float("inf"))],
                          ids=["nan-learning-rate", "negative-weight-decay",
-                              "nan-weight-decay"])
+                              "nan-weight-decay", "inf-learning-rate", "inf-weight-decay"])
 def test_train_config_rejects_bad_encoder_setting(key, value):
     with pytest.raises(ValueError, match=f"{key} must be >= 0"):
         pipeline.TrainConfig(**{key: value})
@@ -124,6 +130,26 @@ def test_zero_learning_rate_is_a_null_update(tiny_setup):
     ckpt, _ = pipeline.fine_tune(train, valid, scheme, table, config, model_config)
     for fresh, trained in zip(reference.parameters(), ckpt.model.parameters()):
         assert np.array_equal(fresh.data, trained.data), fresh.name
+
+
+def test_fine_tune_leaves_no_gradient_buffers(tiny_setup):
+    scheme, train, valid, table, model_config = tiny_setup
+    ckpt, _ = pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(epochs=1),
+                                 model_config)
+    assert [p.name for p in ckpt.model.parameters() if p.grad is not None] == []
+
+
+def test_adam_reads_a_missing_gradient_as_zero():
+    rng = np.random.default_rng(0)
+    start = rng.normal(0, 1, (3, 2))
+    reached, unreached = T.Parameter(start.copy(), "a"), T.Parameter(start.copy(), "b")
+    opt = pipeline.Adam([reached, unreached], lr=0.1, weight_decay=0.01)
+    for step in range(3):
+        reached.grad = rng.normal(0, 1, (3, 2)) if step == 0 else np.zeros((3, 2))
+        unreached.grad = reached.grad.copy() if step == 0 else None
+        opt.step()
+    assert reached.data.tobytes() == unreached.data.tobytes()
+    assert not np.array_equal(reached.data, start)
 
 
 def test_same_seed_gives_byte_identical_checkpoints(tiny_setup, tmp_path):
@@ -207,7 +233,7 @@ def test_loaded_checkpoint_holds_one_copy_of_its_weights(tmp_path):
                         train_config=pipeline.TrainConfig(max_len=128),
                         model_config=model_config, model=EncoderModel(model_config, seed=3),
                         table=table).save(tmp_path / "ck")
-    weight_bytes = 8 * encoder.param_count(model_config)    # about 13 MB
+    weight_bytes = 8 * param_count(model_config)    # about 13 MB
     notes = generate_synthetic(3, scheme, seed=31)
     tracemalloc.start()
     try:
@@ -565,7 +591,7 @@ def test_run_experiment_writes_every_method(tiny_setup, tmp_path, with_grid):
     f1s = [row["macro_f1"] for row in rows]
     assert f1s == sorted(f1s, reverse=True)
     for row in rows:
-        report, _ = evaluation.parse_report_json(
+        report, _ = parse_report_json(
             (tmp_path / f"report_{row['method']}.json").read_text(encoding="utf-8"))
         assert (report.macro_precision, report.macro_recall, report.macro_f1) == (
             row["macro_precision"], row["macro_recall"], row["macro_f1"])
@@ -682,7 +708,8 @@ def test_cli_rejects_negative_crf_setting(tmp_path, capsys):
     assert not (tmp_path / "ck").exists()
 
 
-@pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("weight_decay", "-0.5")])
+@pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("weight_decay", "-0.5"),
+                                        ("learning_rate", "inf"), ("weight_decay", "inf")])
 def test_cli_rejects_bad_encoder_setting(tmp_path, capsys, key, value):
     _, paths = _write_corpus(tmp_path)
     cfg = _write_config(tmp_path, **{key: value})
@@ -699,6 +726,44 @@ def test_cli_predict_rejects_a_file_as_checkpoint(tmp_path, capsys):
                      "--input", str(paths["test"])]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+GOLDEN_RUN = REPO / "tests" / "data" / "golden_run"
+CHECKPOINT_FILES = sorted(str(p.relative_to(GOLDEN_RUN))
+                          for p in GOLDEN_RUN.glob("*_checkpoint/*"))
+# "\x85" and "\u2028" as UTF-8, then bytes that are not UTF-8 text at all
+INSERTED_BYTES = ("\x85".encode(), "\u2028".encode(), b" ", b"\t", b"\r", b"\n", b"\x00",
+                  b"\xff")
+
+
+@pytest.fixture(scope="module")
+def golden_notes(tmp_path_factory):
+    scheme = default_synthetic_scheme()
+    path = tmp_path_factory.mktemp("notes") / "test.tsv"
+    path.write_text(serialize_records(generate_synthetic(3, scheme, seed=50), scheme),
+                    encoding="utf-8")
+    return path
+
+
+@given(st.sampled_from(CHECKPOINT_FILES), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_predict_on_a_corrupted_checkpoint_exits_0_or_2(golden_notes, name, data):
+    raw = (GOLDEN_RUN / name).read_bytes()
+    at = data.draw(st.integers(0, len(raw)), label="offset")
+    how = data.draw(st.sampled_from(("cut", "flip", "insert")), label="corruption")
+    if how == "flip" and at < len(raw):
+        bit = data.draw(st.integers(0, 7), label="bit")
+        corrupted = raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:]
+    elif how == "insert":
+        corrupted = raw[:at] + data.draw(st.sampled_from(INSERTED_BYTES)) + raw[at:]
+    else:
+        corrupted = raw[:at]
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp, "ck")
+        shutil.copytree(GOLDEN_RUN / Path(name).parent, checkpoint)
+        (checkpoint / Path(name).name).write_bytes(corrupted)
+        assert cli_main(["predict", "--checkpoint", str(checkpoint), "--input",
+                         str(golden_notes), "--out", str(Path(tmp, "pred.tsv"))]) in (0, 2)
 
 
 def _predict_with_edited_config(tiny_setup, tmp_path, old, new):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from handover_ie import tensor as T
 from handover_ie.tokenizer import IGNORE_INDEX
 
+from helpers import grad_check
+
 def rows(min_cols=2, max_cols=6):
     return st.lists(
         st.lists(st.floats(-50, 50), min_size=min_cols, max_size=max_cols),
@@ -84,7 +86,7 @@ def test_masked_nll_requires_unignored_position():
 def test_grad_check_epsilon_validation():
     p = T.Parameter(np.ones(2), "p")
     with pytest.raises(ValueError):
-        T.grad_check(lambda: T.reshape(p, (1, 2)), [p], epsilon=0.5)
+        grad_check(lambda: T.reshape(p, (1, 2)), [p], epsilon=0.5)
 
 
 def test_grad_check_rejects_nonfinite_value():
@@ -96,23 +98,23 @@ def test_grad_check_rejects_nonfinite_value():
         return T.reshape(out, ())
 
     with pytest.raises(ValueError):
-        T.grad_check(f, [p])
+        grad_check(f, [p])
 
 
 def test_grad_check_linear_is_machine_precision():
     rng = np.random.default_rng(2)
     c = T.constant(rng.normal(0, 1, (1, 6)))
     p = T.Parameter(rng.normal(0, 1, (6, 1)), "p")
-    err = T.grad_check(lambda: T.reshape(T.matmul(c, p), ()), [p])
+    err = grad_check(lambda: T.reshape(T.matmul(c, p), ()), [p])
     assert err < 1e-9
 
 
 def test_grad_check_constant_function_is_zero():
     p = T.Parameter(np.ones(4), "p")
     c = T.constant(np.array(2.5))
-    err = T.grad_check(lambda: T.add(c, T.constant(np.array(0.0))), [p])
+    err = grad_check(lambda: T.add(c, T.constant(np.array(0.0))), [p])
     assert err == 0.0
-    assert np.all(p.grad == 0.0)
+    assert p.grad is None
 
 
 def test_grad_check_cross_entropy_softmax_matmul():
@@ -124,7 +126,7 @@ def test_grad_check_cross_entropy_softmax_matmul():
     def f():
         return T.masked_nll(T.log_softmax_rows(T.matmul(a, b)), labels, IGNORE_INDEX)
 
-    assert T.grad_check(f, [a, b], epsilon=1e-5) < 1e-6
+    assert grad_check(f, [a, b], epsilon=1e-5) < 1e-6
 
 
 PRIMITIVES = [
@@ -160,60 +162,60 @@ def _primitive_check(name: str, rng) -> float:
     if name == "add":
         a, b = par((3, 4)), par((4,), pname="q")
         out = _make_readout(12, rng)
-        return T.grad_check(lambda: out(T.add(a, b)), [a, b])
+        return grad_check(lambda: out(T.add(a, b)), [a, b])
     if name == "mul":
         a, b = par((3, 4)), par((3, 4), pname="q")
         out = _make_readout(12, rng)
-        return T.grad_check(lambda: out(T.mul(a, b)), [a, b])
+        return grad_check(lambda: out(T.mul(a, b)), [a, b])
     if name == "scale":
         a = par((2, 5))
         out = _make_readout(10, rng)
-        return T.grad_check(lambda: out(T.scale(a, -1.7)), [a])
+        return grad_check(lambda: out(T.scale(a, -1.7)), [a])
     if name == "matmul":
         a, b = par((3, 4)), par((4, 2), pname="q")
         out = _make_readout(6, rng)
-        return T.grad_check(lambda: out(T.matmul(a, b)), [a, b])
+        return grad_check(lambda: out(T.matmul(a, b)), [a, b])
     if name == "batched_matmul":
         a, b = par((2, 3, 4)), par((2, 4, 3), pname="q")
         out = _make_readout(18, rng)
-        return T.grad_check(lambda: out(T.matmul(a, b)), [a, b])
+        return grad_check(lambda: out(T.matmul(a, b)), [a, b])
     if name == "embedding":
         tab = par((5, 3))
         ids = rng.integers(0, 5, 6)
         out = _make_readout(18, rng)
-        return T.grad_check(lambda: out(T.embedding_lookup(tab, ids)), [tab])
+        return grad_check(lambda: out(T.embedding_lookup(tab, ids)), [tab])
     if name == "softmax":
         a = par((3, 5))
         out = _make_readout(15, rng)
-        return T.grad_check(lambda: out(T.softmax_rows(a)), [a])
+        return grad_check(lambda: out(T.softmax_rows(a)), [a])
     if name == "log_softmax":
         a = par((3, 5))
         out = _make_readout(15, rng)
-        return T.grad_check(lambda: out(T.log_softmax_rows(a)), [a])
+        return grad_check(lambda: out(T.log_softmax_rows(a)), [a])
     if name == "layer_norm":
         x, g, b = par((3, 6)), par((6,), 0.5, "g"), par((6,), 0.5, "b")
         g.data += 1.0
         out = _make_readout(18, rng)
-        return T.grad_check(lambda: out(T.layer_norm(x, g, b)), [x, g, b])
+        return grad_check(lambda: out(T.layer_norm(x, g, b)), [x, g, b])
     if name == "gelu":
         a = par((4, 4), 1.5)
         out = _make_readout(16, rng)
-        return T.grad_check(lambda: out(T.gelu(a)), [a])
+        return grad_check(lambda: out(T.gelu(a)), [a])
     if name == "dropout":
         a = par((4, 5))
         mask = T.dropout_mask(a, 0.4, rng)
         out = _make_readout(20, rng)
-        return T.grad_check(lambda: out(T.mul(a, mask)), [a])
+        return grad_check(lambda: out(T.mul(a, mask)), [a])
     if name == "reshape_transpose":
         a = par((2, 3, 4))
         out = _make_readout(24, rng)
-        return T.grad_check(
+        return grad_check(
             lambda: out(T.reshape(T.transpose(a, (2, 0, 1)), (4, 6))), [a]
         )
     if name == "masked_nll":
         a = par((5, 3))
         labels = [0, IGNORE_INDEX, 2, 1, IGNORE_INDEX]
-        return T.grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX),
+        return grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX),
                             [a])
     raise AssertionError(name)
 
@@ -325,11 +327,11 @@ def test_archive_rejects_unknown_dtype(tmp_path):
 
 
 def test_parameter_gradient_shape_invariant():
-    p = T.Parameter(np.zeros((3, 2)), "w")
-    assert p.grad.shape == p.data.shape
+    p = T.Parameter(np.zeros((3, 2), np.float32), "w")
     assert p.name == "w"
-    T.zero_grad([p])
-    assert p.grad.shape == (3, 2)
+    T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 3), np.float32)),
+                                  T.matmul(p, T.constant(np.ones((2, 1), np.float32)))), ()))
+    assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype
 
 
 def test_archive_loads_writeable_native_arrays_that_own_their_memory(tmp_path):
@@ -346,15 +348,46 @@ def test_archive_loads_writeable_native_arrays_that_own_their_memory(tmp_path):
         assert arr.dtype.isnative, name
 
 
-def test_parameter_binds_its_array_and_allocates_grad_on_first_read():
+def test_parameter_binds_its_array_without_a_gradient():
     data = np.arange(6.0).reshape(3, 2)
     p = T.Parameter(data, "w")
-    assert p.data is data
-    grad = p.grad
-    assert grad.shape == data.shape and grad.dtype == data.dtype and not grad.any()
-    assert p.grad is grad
-    p.grad = None
-    assert p.grad is not grad and not p.grad.any()
+    assert p.data is data and p.grad is None
+
+
+def test_grad_exists_only_after_backward_reaches_the_tensor():
+    a = T.Parameter(np.array([[1.0, -2.0]]), "a")
+    unused = T.Parameter(np.ones(3), "unused")
+
+    def forward():
+        hidden = T.scale(a, 3.0)
+        return hidden, T.reshape(T.matmul(hidden, T.constant(np.array([[0.5], [2.0]]))), ())
+
+    hidden, loss = forward()
+    assert [t.grad for t in (a, unused, hidden, loss)] == [None] * 4
+    T.backward(loss)
+    assert np.array_equal(a.grad, [[1.5, 6.0]]) and np.array_equal(hidden.grad, [[0.5, 2.0]])
+    assert unused.grad is None
+    # a second graph's sweep adds into the buffer the first one allocated
+    buffer = a.grad
+    T.backward(forward()[1])
+    assert a.grad is buffer and np.array_equal(a.grad, [[3.0, 12.0]])
+    T.zero_grad([a, unused, hidden, loss])
+    assert [t.grad for t in (a, unused, hidden, loss)] == [None] * 4
+    T.backward(forward()[1])
+    assert np.array_equal(a.grad, [[1.5, 6.0]]) and a.grad is not buffer
+
+
+def test_gradient_takes_the_layout_of_its_tensor():
+    # the buffer's layout fixes the order BLAS sums a transposed operand in
+    p = T.Parameter(np.arange(12.0).reshape(3, 4), "p")
+    flipped = T.transpose(p, (1, 0))
+    assert not flipped.data.flags.c_contiguous
+    out = T.matmul(flipped, T.constant(np.ones((3, 2))))
+    T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 4))),
+                                  T.matmul(out, T.constant(np.ones((2, 1))))), ()))
+    assert flipped.grad.strides == flipped.data.strides
+    assert p.grad.strides == p.data.strides
+    assert np.array_equal(p.grad, np.full((3, 4), 2.0))
 
 
 def _tape():

@@ -429,8 +429,7 @@ TABLE_WORDS = st.lists(
 @given(TABLE_WORDS, st.integers(0, 30), st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
-    table = train_bpe(word_frequencies([words], lowercase=lowercase), num_merges,
-                      lowercase=lowercase)
+    table = train_bpe(word_frequencies([words]), num_merges, lowercase=lowercase)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first"), Path(tmp, "second")
         save_table(table, first)
@@ -502,8 +501,14 @@ def test_records_and_tokenizer_share_one_word_rule():
 
 
 def test_word_frequencies_counts_and_lowercases():
-    freqs = word_frequencies([("A", "b"), ("a", "b")], lowercase=True)
-    assert freqs == {"a": 2, "b": 2}
+    assert word_frequencies([("A", "b"), ("a", "b")]) == {"A": 1, "b": 2, "a": 1}
+    # lowercasing is train_bpe's: case variants pool their counts there
+    for mixed, pooled in (({"A": 1, "a": 1}, {"a": 2}),
+                          ({"Ab": 1, "aB": 2, "ab": 1, "c": 1}, {"ab": 4, "c": 1})):
+        got = train_bpe(mixed, 3, lowercase=True)
+        want = train_bpe(pooled, 3, lowercase=True)
+        assert (got.merges, got.pieces) == (want.merges, want.pieces)
+        assert (dump_merges(got), dump_vocab(got)) == (dump_merges(want), dump_vocab(want))
 
 
 def test_oversized_single_word_is_hard_split():
