@@ -185,22 +185,17 @@ def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel) -> Tensor
     return T.add(T.add(tok, seg), model.position_rows(idx.size))
 
 
-def encode(
-    x: Tensor,
-    model: EncoderModel,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Apply all encoder layers to a [seq_len, H] input."""
+def encode(x: Tensor, model: EncoderModel,
+           rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Apply all encoder layers to a [seq_len, H] input; dropout draws its
+    masks from rng and runs only when one is given."""
     cfg = model.config
     h, a = cfg.hidden_size, cfg.num_heads
     if x.data.ndim != 2 or x.data.shape[1] != h:
         raise T.ShapeError(f"encode expects [seq_len, {h}], got {x.data.shape}")
     t = x.data.shape[0]
     dh = h // a
-    drop = cfg.dropout if train else 0.0
-    if drop > 0.0 and rng is None:
-        raise ValueError("training-mode dropout requires an rng")
+    drop = 0.0 if rng is None else cfg.dropout
 
     def heads(y: Tensor) -> Tensor:
         return T.transpose(T.reshape(y, (t, a, dh)), (1, 0, 2))
@@ -239,14 +234,9 @@ def token_loss(log_probs: Tensor, aligned_labels: Sequence[int]) -> Tensor:
     return T.masked_nll(log_probs, aligned_labels, IGNORE_INDEX)
 
 
-def run_token_classifier(
-    model: EncoderModel,
-    seq: TokenizedSequence,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    hidden = encode(embed(seq, model), model, train=train, rng=rng)
-    return classify(hidden, model)
+def run_token_classifier(model: EncoderModel, seq: TokenizedSequence,
+                         rng: Optional[np.random.Generator] = None) -> Tensor:
+    return classify(encode(embed(seq, model), model, rng=rng), model)
 
 
 # --- checkpoint io ------------------------------------------------------------

@@ -283,8 +283,7 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
-            with T.no_grad():
-                log_probs = enc.run_token_classifier(model, seq).data
+            log_probs = enc.run_token_classifier(model, seq).data
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
                 dist = min(w - lo, hi - 1 - w)
@@ -341,14 +340,15 @@ def fine_tune(
             T.zero_grad(model.parameters())
             for j in batch:
                 seq, labels = examples[j]
-                log_probs = enc.run_token_classifier(model, seq, train=True, rng=rng)
-                loss = enc.token_loss(log_probs, labels)
-                if not np.isfinite(loss.data):
-                    raise T.TrainingDivergence(
-                        f"non-finite loss at epoch {epoch}, batch start {start}"
-                    )
-                epoch_loss += float(loss.data)
-                T.backward(loss, seed=1.0 / len(batch))
+                with T.recording():
+                    log_probs = enc.run_token_classifier(model, seq, rng=rng)
+                    loss = enc.token_loss(log_probs, labels)
+                    if not np.isfinite(loss.data):
+                        raise T.TrainingDivergence(
+                            f"non-finite loss at epoch {epoch}, batch start {start}"
+                        )
+                    epoch_loss += float(loss.data)
+                    T.backward(loss, seed=1.0 / len(batch))
             optimizer.step()
         val_pred = _predict_encoder(model, valid, valid_windows)
         val_f1 = validation_macro_f1(val_pred, valid, scheme, evaluated)

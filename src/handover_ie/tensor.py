@@ -1,11 +1,15 @@
 """Dense tensors with exact reverse-mode gradients for a fixed primitive set.
 
-Every differentiable primitive records a vector-Jacobian closure so that
-``backward`` on a scalar fills exact gradients for all reachable leaves;
-inside ``no_grad()`` none is recorded. A tensor's ``grad`` is None until
-backward first reaches it, and ``zero_grad`` sets it back to None.
-float64 is the default precision; float32 is accepted and preserved.
-Also home to the bit-exact tensor archive used for checkpoints.
+Inside ``recording()`` every differentiable primitive whose inputs need a
+gradient appends its result and vector-Jacobian closure to one tape, in
+creation order; outside it nothing is recorded. ``backward`` on a scalar
+on that tape pops the tape newest first, which reaches every node after
+all of its consumers, and so fills exact gradients for all reachable
+leaves. The sweep consumes the tape: a graph is swept at most once, and
+it is freed as it is swept. A tensor's ``grad`` is None until backward
+first reaches it, and ``zero_grad`` sets it back to None. float64 is the
+default precision; float32 is accepted and preserved. Also home to the
+bit-exact tensor archive used for checkpoints.
 """
 from __future__ import annotations
 
@@ -37,17 +41,15 @@ def _shape_error(op: str, a, b) -> ShapeError:
 class Tensor:
     """A dense array node in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], None] | None = None
+        self.requires_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,31 +66,34 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
+        self.requires_grad = True
         self.name = name
 
 
-_recording = True
+# results and their vector-Jacobian closures in creation order; None outside recording()
+_tape: list[tuple[Tensor, Callable[[np.ndarray], None]]] | None = None
 
 
 @contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no tape inside the block: results keep no parents and no
-    vector-Jacobian closure, so a forward holds only what it still uses."""
-    global _recording
-    saved, _recording = _recording, False
+def recording() -> Iterator[None]:
+    """Record the tape inside the block. A nested block adds to the outer
+    block's tape; leaving the outermost block drops what was not swept."""
+    global _tape
+    saved = _tape
+    if _tape is None:
+        _tape = []
     try:
         yield
     finally:
-        _recording = saved
+        _tape = saved
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        _tape.append((out, vjp))
     return out
 
 
@@ -125,28 +130,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor, seed: float = 1.0) -> None:
-    """Reverse-mode sweep from a scalar root; accumulates into .grad."""
+    """Reverse-mode sweep from a scalar root on the tape; accumulates into
+    .grad and consumes the whole tape.
+
+    Every result is recorded after its inputs, so popping newest first
+    runs a node's closure only once all of its consumers have added to
+    its gradient. A root that is not on the tape (never recorded, or
+    already swept) raises ValueError.
+    """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+    if _tape is None or not any(node is root for node, _ in _tape):
+        raise ValueError("backward root is not on the tape: record its forward inside "
+                         "recording(), and sweep it once")
     _accum(root, np.full_like(root.data, seed))
-    for node in reversed(topo):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
+    while _tape:
+        node, vjp = _tape.pop()
+        if node.grad is not None:
+            vjp(node.grad)
 
 
 def zero_grad(tensors: Iterable[Tensor]) -> None:

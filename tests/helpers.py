@@ -21,14 +21,19 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
     Coordinates where |analytic| + |numeric| <= 1e-12 are skipped; a
     parameter backward does not reach has a zero analytic gradient. ``f``
     must be deterministic and return a scalar Tensor built from params.
+    Only the analytic pass is recorded; the central differences build no
+    tape.
     """
     if not 0.0 < epsilon <= 1e-2:
         raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
-    out = f()
-    if not np.all(np.isfinite(out.data)):
-        raise ValueError("function value is not finite")
     T.zero_grad(params)
-    T.backward(out)
+    with T.recording():
+        out = f()
+        if not np.all(np.isfinite(out.data)):
+            raise ValueError("function value is not finite")
+        # an unrecorded value depends on no parameter
+        if out.requires_grad:
+            T.backward(out)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     max_rel = 0.0

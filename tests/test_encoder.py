@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -244,11 +245,14 @@ def test_dropout_only_active_in_training_mode():
     a = encode(x, model).data
     b = encode(x, model).data
     assert np.array_equal(a, b)
-    rng = np.random.default_rng(0)
-    c = encode(x, model, train=True, rng=rng).data
+    # dropout runs exactly when an rng is given
+    c = encode(x, model, rng=np.random.default_rng(0)).data
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        encode(x, model, train=True)
+    assert np.array_equal(c, encode(x, model, rng=np.random.default_rng(0)).data)
+    # with a zero rate the rng is not drawn from
+    plain, rng = tiny_model(seed=14), np.random.default_rng(0)
+    assert np.array_equal(encode(x, plain, rng=rng).data, encode(x, plain).data)
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
@@ -337,15 +341,15 @@ def test_import_pretrained_rejected_line_leaves_model_unchanged(tmp_path, second
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_no_grad_forward_is_bit_equal_to_recording_forward(dtype):
+def test_recorded_and_unrecorded_forwards_are_bit_equal(dtype):
     model = tiny_model(seed=5, num_layers=2)
     randomize(model.parameters(), np.random.default_rng(6))
     for p in model.parameters():
         p.data = p.data.astype(dtype)
     ids = [1, 7, 3, 3, 0, 9]
-    recorded = classify(encode(embed(ids, model), model, train=False), model)
-    with T.no_grad():
-        bare = classify(encode(embed(ids, model), model, train=False), model)
+    with T.recording():
+        recorded = classify(encode(embed(ids, model), model), model)
+    bare = classify(encode(embed(ids, model), model), model)
     assert recorded.requires_grad and not bare.requires_grad
     assert bare.data.dtype == dtype
     assert bare.data.tobytes() == recorded.data.tobytes()
@@ -357,3 +361,22 @@ def test_model_binds_the_float64_arrays_it_is_given(tmp_path):
     weights = T.load_archive(str(path))
     model = EncoderModel(TINY, weights=weights)
     assert all(p.data is weights[p.name] for p in model.parameters())
+
+
+def test_no_graph_outlives_its_sweep(monkeypatch):
+    model = tiny_model(seed=8, num_layers=2)
+    scores = []
+    softmax_rows = T.softmax_rows
+
+    def keep_a_weakref(x):
+        # a Tensor takes no weak reference; watch the array that only it holds
+        scores.append(weakref.ref(x.data))
+        return softmax_rows(x)
+
+    monkeypatch.setattr(T, "softmax_rows", keep_a_weakref)
+    with T.recording():
+        loss = token_loss(classify(encode(embed([1, 2, 3], model), model), model), [0, 2, 1])
+        assert scores[0]() is not None
+        T.backward(loss)
+        # the sweep freed the first layer's attention scores; the loss is still held
+        assert scores[0]() is None and loss.grad is not None

@@ -454,7 +454,7 @@ def test_window_votes_resolve_to_farthest_from_boundary(tiny_setup, monkeypatch)
     calls = {"n": 0}
     n_labels = len(scheme.labels)
 
-    def fake_classifier(model, seq, train=False, rng=None):
+    def fake_classifier(model, seq, rng=None):
         # every position predicts the index of the window being scored
         window = calls["n"]
         calls["n"] += 1

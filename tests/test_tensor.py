@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,18 +255,20 @@ F32_OPS = {
 def test_primitives_keep_float32(name):
     rng = np.random.default_rng(5)
     x = T.Parameter(rng.normal(0, 1, (3, 4)).astype(np.float32), "x")
-    out = F32_OPS[name](x, rng)
-    assert out.data.dtype == np.float32
-    ones = T.constant(np.ones((out.data.size, 1), np.float32))
-    T.backward(T.matmul(T.reshape(out, (1, -1)), ones))
+    with T.recording():
+        out = F32_OPS[name](x, rng)
+        assert out.data.dtype == np.float32
+        ones = T.constant(np.ones((out.data.size, 1), np.float32))
+        T.backward(T.matmul(T.reshape(out, (1, -1)), ones))
     assert x.grad.dtype == np.float32
 
 
 def test_backward_accumulates_through_shared_nodes():
     p = T.Parameter(np.array([[2.0]]), "p")
-    shared = T.scale(p, 3.0)
-    out = T.add(shared, shared)
-    T.backward(T.reshape(out, ()))
+    with T.recording():
+        shared = T.scale(p, 3.0)
+        out = T.add(shared, shared)
+        T.backward(T.reshape(out, ()))
     assert p.grad[0, 0] == 6.0
 
 
@@ -320,6 +324,38 @@ def test_archive_rejects_truncation_and_duplicate_names(tmp_path):
         T.load_archive(str(path))
 
 
+# float32, float64, empty and 0-d entries, one under a name that is not ASCII
+FUZZ_ENTRIES = (("w", np.arange(6.0).reshape(2, 3) - 2.5),
+                ("h\u00e9", np.arange(4, dtype=np.float32) / 3),
+                ("empty", np.ones((0, 3))), ("scalar", np.array(-0.0)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_archive_reader_rejects_or_round_trips_corrupted_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "a.tarch"), Path(tmp, "b.tarch")
+        T.save_archive(FUZZ_ENTRIES, str(path))
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw)), label="offset")
+        how = data.draw(st.sampled_from(("cut", "flip", "insert")), label="corruption")
+        if how == "flip" and at < len(raw):
+            bit = data.draw(st.integers(0, 7), label="bit")
+            corrupted = raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:]
+        elif how == "insert":
+            corrupted = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) \
+                + raw[at:]
+        else:
+            corrupted = raw[:at]
+        path.write_bytes(corrupted)
+        try:
+            loaded = T.load_archive(str(path))
+        except ValueError:
+            return
+        T.save_archive(loaded.items(), str(again))
+        assert again.read_bytes() == corrupted
+
+
 def test_archive_rejects_unknown_dtype(tmp_path):
     path = tmp_path / "int.tarch"
     with pytest.raises(ValueError):
@@ -329,8 +365,10 @@ def test_archive_rejects_unknown_dtype(tmp_path):
 def test_parameter_gradient_shape_invariant():
     p = T.Parameter(np.zeros((3, 2), np.float32), "w")
     assert p.name == "w"
-    T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 3), np.float32)),
-                                  T.matmul(p, T.constant(np.ones((2, 1), np.float32)))), ()))
+    with T.recording():
+        T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 3), np.float32)),
+                                      T.matmul(p, T.constant(np.ones((2, 1), np.float32)))),
+                             ()))
     assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype
 
 
@@ -362,35 +400,72 @@ def test_grad_exists_only_after_backward_reaches_the_tensor():
         hidden = T.scale(a, 3.0)
         return hidden, T.reshape(T.matmul(hidden, T.constant(np.array([[0.5], [2.0]]))), ())
 
-    hidden, loss = forward()
-    assert [t.grad for t in (a, unused, hidden, loss)] == [None] * 4
-    T.backward(loss)
+    def sweep():
+        with T.recording():
+            T.backward(forward()[1])
+
+    with T.recording():
+        hidden, loss = forward()
+        assert [t.grad for t in (a, unused, hidden, loss)] == [None] * 4
+        T.backward(loss)
     assert np.array_equal(a.grad, [[1.5, 6.0]]) and np.array_equal(hidden.grad, [[0.5, 2.0]])
     assert unused.grad is None
     # a second graph's sweep adds into the buffer the first one allocated
     buffer = a.grad
-    T.backward(forward()[1])
+    sweep()
     assert a.grad is buffer and np.array_equal(a.grad, [[3.0, 12.0]])
     T.zero_grad([a, unused, hidden, loss])
     assert [t.grad for t in (a, unused, hidden, loss)] == [None] * 4
-    T.backward(forward()[1])
+    sweep()
     assert np.array_equal(a.grad, [[1.5, 6.0]]) and a.grad is not buffer
+
+
+def test_a_graph_is_swept_once():
+    a = T.Parameter(np.array([[1.0, -2.0]]), "a")
+    with T.recording():
+        hidden = T.scale(a, 3.0)
+        loss = T.reshape(T.matmul(hidden, T.constant(np.array([[0.5], [2.0]]))), ())
+        T.backward(loss)
+        once = [a.grad.copy(), hidden.grad.copy()]
+        # a second sweep would add the intermediate gradients again
+        with pytest.raises(ValueError, match="not on the tape"):
+            T.backward(loss)
+    with T.recording(), pytest.raises(ValueError, match="not on the tape"):
+        T.backward(loss)
+    assert np.array_equal(a.grad, once[0]) and np.array_equal(a.grad, [[1.5, 6.0]])
+    assert np.array_equal(hidden.grad, once[1])
+
+
+def test_backward_rejects_a_root_that_was_not_recorded():
+    a = T.Parameter(np.array([[1.0, -2.0]]), "a")
+    unrecorded = T.reshape(T.matmul(a, T.constant(np.ones((2, 1)))), ())
+    with pytest.raises(ValueError, match="not on the tape"):
+        T.backward(unrecorded)
+    with T.recording(), pytest.raises(ValueError, match="not on the tape"):
+        T.backward(unrecorded)
+    # a root recorded in an earlier block is not on this block's tape
+    with T.recording():
+        earlier = T.reshape(T.matmul(a, T.constant(np.ones((2, 1)))), ())
+    with T.recording(), pytest.raises(ValueError, match="not on the tape"):
+        T.backward(earlier)
+    assert a.grad is None
 
 
 def test_gradient_takes_the_layout_of_its_tensor():
     # the buffer's layout fixes the order BLAS sums a transposed operand in
     p = T.Parameter(np.arange(12.0).reshape(3, 4), "p")
-    flipped = T.transpose(p, (1, 0))
-    assert not flipped.data.flags.c_contiguous
-    out = T.matmul(flipped, T.constant(np.ones((3, 2))))
-    T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 4))),
-                                  T.matmul(out, T.constant(np.ones((2, 1))))), ()))
+    with T.recording():
+        flipped = T.transpose(p, (1, 0))
+        assert not flipped.data.flags.c_contiguous
+        out = T.matmul(flipped, T.constant(np.ones((3, 2))))
+        T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 4))),
+                                      T.matmul(out, T.constant(np.ones((2, 1))))), ()))
     assert flipped.grad.strides == flipped.data.strides
     assert p.grad.strides == p.data.strides
     assert np.array_equal(p.grad, np.full((3, 4), 2.0))
 
 
-def _tape():
+def _graph():
     rng = np.random.default_rng(7)
     a = T.Parameter(rng.normal(0, 1, (3, 4)), "a")
     b = T.Parameter(rng.normal(0, 1, (4, 2)), "b")
@@ -398,38 +473,45 @@ def _tape():
                                       [0, 1, IGNORE_INDEX], IGNORE_INDEX)
 
 
-def test_no_grad_builds_nodes_without_parents_or_vjp():
-    a, b, f = _tape()
-    recorded = f()
-    with T.no_grad():
-        loss = f()
-        hidden = T.matmul(a, b)
-    for node in (loss, hidden):
-        assert node._parents == () and node._vjp is None and not node.requires_grad
+def test_unrecorded_forward_records_nothing():
+    a, b, f = _graph()
+    with T.recording():
+        recorded = f()
+    loss = f()
+    assert recorded.requires_grad and not loss.requires_grad
     assert loss.data.tobytes() == recorded.data.tobytes()
-    assert recorded.requires_grad and recorded._vjp is not None
+    # constants alone record nothing inside a block either
+    with T.recording():
+        constant = T.reshape(T.add(T.constant(np.ones(2)), T.constant(np.ones(2))), (1, 2))
+        assert not constant.requires_grad
+        with pytest.raises(ValueError):
+            T.backward(T.reshape(T.matmul(constant, T.constant(np.ones((2, 1)))), ()))
+    with T.recording(), pytest.raises(ValueError):
+        T.backward(loss)
+    assert a.grad is None and b.grad is None
 
 
-def test_no_grad_restores_recording_after_an_exception():
-    a, _, _ = _tape()
-    with pytest.raises(RuntimeError, match="inside"):
-        with T.no_grad():
-            raise RuntimeError("inside")
-    assert T.scale(a, 2.0)._parents == (a,)
-    with T.no_grad():
-        with T.no_grad():
-            pass
-        assert T.scale(a, 2.0)._parents == ()
-    assert T.scale(a, 2.0)._parents == (a,)
-
-
-def test_backward_fills_gradients_of_a_graph_built_before_no_grad():
-    a, b, f = _tape()
-    T.backward(f())
+def test_recording_restores_the_outer_state_after_an_exception():
+    a, b, f = _graph()
+    with T.recording():
+        T.backward(f())
     want = [a.grad.copy(), b.grad.copy()]
     T.zero_grad([a, b])
-    loss = f()
-    with T.no_grad():
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.recording():
+            f()
+            raise RuntimeError("inside")
+    assert not T.scale(a, 2.0).requires_grad
+    with T.recording():
+        loss = f()
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.recording():
+                inner = T.scale(a, 2.0)
+                raise RuntimeError("inside")
+        # the inner block recorded onto the outer tape and left it in place
+        assert inner.requires_grad and T.scale(a, 2.0).requires_grad
         T.backward(loss)
+    assert not T.scale(a, 2.0).requires_grad
     assert np.array_equal(a.grad, want[0]) and np.array_equal(b.grad, want[1])
     assert want[0].any() and want[1].any()
+
