@@ -41,8 +41,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input-dir", required=True)
     parser.add_argument("--scheme", required=True, help="label scheme file (N.A. first)")
-    parser.add_argument("--split", default="train",
-                        choices=("train", "validation", "test"))
     parser.add_argument("--out", help="output TSV (default stdout)")
     args = parser.parse_args()
 
@@ -56,7 +54,7 @@ def main() -> int:
             convert_standoff(txt.stem, txt.read_text(encoding="utf-8"),
                              read_spans(ann), scheme)
         )
-    rs = RecordSet(split=args.split, records=tuple(records))
+    rs = RecordSet(split="train", records=tuple(records))
     text = serialize_records(rs, scheme)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -133,6 +133,13 @@ class RecordSet:
     def __len__(self) -> int:
         return len(self.records)
 
+    def relabel(self, labels: Iterable[Sequence[int]]) -> "RecordSet":
+        """The same records in order, each with its new label ids: how every
+        method's prediction is built from its input."""
+        return RecordSet(split=self.split, records=tuple(
+            Record(id=r.id, words=r.words, labels=tuple(labs))
+            for r, labs in zip(self.records, labels, strict=True)))
+
 
 def validate_against_scheme(rs: RecordSet, scheme: LabelScheme) -> None:
     n = len(scheme.labels)
@@ -229,10 +236,12 @@ def serialize_records(rs: RecordSet, scheme: LabelScheme) -> str:
 
 
 def load_scheme(text: str) -> LabelScheme:
-    """One label per line; the first line is the N.A. label."""
-    labels = [line for line in read_lines(text) if line]
+    """One nonempty label per line; the first line is the N.A. label."""
+    labels = list(read_lines(text))
     if not labels:
         raise ValueError("empty label scheme file")
+    if "" in labels:
+        raise ValueError(f"labels line {labels.index('') + 1}: empty label")
     return LabelScheme(labels=tuple(labels), na_label=labels[0])
 
 

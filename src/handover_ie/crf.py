@@ -127,7 +127,7 @@ def unary_scores(unary_w: np.ndarray, feats: Featurized) -> np.ndarray:
 class CrfModel:
     """Weight vector over (observation, label) slots plus a transition block."""
 
-    labels: tuple[str, ...]
+    num_labels: int
     index: FeatureIndex
     weights: np.ndarray
 
@@ -136,11 +136,7 @@ class CrfModel:
         """Index the observations of the training words, zero weights."""
         index = FeatureIndex().fit((r.words for r in train.records), feature_cutoff)
         n = weight_count(index.num_obs, len(scheme.labels))
-        return cls(labels=scheme.labels, index=index, weights=np.zeros(n))
-
-    @property
-    def num_labels(self) -> int:
-        return len(self.labels)
+        return cls(num_labels=len(scheme.labels), index=index, weights=np.zeros(n))
 
     def split(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a weight vector as its unary [obs, |Y|] and transition
@@ -314,14 +310,14 @@ def _wolfe_line_search(
 
     def phi(step: float) -> tuple[float, float, np.ndarray]:
         f, g = fun(x + step * direction)
+        if not np.isfinite(f):
+            raise TrainingDivergence(f"non-finite loss {f} during line search")
         return f, float(g @ direction), g
 
     def zoom(lo, f_lo, hi) -> tuple[float, float, np.ndarray] | None:
         for _ in range(WOLFE_MAX_STEPS):
             step = 0.5 * (lo + hi)
             f, d, g = phi(step)
-            if not np.isfinite(f):
-                raise TrainingDivergence(f"non-finite loss {f} during line search")
             if f > f0 + WOLFE_C1 * step * d0 or f >= f_lo:
                 hi = step
             else:
@@ -336,8 +332,6 @@ def _wolfe_line_search(
     step = 1.0
     for i in range(WOLFE_MAX_STEPS):
         f, d, g = phi(step)
-        if not np.isfinite(f):
-            raise TrainingDivergence(f"non-finite loss {f} during line search")
         if f > f0 + WOLFE_C1 * step * d0 or (i > 0 and f >= prev_f):
             return zoom(prev_step, prev_f, step)
         if abs(d) <= -WOLFE_C2 * d0:
@@ -472,6 +466,6 @@ def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfM
         raise ValueError(f"{weights_path}: expected one entry named 'weights', "
                          f"got {sorted(entries)}")
     weights = entries["weights"].astype(np.float64)
-    model = CrfModel(labels=scheme.labels, index=index, weights=weights)
+    model = CrfModel(num_labels=len(scheme.labels), index=index, weights=weights)
     model.split(weights)   # raises ValueError for weights sized for another model
     return model

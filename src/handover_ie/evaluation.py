@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import NA_CATEGORY, MAIN_CATEGORIES, LabelScheme, Record, RecordSet
+from .corpus import NA_CATEGORY, MAIN_CATEGORIES, LabelScheme, RecordSet
 from .tokenizer import AlignmentError
 
 
 @dataclass(frozen=True, slots=True)
 class ClassCounts:
-    """Per-label word-level tp/fp/fn; gold_total[i] == tp[i] + fn[i]."""
+    """Word-level tp/fp/fn per label id of the scheme."""
 
-    labels: tuple[str, ...]
     tp: tuple[int, ...]
     fp: tuple[int, ...]
     fn: tuple[int, ...]
@@ -29,10 +28,6 @@ class ClassCounts:
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.tp + self.fp + self.fn):
             raise ValueError("negative count")
-
-    @property
-    def gold_total(self) -> tuple[int, ...]:
-        return tuple(t + f for t, f in zip(self.tp, self.fn))
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +58,7 @@ def confusion_counts(gold: RecordSet, pred: RecordSet, scheme: LabelScheme) -> C
             else:
                 fn[y] += 1
                 fp[yhat] += 1
-    return ClassCounts(labels=scheme.labels, tp=tuple(tp), fp=tuple(fp), fn=tuple(fn))
+    return ClassCounts(tp=tuple(tp), fp=tuple(fp), fn=tuple(fn))
 
 
 def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -94,17 +89,15 @@ def build_report(
 ) -> EvalReport:
     if not include_na:
         evaluated_ids = set(evaluated_ids) - {scheme.na_id}
-    evaluated = tuple(scheme.labels[i] for i in range(len(scheme.labels)) if i in evaluated_ids)
-    per_class = {}
-    for name in evaluated:
-        i = counts.labels.index(name)
-        per_class[name] = prf_from_counts(counts.tp[i], counts.fp[i], counts.fn[i])
+    ids = [i for i in range(len(scheme.labels)) if i in evaluated_ids]
+    evaluated = tuple(scheme.labels[i] for i in ids)
+    per_class = {scheme.labels[i]: prf_from_counts(counts.tp[i], counts.fp[i], counts.fn[i])
+                 for i in ids}
     mp, mr, mf = macro_average(per_class, evaluated)
 
     categories: dict[str, tuple[int, int, int, float, float, float]] = {}
     for cat in (*MAIN_CATEGORIES, NA_CATEGORY):
-        members = [i for i, name in enumerate(counts.labels)
-                   if name in per_class and scheme.main_category(name) == cat]
+        members = [i for i in ids if scheme.main_category(scheme.labels[i]) == cat]
         if not members:
             continue
         ctp = sum(counts.tp[i] for i in members)
@@ -131,20 +124,14 @@ def baseline_random(
         raise ValueError("no evaluated labels to draw from")
     choices = sorted(evaluated_ids)
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    for rec in records.records:
-        labels = tuple(choices[int(k)] for k in rng.integers(len(choices), size=len(rec.words)))
-        out.append(Record(id=rec.id, words=rec.words, labels=labels))
-    return RecordSet(split=records.split, records=tuple(out))
+    return records.relabel(
+        [choices[int(k)] for k in rng.integers(len(choices), size=len(rec.words))]
+        for rec in records.records)
 
 
 def baseline_majority(records: RecordSet, majority_label: int) -> RecordSet:
     """Assign the configured label to every word."""
-    out = [
-        Record(id=r.id, words=r.words, labels=(majority_label,) * len(r.words))
-        for r in records.records
-    ]
-    return RecordSet(split=records.split, records=tuple(out))
+    return records.relabel((majority_label,) * len(r.words) for r in records.records)
 
 
 def majority_label(train: RecordSet, scheme: LabelScheme) -> int:
@@ -164,20 +151,20 @@ FORMATS = ("table", "csv", "json")
 
 def emit_report(report: EvalReport, counts: ClassCounts, fmt: str, scheme: LabelScheme) -> str:
     if fmt == "json":
-        return _emit_json(report, counts)
+        return _emit_json(report, counts, scheme)
     if fmt == "csv":
-        return _emit_csv(report, counts)
+        return _emit_csv(report, counts, scheme)
     if fmt == "table":
         return _emit_table(report, counts, scheme)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
 
 
-def _emit_json(report: EvalReport, counts: ClassCounts) -> str:
+def _emit_json(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> str:
     obj = {
-        "labels": list(counts.labels),
+        "labels": list(scheme.labels),
         "counts": {
             name: {"tp": counts.tp[i], "fp": counts.fp[i], "fn": counts.fn[i]}
-            for i, name in enumerate(counts.labels)
+            for i, name in enumerate(scheme.labels)
         },
         "evaluated": list(report.evaluated),
         "per_class": {
@@ -195,10 +182,11 @@ def _emit_json(report: EvalReport, counts: ClassCounts) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_csv(report: EvalReport, counts: ClassCounts) -> str:
+def _emit_csv(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> str:
     lines = ["class,tp,fp,fn,precision,recall,f1"]
-    for name in report.evaluated:
-        i = counts.labels.index(name)
+    for i, name in enumerate(scheme.labels):
+        if name not in report.per_class:
+            continue
         p, r, f = report.per_class[name]
         cell = name.replace('"', '""')
         cls = f'"{cell}"' if "," in name or '"' in name else name
@@ -215,7 +203,7 @@ def _subclass_name(scheme: LabelScheme, label: str) -> str:
 def _emit_table(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> str:
     width = max(
         [28]
-        + [len(_subclass_name(scheme, n)) + 2 for n in counts.labels]
+        + [len(_subclass_name(scheme, n)) + 2 for n in scheme.labels]
         + [len(c) + 3 for c in report.categories]
     )
     header = (
@@ -228,7 +216,7 @@ def _emit_table(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) ->
     cat_no = 0
     for cat in (*MAIN_CATEGORIES, NA_CATEGORY):
         members = [
-            (i, name) for i, name in enumerate(counts.labels)
+            (i, name) for i, name in enumerate(scheme.labels)
             if scheme.main_category(name) == cat
             and (name in report.per_class or counts.tp[i] + counts.fp[i] + counts.fn[i] > 0)
         ]

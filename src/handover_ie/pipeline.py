@@ -24,7 +24,6 @@ from . import encoder as enc
 from . import tensor as T
 from .corpus import (
     LabelScheme,
-    Record,
     RecordSet,
     dump_scheme,
     evaluated_classes,
@@ -112,7 +111,8 @@ def dump_config(*configs) -> str:
 
 
 def parse_config_text(text: str) -> tuple[dict, dict]:
-    """Split a flat key=value file into TrainConfig and ModelConfig kwargs."""
+    """Split a flat key=value file, each key at most once, into TrainConfig
+    and ModelConfig kwargs."""
     train_kw: dict = {}
     model_kw: dict = {}
     for line_no, line in enumerate(read_lines(text), 1):
@@ -122,6 +122,8 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in train_kw or key in model_kw:
+            raise ValueError(f"config line {line_no}: duplicate key {key!r}")
         if key in _TRAIN_FIELD_TYPES:
             train_kw[key] = _convert(_TRAIN_FIELD_TYPES[key], value)
         elif key in _MODEL_FIELD_TYPES:
@@ -279,7 +281,7 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
                      windows: list[list[TokenizedSequence]]) -> RecordSet:
     """Label each record from its windows; a word seen by several windows
     takes its label from the one where it sits farthest from an edge."""
-    out = []
+    labels = []
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
@@ -289,9 +291,8 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
                 dist = min(w - lo, hi - 1 - w)
                 if w not in best or dist > best[w][0]:
                     best[w] = (dist, int(log_probs[pos].argmax()))
-        labels = tuple(best[w][1] for w in range(len(rec.words)))
-        out.append(Record(id=rec.id, words=rec.words, labels=labels))
-    return RecordSet(split=records.split, records=tuple(out))
+        labels.append([best[w][1] for w in range(len(rec.words))])
+    return records.relabel(labels)
 
 
 def validation_macro_f1(pred: RecordSet, gold: RecordSet, scheme: LabelScheme,
@@ -427,17 +428,13 @@ def train_model(
 def predict(checkpoint: Checkpoint, records: RecordSet) -> RecordSet:
     """Label records word-for-word; inference is dropout-free."""
     validate_against_scheme(records, checkpoint.scheme)
-    if not records.records:
-        return RecordSet(split=records.split, records=())
     if checkpoint.kind == "encoder":
         max_len = checkpoint.train_config.max_len
         windows = [encode_words(rec.words, checkpoint.table, max_len) for rec in records.records]
         return _predict_encoder(checkpoint.model, records, windows)
     if checkpoint.kind == "crf":
-        paths = crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records))
-        out = [Record(id=r.id, words=r.words, labels=tuple(path))
-               for r, path in zip(records.records, paths)]
-        return RecordSet(split=records.split, records=tuple(out))
+        return records.relabel(
+            crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records)))
     raise ValueError(f"cannot predict with model kind {checkpoint.kind!r}")
 
 

@@ -333,10 +333,9 @@ def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int) -> T
     data = np.asarray(-log_probs.data[rows, gold].mean())
 
     def vjp(g):
-        if log_probs.requires_grad:
-            gl = np.zeros_like(log_probs.data)
-            gl[rows, gold] = -float(g) / rows.size
-            _accum(log_probs, gl)
+        gl = np.zeros_like(log_probs.data)
+        gl[rows, gold] = -float(g) / rows.size
+        _accum(log_probs, gl)
 
     return _result(data, (log_probs,), vjp)
 

@@ -5,9 +5,11 @@ import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from handover_ie import tensor as T
+from handover_ie.corpus import WORD_BREAKS
 from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
@@ -64,7 +66,6 @@ def parse_report_json(text: str) -> tuple[EvalReport, ClassCounts]:
     obj = json.loads(text)
     labels = tuple(obj["labels"])
     counts = ClassCounts(
-        labels=labels,
         tp=tuple(obj["counts"][n]["tp"] for n in labels),
         fp=tuple(obj["counts"][n]["fp"] for n in labels),
         fn=tuple(obj["counts"][n]["fn"] for n in labels),
@@ -229,3 +230,36 @@ def loop_grid_search(grid, train, valid, scheme, model_config, table):
                              r["config"].epochs, r["order"]))
     leaderboard = [{"config": r["config"], "val_macro_f1": r["val_macro_f1"]} for r in rows]
     return rows[0]["config"], leaderboard
+
+
+# lists of words under the one word rule; surrogates cannot be written as UTF-8
+WORD_LISTS = st.lists(
+    st.text(st.characters(codec="utf-8").filter(lambda c: not WORD_BREAKS.match(c)),
+            min_size=1, max_size=8),
+    min_size=1, max_size=8)
+
+
+def as_saved(raw: bytes) -> bytes:
+    """What a loadable file re-saves to: line ends as written by the line
+    rule (CR and CRLF read as LF), and a final newline after the last line."""
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw + b"\n" if raw and not raw.endswith(b"\n") else raw
+
+
+INSERTED = ("\x85", "\u2028", " ", "\t", "\r", "\n", "\x00")
+
+
+def corruptions(raw: bytes, at: int) -> list[bytes]:
+    """raw cut at offset at, with each bit of the byte at at flipped, and
+    with each of INSERTED inserted at at."""
+    out = [raw[:at]]
+    if at < len(raw):
+        out += [raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:] for bit in range(8)]
+    return out + [raw[:at] + ch.encode("utf-8") + raw[at:] for ch in INSERTED]
+
+
+def draw_offset(data, raw: bytes) -> int:
+    """An offset into raw for corruptions; line starts, where a lenient
+    reader would slip, are drawn often."""
+    bounds = [0, len(raw), *(i + 1 for i, b in enumerate(raw) if b == 0x0A)]
+    return data.draw(st.one_of(st.sampled_from(bounds), st.integers(0, len(raw))))

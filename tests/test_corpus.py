@@ -1,5 +1,7 @@
 import io
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from handover_ie.corpus import (
     parse_records,
     serialize_records,
 )
+
+from helpers import as_saved, corruptions, draw_offset
 
 TWO_RECORD_FIXTURE = (
     "# id: doc-a\n"
@@ -210,6 +214,52 @@ def test_scheme_validation_and_categories():
 def test_scheme_file_round_trip():
     scheme = LabelScheme(labels=("N.A.", "b", "a"))
     assert load_scheme(dump_scheme(scheme)) == scheme
+
+
+def test_scheme_file_rejects_an_empty_line():
+    for text, line_no in (("N.A.\n\na\n", 2), ("\nN.A.\n", 1), ("N.A.\na\n\n", 3),
+                          ("N.A.\r\n\r\na\r\n", 2)):
+        with pytest.raises(ValueError, match=f"labels line {line_no}: empty label"):
+            load_scheme(text)
+
+
+# label names hold any character but a line break; surrogates cannot be written as UTF-8
+SCHEME_LABELS = st.lists(
+    st.text(st.characters(codec="utf-8", blacklist_characters="\n\r"), min_size=1, max_size=6),
+    min_size=1, max_size=6, unique=True)
+
+
+@given(SCHEME_LABELS, st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_corrupted_scheme_file_is_rejected_or_round_trips(labels, data):
+    scheme = LabelScheme(labels=tuple(labels), na_label=labels[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.txt"), Path(tmp, "second.txt")
+        first.write_text(dump_scheme(scheme), encoding="utf-8")
+        raw = first.read_bytes()
+        for corrupted in corruptions(raw, draw_offset(data, raw)):
+            first.write_bytes(corrupted)
+            try:
+                back = load_scheme(first.read_text(encoding="utf-8"))
+            except ValueError:
+                continue
+            second.write_text(dump_scheme(back), encoding="utf-8")
+            assert second.read_bytes() == as_saved(corrupted)
+
+
+def test_relabel_keeps_everything_but_the_labels():
+    rs = RecordSet(split="validation", records=(
+        Record(id="b", words=("x", "y"), labels=(0, 0)),
+        Record(id="a", words=("z",), labels=(1,)),
+    ))
+    out = rs.relabel([[2, 1], (0,)])
+    assert out.split == "validation"
+    assert [(r.id, r.words) for r in out.records] == [("b", ("x", "y")), ("a", ("z",))]
+    assert [r.labels for r in out.records] == [(2, 1), (0,)]
+    assert RecordSet(split="test", records=()).relabel([]) == RecordSet(split="test", records=())
+    for labels in ([[2, 1]], [[2, 1], [0], [0]], [[2], [0]], [[2, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            rs.relabel(labels)
 
 
 def test_synthetic_empty():

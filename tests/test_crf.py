@@ -1,8 +1,11 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handover_ie.corpus import (
     LabelScheme,
@@ -29,7 +32,17 @@ from handover_ie.crf import (
 from handover_ie.pipeline import TrainConfig
 from handover_ie.tensor import TrainingDivergence
 
-from helpers import extract_features, featurize, loop_nll_and_grad, loop_viterbi, path_score
+from helpers import (
+    WORD_LISTS,
+    as_saved,
+    corruptions,
+    draw_offset,
+    extract_features,
+    featurize,
+    loop_nll_and_grad,
+    loop_viterbi,
+    path_score,
+)
 
 # the L-BFGS budget and tolerance train_crf uses by default
 MAX_ITERS, GRAD_TOL = TrainConfig().max_iters, TrainConfig().grad_tol
@@ -455,3 +468,26 @@ def test_crf_serialization_round_trip(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             load_crf(str(bad), str(weights), scheme)
+
+
+@given(WORD_LISTS, st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_corrupted_features_file_is_rejected_or_round_trips(words, data):
+    scheme = LabelScheme(labels=("N.A.", "a"))
+    note = Record(id="r", words=tuple(words), labels=(0,) * len(words))
+    model = CrfModel.build(RecordSet(split="train", records=(note,)), scheme, 1)
+    model.weights = np.arange(model.weights.size, dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        features, weights = Path(tmp, "features.tsv"), Path(tmp, "weights.tarch")
+        again, again_weights = Path(tmp, "again.tsv"), Path(tmp, "again.tarch")
+        save_crf(model, str(features), str(weights))
+        raw = features.read_bytes()
+        for corrupted in corruptions(raw, draw_offset(data, raw)):
+            features.write_bytes(corrupted)
+            try:
+                back = load_crf(str(features), str(weights), scheme)
+            except ValueError:
+                continue
+            save_crf(back, str(again), str(again_weights))
+            assert again.read_bytes() == as_saved(corrupted)
+            assert again_weights.read_bytes() == weights.read_bytes()

@@ -102,6 +102,15 @@ def test_config_text_round_trip():
         pipeline.parse_config_text("nonsense=1\n")
 
 
+@pytest.mark.parametrize("text, key", [("seed=1\nseed=2\n", "seed"),
+                                       ("num_layers=1\n# again\nnum_layers = 2\n", "num_layers")],
+                         ids=["training-key", "model-key"])
+def test_config_text_rejects_a_repeated_key(text, key):
+    line_no = len(text.splitlines())
+    with pytest.raises(ValueError, match=f"config line {line_no}: duplicate key '{key}'"):
+        pipeline.parse_config_text(text)
+
+
 def test_config_file_parsing_and_env_seed(tmp_path, monkeypatch):
     path = tmp_path / "c.cfg"
     path.write_text(
@@ -493,6 +502,9 @@ def test_crf_checkpoint_round_trip(tmp_path):
     ckpt.save(tmp_path / "crf_ck")
     loaded = pipeline.Checkpoint.load(tmp_path / "crf_ck")
     assert pipeline.predict(loaded, valid) == before
+    # an empty input takes the one CRF path too
+    empty = RecordSet(split="test", records=())
+    assert pipeline.predict(loaded, empty) == empty
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
@@ -785,6 +797,30 @@ def _predict_with_edited_config(tiny_setup, tmp_path, old, new):
 def test_cli_rejects_checkpoint_config_without_a_model_key(tiny_setup, tmp_path, capsys):
     assert _predict_with_edited_config(tiny_setup, tmp_path, "num_layers=1\n", "") == 2
     assert "lacks model key(s): num_layers" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_a_repeated_config_key(tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "seed=3\n", encoding="utf-8")
+    assert cli_main(["train", "--model", "crf", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert "duplicate key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_checkpoint_load_rejects_a_repeated_config_key(tiny_setup, tmp_path):
+    scheme, _, _, table, model_config = tiny_setup
+    ck = tmp_path / "ck"
+    pipeline.Checkpoint(kind="encoder", scheme=scheme, train_config=tiny_train_config(),
+                        model_config=model_config, model=EncoderModel(model_config),
+                        table=table).save(ck)
+    config = ck / "config.txt"
+    config.write_text(config.read_text(encoding="utf-8") + "hidden_size=16\n",
+                      encoding="utf-8")
+    with pytest.raises(ValueError, match="duplicate key 'hidden_size'"):
+        pipeline.Checkpoint.load(ck)
 
 
 def test_cli_rejects_zero_attention_heads(tiny_setup, tmp_path, capsys):

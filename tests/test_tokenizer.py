@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handover_ie.corpus import WORD_BREAKS, Record, RecordSet
+from handover_ie.corpus import Record, RecordSet
 from handover_ie.pipeline import fit_tokenizer
 from handover_ie import tokenizer
 from handover_ie.tokenizer import (
@@ -28,7 +28,7 @@ from handover_ie.tokenizer import (
     word_frequencies,
 )
 
-from helpers import decode
+from helpers import WORD_LISTS, as_saved, corruptions, decode, draw_offset
 
 SENNRICH_CORPUS = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
 
@@ -419,14 +419,7 @@ def test_load_table_rejects_merge_outside_vocab(merge, missing):
         load_table(merges, dump_vocab(ABC))
 
 
-# any character but the word breaks; surrogates cannot be written as UTF-8
-TABLE_WORDS = st.lists(
-    st.text(st.characters(codec="utf-8").filter(lambda c: not WORD_BREAKS.match(c)),
-            min_size=1, max_size=8),
-    min_size=1, max_size=8)
-
-
-@given(TABLE_WORDS, st.integers(0, 30), st.booleans())
+@given(WORD_LISTS, st.integers(0, 30), st.booleans())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
     table = train_bpe(word_frequencies([words]), num_merges, lowercase=lowercase)
@@ -441,26 +434,7 @@ def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
         table.merges, table.pieces, table.vocab, table.lowercase)
 
 
-def as_saved(raw: bytes) -> bytes:
-    """What a loadable file re-saves to: line ends as written by the line
-    rule (CR and CRLF read as LF), and a final newline after the last line."""
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw + b"\n" if raw and not raw.endswith(b"\n") else raw
-
-
-INSERTED = ("\x85", "\u2028", " ", "\t", "\r", "\n", "\x00")
-
-
-def corruptions(raw: bytes, at: int) -> list[bytes]:
-    """raw cut at offset at, with each bit of the byte at at flipped, and
-    with each of INSERTED inserted at at."""
-    out = [raw[:at]]
-    if at < len(raw):
-        out += [raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:] for bit in range(8)]
-    return out + [raw[:at] + ch.encode("utf-8") + raw[at:] for ch in INSERTED]
-
-
-@given(TABLE_WORDS, st.integers(0, 30), st.sampled_from(("merges.txt", "vocab.txt")), st.data())
+@given(WORD_LISTS, st.integers(0, 30), st.sampled_from(("merges.txt", "vocab.txt")), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_corrupted_table_files_are_rejected_or_round_trip(words, num_merges, name, data):
     table = train_bpe(word_frequencies([words]), num_merges)
@@ -468,10 +442,7 @@ def test_corrupted_table_files_are_rejected_or_round_trip(words, num_merges, nam
         first, second = Path(tmp, "first"), Path(tmp, "second")
         save_table(table, first)
         raw = (first / name).read_bytes()
-        # line boundaries are where a lenient reader would slip, so draw them often
-        bounds = [0, len(raw), *(i + 1 for i, b in enumerate(raw) if b == 0x0A)]
-        at = data.draw(st.one_of(st.sampled_from(bounds), st.integers(0, len(raw))))
-        for corrupted in corruptions(raw, at):
+        for corrupted in corruptions(raw, draw_offset(data, raw)):
             (first / name).write_bytes(corrupted)
             try:
                 back = read_table(first, False)
