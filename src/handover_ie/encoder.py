@@ -8,7 +8,6 @@ shapes up to the standard base/large encoder sizes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
@@ -193,29 +192,10 @@ def encode(x: Tensor, model: EncoderModel,
     h, a = cfg.hidden_size, cfg.num_heads
     if x.data.ndim != 2 or x.data.shape[1] != h:
         raise T.ShapeError(f"encode expects [seq_len, {h}], got {x.data.shape}")
-    t = x.data.shape[0]
-    dh = h // a
     drop = 0.0 if rng is None else cfg.dropout
-
-    def heads(y: Tensor) -> Tensor:
-        return T.transpose(T.reshape(y, (t, a, dh)), (1, 0, 2))
-
     for layer in model.layers:
-        q = heads(T.add(T.matmul(x, layer.wq), layer.bq))
-        k = heads(T.add(T.matmul(x, layer.wk), layer.bk))
-        v = heads(T.add(T.matmul(x, layer.wv), layer.bv))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        attn = T.softmax_rows(scores)
-        ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (t, h))
-        out = T.add(T.matmul(ctx, layer.wo), layer.bo)
-        if drop > 0.0:
-            out = T.mul(out, T.dropout_mask(out, drop, rng))
-        x = T.layer_norm(T.add(x, out), layer.ln1_g, layer.ln1_b)
-        inner = T.gelu(T.add(T.matmul(x, layer.w1), layer.b1))
-        ffn = T.add(T.matmul(inner, layer.w2), layer.b2)
-        if drop > 0.0:
-            ffn = T.mul(ffn, T.dropout_mask(ffn, drop, rng))
-        x = T.layer_norm(T.add(x, ffn), layer.ln2_g, layer.ln2_b)
+        x = T.attention_block(x, layer, a, drop, rng)
+        x = T.ffn_block(x, layer, drop, rng)
     return x
 
 

@@ -2,14 +2,18 @@
 
 Inside ``recording()`` every differentiable primitive whose inputs need a
 gradient appends its result and vector-Jacobian closure to one tape, in
-creation order; outside it nothing is recorded. ``backward`` on a scalar
-on that tape pops the tape newest first, which reaches every node after
-all of its consumers, and so fills exact gradients for all reachable
-leaves. The sweep consumes the tape: a graph is swept at most once, and
-it is freed as it is swept. A tensor's ``grad`` is None until backward
-first reaches it, and ``zero_grad`` sets it back to None. float64 is the
-default precision; float32 is accepted and preserved. Also home to the
-bit-exact tensor archive used for checkpoints.
+creation order; outside it nothing is recorded. Each encoder sub-layer,
+``attention_block`` and ``ffn_block``, is one such node with a
+hand-written closure. So a recorded window of a 2-layer encoder with
+learned positions puts 13 nodes on the tape: five for the embedding sum,
+two per layer, and four for the classifier and its loss. ``backward`` on
+a scalar on that tape pops the tape newest first, which reaches every
+node after all of its consumers, and so fills exact gradients for all
+reachable leaves. The sweep consumes the tape: a graph is swept at most
+once, and it is freed as it is swept. A tensor's ``grad`` is None until
+backward first reaches it, and ``zero_grad`` sets it back to None.
+float64 is the default precision; float32 is accepted and preserved.
+Also home to the bit-exact tensor archive used for checkpoints.
 """
 from __future__ import annotations
 
@@ -156,6 +160,52 @@ def zero_grad(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+# --- kernels: the math the primitives and the encoder blocks share --------------
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """The normalized and affine output, with the xhat and 1/std its vjp reads."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (x - mean) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                    inv: np.ndarray) -> np.ndarray:
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - m1 - xhat * m2)
+
+
+# Python floats, so float32 inputs are not promoted
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _gelu(x: np.ndarray):
+    """The output, with the normal cdf its vjp reads."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return g * (cdf + x * pdf)
+
+
 # --- primitives ---------------------------------------------------------------
 
 def constant(data) -> Tensor:
@@ -228,13 +278,10 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
+        _accum(x, _softmax_vjp(g, y))
 
     return _result(y, (x,), vjp)
 
@@ -255,49 +302,35 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     h = x.data.shape[-1]
     if gain.data.shape != (h,) or bias.data.shape != (h,):
         raise _shape_error("layer_norm", x.data, gain.data)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mean) * inv
-    data = xhat * gain.data + bias.data
+    data, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
 
     def vjp(g):
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gx - m1 - xhat * m2))
+            _accum(x, _layer_norm_vjp(g, gain.data, xhat, inv))
 
     return _result(data, (x, gain, bias), vjp)
 
 
-# Python floats, so float32 inputs are not promoted
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = x.data * cdf
+    data, cdf = _gelu(x.data)
 
     def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (cdf + x.data * pdf))
+        _accum(x, _gelu_vjp(g, x.data, cdf))
 
     return _result(data, (x,), vjp)
 
 
-def dropout_mask(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted-dropout mask shaped and typed like x: 0 or 1/(1-rate), from rng."""
+def dropout_mask(like: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask shaped and typed like an array: 0 or 1/(1-rate), from rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return Tensor(np.ones_like(x.data))
-    keep = rng.random(x.shape) >= rate
-    return Tensor(keep.astype(x.data.dtype) / (1.0 - rate))
+        return np.ones_like(like)
+    keep = rng.random(like.shape) >= rate
+    return keep.astype(like.dtype) / (1.0 - rate)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -338,6 +371,110 @@ def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int) -> T
         _accum(log_probs, gl)
 
     return _result(data, (log_probs,), vjp)
+
+
+# --- encoder blocks -------------------------------------------------------------
+# Each block is one encoder sub-layer, recorded as one tape node. Its forward
+# runs the same numpy operations, in the same order and on the same views, as
+# the chain of primitives it stands for, so its output and its dropout draws
+# are bit-equal to that chain's; its vjp fills every parameter's gradient and
+# the input's in one call.
+
+def _residual_norm(x: np.ndarray, out: np.ndarray, gain: Tensor, bias: Tensor,
+                   rate: float, rng: np.random.Generator | None):
+    """layer_norm(x + dropout(out)), with what _residual_norm_vjp reads."""
+    mask = None
+    if rate > 0.0:
+        mask = dropout_mask(out, rate, rng)
+        out = out * mask
+    y, xhat, inv = _layer_norm(x + out, gain.data, bias.data)
+    return y, (mask, xhat, inv)
+
+
+def _residual_norm_vjp(g: np.ndarray, gain: Tensor, bias: Tensor, saved):
+    """Accumulate the norm's parameter gradients; return the gradients of
+    the residual input and of the sub-layer output."""
+    mask, xhat, inv = saved
+    _accum(gain, (g * xhat).sum(axis=0))
+    _accum(bias, g.sum(axis=0))
+    g_res = _layer_norm_vjp(g, gain.data, xhat, inv)
+    return g_res, g_res if mask is None else g_res * mask
+
+
+def attention_block(x: Tensor, layer, num_heads: int, rate: float,
+                    rng: np.random.Generator | None) -> Tensor:
+    """layer_norm(x + dropout(self_attention(x))) for a [seq_len, H] input.
+
+    `layer` holds the query, key, value and output projections (wq, bq,
+    wk, bk, wv, bv, wo, bo) and the norm's ln1_g and ln1_b. Dropout draws
+    its mask from rng only when rate > 0.
+    """
+    t, h = x.data.shape
+    dh = h // num_heads
+    xd = x.data
+    projections = ((layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
+
+    def heads(y):
+        return y.reshape(t, num_heads, dh).transpose(1, 0, 2)
+
+    def merge(y):
+        # C order, as the chain's gradient buffers: a sum over the rows of a
+        # strided view adds in another order
+        return np.ascontiguousarray(y.transpose(1, 0, 2).reshape(t, h))
+
+    q, k, v = (heads(xd @ w.data + b.data) for w, b in projections)
+    c = 1.0 / math.sqrt(dh)
+    attn = _softmax((q @ k.transpose(0, 2, 1)) * c)
+    ctx = merge(attn @ v)
+    y, tail = _residual_norm(xd, ctx @ layer.wo.data + layer.bo.data,
+                             layer.ln1_g, layer.ln1_b, rate, rng)
+
+    def vjp(g):
+        g_res, g_out = _residual_norm_vjp(g, layer.ln1_g, layer.ln1_b, tail)
+        _accum(layer.bo, g_out.sum(axis=0))
+        _accum(layer.wo, ctx.T @ g_out)
+        g_ctx = heads(g_out @ layer.wo.data.T)
+        g_scores = _softmax_vjp(g_ctx @ v.swapaxes(-1, -2), attn) * c
+        g_heads = (g_scores @ k,
+                   (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2),
+                   attn.swapaxes(-1, -2) @ g_ctx)
+        g_x = g_res
+        # value, key, query: the order the primitive chain's sweep added them in
+        for (w, b), g_head in zip(projections[::-1], g_heads[::-1]):
+            g_proj = merge(g_head)
+            _accum(b, g_proj.sum(axis=0))
+            _accum(w, xd.T @ g_proj)
+            if x.requires_grad:
+                g_x = g_x + g_proj @ w.data.T
+        _accum(x, g_x)
+
+    params = (*(p for pair in projections for p in pair), layer.wo, layer.bo,
+              layer.ln1_g, layer.ln1_b)
+    return _result(y, (x, *params), vjp)
+
+
+def ffn_block(x: Tensor, layer, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """layer_norm(x + dropout(gelu(x @ w1 + b1) @ w2 + b2)) for a [seq_len, H]
+    input; the norm is ln2_g, ln2_b. Dropout draws its mask from rng only
+    when rate > 0."""
+    xd = x.data
+    pre = xd @ layer.w1.data + layer.b1.data
+    inner, cdf = _gelu(pre)
+    y, tail = _residual_norm(xd, inner @ layer.w2.data + layer.b2.data,
+                             layer.ln2_g, layer.ln2_b, rate, rng)
+
+    def vjp(g):
+        g_res, g_out = _residual_norm_vjp(g, layer.ln2_g, layer.ln2_b, tail)
+        _accum(layer.b2, g_out.sum(axis=0))
+        _accum(layer.w2, inner.T @ g_out)
+        g_pre = _gelu_vjp(g_out @ layer.w2.data.T, pre, cdf)
+        _accum(layer.b1, g_pre.sum(axis=0))
+        _accum(layer.w1, xd.T @ g_pre)
+        if x.requires_grad:
+            _accum(x, g_res + g_pre @ layer.w1.data.T)
+
+    params = (layer.w1, layer.b1, layer.w2, layer.b2, layer.ln2_g, layer.ln2_b)
+    return _result(y, (x, *params), vjp)
 
 
 # --- tensor archive --------------------------------------------------------------

@@ -56,6 +56,45 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
     return max_rel
 
 
+def _reference_dropout(y, rate, rng):
+    return T.mul(y, T.constant(T.dropout_mask(y.data, rate, rng))) if rate > 0.0 else y
+
+
+def reference_attention_block(x, layer, num_heads, rate, rng):
+    """Primitive-chain reference for tensor.attention_block: one tape node
+    per operation."""
+    t, h = x.data.shape
+    dh = h // num_heads
+
+    def heads(y):
+        return T.transpose(T.reshape(y, (t, num_heads, dh)), (1, 0, 2))
+
+    q = heads(T.add(T.matmul(x, layer.wq), layer.bq))
+    k = heads(T.add(T.matmul(x, layer.wk), layer.bk))
+    v = heads(T.add(T.matmul(x, layer.wv), layer.bv))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    attn = T.softmax_rows(scores)
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (t, h))
+    out = _reference_dropout(T.add(T.matmul(ctx, layer.wo), layer.bo), rate, rng)
+    return T.layer_norm(T.add(x, out), layer.ln1_g, layer.ln1_b)
+
+
+def reference_ffn_block(x, layer, rate, rng):
+    """Primitive-chain reference for tensor.ffn_block."""
+    inner = T.gelu(T.add(T.matmul(x, layer.w1), layer.b1))
+    ffn = _reference_dropout(T.add(T.matmul(inner, layer.w2), layer.b2), rate, rng)
+    return T.layer_norm(T.add(x, ffn), layer.ln2_g, layer.ln2_b)
+
+
+def reference_encode(x, model, rng=None):
+    """Primitive-chain reference for encoder.encode."""
+    cfg = model.config
+    drop = 0.0 if rng is None else cfg.dropout
+    for layer in model.layers:
+        x = reference_attention_block(x, layer, cfg.num_heads, drop, rng)
+        x = reference_ffn_block(x, layer, drop, rng)
+    return x
+
 def param_count(config) -> int:
     """Exact number of trainable scalars implied by the architecture."""
     return sum(math.prod(shape) for _, shape in parameter_layout(config))

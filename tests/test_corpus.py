@@ -135,6 +135,22 @@ def test_serialize_parse_round_trip(rs_scheme):
     assert back == rs
 
 
+@given(record_sets(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_corrupted_records_file_is_rejected_or_reaches_a_fixed_point(rs_scheme, data):
+    # the reader is lenient (a missing final blank line, a dropped id), so a
+    # corrupted file need not re-save to itself; what it parses to must
+    rs, scheme = rs_scheme
+    raw = serialize_records(rs, scheme).encode("utf-8")
+    for corrupted in corruptions(raw, draw_offset(data, raw)):
+        for fixed in (None, scheme):
+            try:
+                value = parse_records(corrupted.decode("utf-8"), scheme=fixed)
+            except ValueError:
+                continue
+            assert parse_records(serialize_records(*value), scheme=fixed) == value
+
+
 def test_evaluated_classes_single_class_corpus():
     scheme = LabelScheme(labels=("N.A.", "a"))
     rs = RecordSet(split="train", records=(

@@ -19,7 +19,15 @@ from handover_ie.encoder import (
     token_loss,
 )
 
-from helpers import grad_check, param_count, probed, randomize
+from helpers import (
+    grad_check,
+    param_count,
+    probed,
+    randomize,
+    reference_attention_block,
+    reference_encode,
+    reference_ffn_block,
+)
 
 TINY = ModelConfig(num_layers=1, hidden_size=4, num_heads=2, ffn_size=8,
                    vocab_size=10, max_positions=8, num_labels=3)
@@ -36,16 +44,17 @@ def _cfg_dict(cfg):
 
 
 def record_attention(monkeypatch):
-    """Collect each layer's [heads, seq_len, seq_len] attention weights."""
+    """Collect each layer's [heads, seq_len, seq_len] attention weights from
+    the softmax kernel that tensor.attention_block calls."""
     sink = []
-    softmax_rows = T.softmax_rows
+    softmax = T._softmax
 
     def recording(x):
-        out = softmax_rows(x)
-        sink.append(out.data.copy())
+        out = softmax(x)
+        sink.append(out.copy())
         return out
 
-    monkeypatch.setattr(T, "softmax_rows", recording)
+    monkeypatch.setattr(T, "_softmax", recording)
     return sink
 
 
@@ -365,18 +374,114 @@ def test_model_binds_the_float64_arrays_it_is_given(tmp_path):
 
 def test_no_graph_outlives_its_sweep(monkeypatch):
     model = tiny_model(seed=8, num_layers=2)
-    scores = []
-    softmax_rows = T.softmax_rows
+    weights = []
+    softmax = T._softmax
 
     def keep_a_weakref(x):
-        # a Tensor takes no weak reference; watch the array that only it holds
-        scores.append(weakref.ref(x.data))
-        return softmax_rows(x)
+        # the attention weights are an activation the block keeps for its vjp
+        out = softmax(x)
+        weights.append(weakref.ref(out))
+        return out
 
-    monkeypatch.setattr(T, "softmax_rows", keep_a_weakref)
+    monkeypatch.setattr(T, "_softmax", keep_a_weakref)
     with T.recording():
         loss = token_loss(classify(encode(embed([1, 2, 3], model), model), model), [0, 2, 1])
-        assert scores[0]() is not None
+        assert weights[0]() is not None
         T.backward(loss)
-        # the sweep freed the first layer's attention scores; the loss is still held
-        assert scores[0]() is None and loss.grad is not None
+        # the sweep freed the first layer's attention weights; the loss is still held
+        assert weights[0]() is None and loss.grad is not None
+
+
+# each block, the chain of primitives it fuses, called alike, and the layer
+# parameters it reads
+BLOCKS = {
+    "attention": (lambda x, layer, rate, rng: T.attention_block(x, layer, 2, rate, rng),
+                  lambda x, layer, rate, rng: reference_attention_block(x, layer, 2, rate, rng),
+                  ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")),
+    "ffn": (T.ffn_block, reference_ffn_block, ("w1", "b1", "w2", "b2", "ln2_g", "ln2_b")),
+}
+
+
+def _cast(model, dtype):
+    for p in model.parameters():
+        p.data = p.data.astype(dtype)
+    return model
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_block_forward_is_bit_equal_to_its_primitive_chain(block, dtype, rate):
+    model = tiny_model(seed=21, hidden_size=32, ffn_size=64, max_positions=20)
+    randomize(model.parameters(), np.random.default_rng(22), scale=0.3)
+    _cast(model, dtype)
+    x = T.constant(np.random.default_rng(23).normal(0.0, 1.0, (20, 32)).astype(dtype))
+    fused_rng, chain_rng = np.random.default_rng(24), np.random.default_rng(24)
+    fused, chain, _ = BLOCKS[block]
+    out = fused(x, model.layers[0], rate, fused_rng)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == chain(x, model.layers[0], rate, chain_rng).data.tobytes()
+    # the block draws its mask, and only then, exactly as the chain does
+    assert fused_rng.bit_generator.state == chain_rng.bit_generator.state
+    drew = fused_rng.bit_generator.state != np.random.default_rng(24).bit_generator.state
+    assert drew == (rate > 0.0)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encoder_gradients_are_bit_equal_to_the_primitive_chain(dtype, dropout):
+    # 32 wide and 20 long: the key gradient's merge makes a strided view
+    # here, whose bias sum would add in another order than the chain's
+    model = tiny_model(seed=25, num_layers=2, hidden_size=32, ffn_size=64, vocab_size=50,
+                       max_positions=20, dropout=dropout)
+    randomize(model.parameters(), np.random.default_rng(26), scale=0.3)
+    _cast(model, dtype)
+    data = np.random.default_rng(27)
+    ids, labels = data.integers(0, 50, 20).tolist(), data.integers(0, 3, 20).tolist()
+
+    def grads(encode_fn):
+        T.zero_grad(model.parameters())
+        with T.recording():
+            hidden = encode_fn(embed(ids, model), model, np.random.default_rng(28))
+            T.backward(token_loss(classify(hidden, model), labels))
+        return hidden.data, [p.grad for p in model.parameters()]
+
+    (fused, fused_grads), (chain, chain_grads) = grads(encode), grads(reference_encode)
+    assert fused.tobytes() == chain.tobytes()
+    for p, a, b in zip(model.parameters(), fused_grads, chain_grads):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes(), p.name
+
+
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_block_grad_checks_with_a_fixed_dropout_mask(block):
+    rng = np.random.default_rng(29)
+    model = tiny_model(seed=29)
+    randomize(model.parameters(), rng)
+    x = T.Parameter(rng.normal(0.0, 1.0, (3, 4)), "x")
+    layer = model.layers[0]
+    fused, _, names = BLOCKS[block]
+    params = [x] + [getattr(layer, name) for name in names]
+    mask = T.dropout_mask(x.data, 0.4, np.random.default_rng(30))
+    assert 0 < np.count_nonzero(mask) < mask.size
+    readout = T.constant(rng.normal(0.0, 1.0, (12, 1)))
+
+    def loss_fn():
+        # a fresh generator per call, so every evaluation drops the same units
+        out = fused(x, layer, 0.4, np.random.default_rng(30))
+        return T.reshape(T.matmul(T.reshape(out, (1, 12)), readout), ())
+
+    assert grad_check(probed(loss_fn, params, rng), params) < 1e-6
+
+
+def test_a_recorded_window_puts_two_nodes_per_layer_on_the_tape():
+    model = tiny_model(seed=31, num_layers=2, dropout=0.2)
+    ids = [1, 2, 3]
+    with T.recording():
+        x = embed(ids, model)
+        assert len(T._tape) == 5        # three lookups, two adds
+        hidden = encode(x, model, rng=np.random.default_rng(32))
+        assert len(T._tape) == 5 + 2 * 2
+        token_loss(classify(hidden, model), [0, 2, 1])
+        assert len(T._tape) == 5 + 2 * 2 + 4    # matmul, add, log-softmax, loss
+    bare = classify(encode(embed(ids, model), model, rng=np.random.default_rng(32)), model)
+    assert T._tape is None and not bare.requires_grad

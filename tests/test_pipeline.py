@@ -27,7 +27,13 @@ from handover_ie.corpus import (
 from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
-from helpers import loop_grid_search, param_count, parse_report_json
+from helpers import (
+    corruptions,
+    draw_offset,
+    loop_grid_search,
+    param_count,
+    parse_report_json,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 METHODS = ("encoder", "crf", "random", "majority")
@@ -109,6 +115,45 @@ def test_config_text_rejects_a_repeated_key(text, key):
     line_no = len(text.splitlines())
     with pytest.raises(ValueError, match=f"config line {line_no}: duplicate key '{key}'"):
         pipeline.parse_config_text(text)
+
+
+def read_configs(text: str) -> tuple:
+    """The configs a checkpoint's config.txt gives, read as Checkpoint.load
+    reads them."""
+    train_kw, model_kw = pipeline.parse_config_text(text)
+    train_config = pipeline.TrainConfig(**train_kw)
+    if train_config.kind == "crf":
+        return (train_config,)
+    return train_config, pipeline.build_model_config(model_kw)
+
+
+CONFIGS = st.builds(
+    pipeline.TrainConfig, kind=st.sampled_from(pipeline.MODEL_KINDS),
+    learning_rate=st.floats(0.0, 1.0), batch_size=st.integers(1, 64), seed=st.integers(0, 2**32),
+    pretrained=st.text("ab./_-", max_size=6), lowercase=st.booleans(),
+    grad_tol=st.floats(0.0, 1e-3))
+MODEL_CONFIGS = st.builds(
+    ModelConfig, num_layers=st.integers(1, 3), hidden_size=st.just(8),
+    num_heads=st.sampled_from([1, 2, 4]), ffn_size=st.integers(8, 32),
+    vocab_size=st.integers(1, 500), max_positions=st.integers(1, 512),
+    num_labels=st.integers(2, 9), position_mode=st.sampled_from(encoder.POSITION_MODES),
+    dropout=st.floats(0.0, 0.9))
+
+
+@given(CONFIGS, MODEL_CONFIGS, st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_corrupted_config_file_is_rejected_or_reaches_a_fixed_point(train_config, model_config,
+                                                                     data):
+    # numbers may be spelled many ways, so a corrupted file need not re-save
+    # to itself; the configs it gives must
+    configs = (train_config,) if train_config.kind == "crf" else (train_config, model_config)
+    raw = pipeline.dump_config(*configs).encode("utf-8")
+    for corrupted in corruptions(raw, draw_offset(data, raw)):
+        try:
+            value = read_configs(corrupted.decode("utf-8"))
+        except ValueError:
+            continue
+        assert read_configs(pipeline.dump_config(*value)) == value
 
 
 def test_config_file_parsing_and_env_seed(tmp_path, monkeypatch):
