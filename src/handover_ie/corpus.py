@@ -3,27 +3,18 @@
 Records are word sequences carrying one form-slot label per word. The
 on-disk layout is CoNLL-style TSV: one ``word<TAB>label`` line per word,
 a blank line between records, and an optional ``# id: <name>`` comment
-line opening a record. Label names may carry a main-category prefix
-(``MAIN CATEGORY/Subclass``) that drives per-category reporting; labels
-without a recognized prefix are grouped under N.A.
+line opening a record.
 """
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
-MAIN_CATEGORIES = (
-    "PATIENT INTRODUCTION",
-    "MY SHIFT",
-    "APPOINTMENTS",
-    "MEDICATION",
-    "FUTURE CARE",
-)
-NA_CATEGORY = "N.A."
 SPLITS = ("train", "validation", "test")
 
 _ID_COMMENT = "# id:"
@@ -48,22 +39,12 @@ class LabelingError(ValueError):
     """A label is not a member of the governing scheme."""
 
 
-def _normalize_category(name: str) -> str:
-    return re.sub(r"[\s_]+", " ", name).strip().upper()
-
-
-_CATEGORY_LOOKUP = {_normalize_category(c): c for c in MAIN_CATEGORIES}
-
-
 @dataclass(frozen=True, slots=True)
 class LabelScheme:
     """Ordered label inventory that leads with its N.A. label.
 
     Label ids are positions in ``labels``; N.A. is always id 0, so a
-    scheme file (one label per line) keeps every id. A label spelled like
-    ``CATEGORY/rest`` with a recognized category prefix belongs to that
-    main category; everything else (including N.A. itself) maps to the
-    N.A. category.
+    scheme file (one label per line) keeps every id.
     """
 
     labels: tuple[str, ...]
@@ -90,12 +71,6 @@ class LabelScheme:
     @property
     def na_id(self) -> int:
         return self.labels.index(self.na_label)
-
-    def main_category(self, label: str) -> str:
-        if label == self.na_label or "/" not in label:
-            return NA_CATEGORY
-        prefix = _normalize_category(label.split("/", 1)[0])
-        return _CATEGORY_LOOKUP.get(prefix, NA_CATEGORY)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,28 +143,25 @@ def parse_records(
     LabelingError for labels outside a fixed scheme.
     """
     raw: list[tuple[str | None, list[str], list[str]]] = []
-    pending_id: str | None = None
+    # the open record: its id and the line of its id comment, words, labels
+    rid: str | None = None
+    id_line = 0
     words: list[str] = []
     names: list[str] = []
-
-    def flush() -> None:
-        nonlocal pending_id, words, names
-        if words:
-            raw.append((pending_id, words, names))
-        pending_id = None
-        words, names = [], []
-
-    line_no = 0
-    for line in read_lines(stream):
-        line_no += 1
+    # one trailing blank line closes the last record
+    for line_no, line in enumerate(itertools.chain(read_lines(stream), [""]), start=1):
         if line == "":
-            flush()
+            if words:
+                raw.append((rid, words, names))
+            elif rid is not None:
+                raise ParseError("id comment for an empty record", id_line)
+            rid, words, names = None, [], []
             continue
         if "\t" not in line:
             if line.startswith(_ID_COMMENT):
-                if words:
+                if words or rid is not None:
                     raise ParseError("id comment inside a record", line_no)
-                pending_id = line[len(_ID_COMMENT):].strip()
+                rid, id_line = line[len(_ID_COMMENT):].strip(), line_no
                 continue
             raise ParseError(f"expected 2 tab-separated columns, got 1: {line!r}", line_no)
         cols = line.split("\t")
@@ -204,9 +176,6 @@ def parse_records(
             raise ParseError("empty label field", line_no)
         words.append(word)
         names.append(label)
-    flush()
-    if pending_id is not None:
-        raise ParseError("id comment for an empty record", line_no)
 
     if scheme is None:
         observed = {name for _, _, labs in raw for name in labs}

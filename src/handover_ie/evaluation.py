@@ -5,16 +5,58 @@ label each); any 0/0 ratio evaluates to 0; macro values are unweighted
 means over the evaluated class set, with macro F1 the mean of per-class
 F1 rather than the harmonic mean of macro P and macro R; main-category
 rows pool the counts of their evaluated subclasses.
+
+Label names may carry a main-category prefix (``MAIN CATEGORY/Subclass``)
+that drives per-category reporting; labels without a recognized prefix
+are grouped under N.A. ``label_category`` alone reads that prefix.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
+import string
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import NA_CATEGORY, MAIN_CATEGORIES, LabelScheme, RecordSet
+from .corpus import LabelScheme, RecordSet
 from .tokenizer import AlignmentError
+
+MAIN_CATEGORIES = ("PATIENT INTRODUCTION", "MY SHIFT", "APPOINTMENTS", "MEDICATION",
+                   "FUTURE CARE")
+NA_CATEGORY = "N.A."
+
+
+def _normalize_category(name: str) -> str:
+    return re.sub(r"[\s_]+", " ", name).strip().upper()
+
+
+_CATEGORY_LOOKUP = {_normalize_category(c): c for c in MAIN_CATEGORIES}
+
+
+def label_category(scheme: LabelScheme, label: str) -> tuple[str, str]:
+    """(main category, row name) of a label in the report. A label spelled
+    ``CATEGORY/rest`` with a recognized category prefix (any case, spaces
+    or underscores) is row ``rest`` of that category; everything else,
+    N.A. itself included, is its own row under the N.A. category."""
+    if label != scheme.na_label and "/" in label:
+        prefix, rest = label.split("/", 1)
+        category = _CATEGORY_LOOKUP.get(_normalize_category(prefix))
+        if category is not None:
+            return category, rest.strip()
+    return NA_CATEGORY, label
+
+
+def _by_category(scheme: LabelScheme, ids: Iterable[int]) -> Iterator[tuple[str, list[int]]]:
+    """(category, member ids in the given order) for each category with a
+    member, in report order: the main categories, then N.A."""
+    members: dict[str, list[int]] = {cat: [] for cat in (*MAIN_CATEGORIES, NA_CATEGORY)}
+    for i in ids:
+        members[label_category(scheme, scheme.labels[i])[0]].append(i)
+    yield from ((cat, m) for cat, m in members.items() if m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,13 +138,8 @@ def build_report(
     mp, mr, mf = macro_average(per_class, evaluated)
 
     categories: dict[str, tuple[int, int, int, float, float, float]] = {}
-    for cat in (*MAIN_CATEGORIES, NA_CATEGORY):
-        members = [i for i in ids if scheme.main_category(scheme.labels[i]) == cat]
-        if not members:
-            continue
-        ctp = sum(counts.tp[i] for i in members)
-        cfp = sum(counts.fp[i] for i in members)
-        cfn = sum(counts.fn[i] for i in members)
+    for cat, members in _by_category(scheme, ids):
+        ctp, cfp, cfn = (sum(c[i] for i in members) for c in (counts.tp, counts.fp, counts.fn))
         categories[cat] = (ctp, cfp, cfn, *prf_from_counts(ctp, cfp, cfn))
     return EvalReport(
         evaluated=evaluated,
@@ -183,72 +220,44 @@ def _emit_json(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> 
 
 
 def _emit_csv(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> str:
-    lines = ["class,tp,fp,fn,precision,recall,f1"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("class", "tp", "fp", "fn", "precision", "recall", "f1"))
     for i, name in enumerate(scheme.labels):
-        if name not in report.per_class:
-            continue
-        p, r, f = report.per_class[name]
-        cell = name.replace('"', '""')
-        cls = f'"{cell}"' if "," in name or '"' in name else name
-        lines.append(f"{cls},{counts.tp[i]},{counts.fp[i]},{counts.fn[i]},{p!r},{r!r},{f!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _subclass_name(scheme: LabelScheme, label: str) -> str:
-    if scheme.main_category(label) != NA_CATEGORY and "/" in label:
-        return label.split("/", 1)[1].strip()
-    return label
+        if name in report.per_class:
+            writer.writerow((name, counts.tp[i], counts.fp[i], counts.fn[i],
+                             *map(repr, report.per_class[name])))
+    return out.getvalue()
 
 
 def _emit_table(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> str:
-    width = max(
-        [28]
-        + [len(_subclass_name(scheme, n)) + 2 for n in scheme.labels]
-        + [len(c) + 3 for c in report.categories]
-    )
-    header = (
-        f"{'CATEGORY':<{width}}{'WORDS':>7}{'TP':>7}{'FP':>7}{'FN':>7}"
-        f"{'P':>9}{'R':>9}{'F1':>9}"
-    )
+    width = max([28] + [len(label_category(scheme, n)[1]) + 2 for n in scheme.labels]
+                + [len(c) + 3 for c in report.categories])
+
+    def row(title: str, cells: tuple, prf: tuple) -> str:
+        metrics = "".join(f"{v:>9}" if isinstance(v, str) else f"{v:>9.4f}" for v in prf)
+        return f"{title:<{width}}" + "".join(f"{c:>7}" for c in cells) + metrics
+
+    header = row("CATEGORY", ("WORDS", "TP", "FP", "FN"), ("P", "R", "F1"))
     rule = "-" * len(header)
     lines = [header, rule]
-    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    cat_no = 0
-    for cat in (*MAIN_CATEGORIES, NA_CATEGORY):
-        members = [
-            (i, name) for i, name in enumerate(scheme.labels)
-            if scheme.main_category(name) == cat
-            and (name in report.per_class or counts.tp[i] + counts.fp[i] + counts.fn[i] > 0)
-        ]
-        if not members:
-            continue
+    shown = [i for i, name in enumerate(scheme.labels)
+             if name in report.per_class or counts.tp[i] + counts.fp[i] + counts.fn[i] > 0]
+    for letter, (cat, members) in zip(string.ascii_uppercase, _by_category(scheme, shown)):
+        title = f"{letter}. {cat}"
         if cat in report.categories:
-            tp, fp, fn, p, r, f = report.categories[cat]
-            words = tp + fn
-            title = f"{letters[cat_no]}. {cat}"
-            lines.append(
-                f"{title:<{width}}{words:>7}{tp:>7}{fp:>7}{fn:>7}{p:>9.4f}{r:>9.4f}{f:>9.4f}"
-            )
+            tp, fp, fn, *prf = report.categories[cat]
+            lines.append(row(title, (tp + fn, tp, fp, fn), prf))
         else:
-            lines.append(f"{letters[cat_no]}. {cat}")
-        cat_no += 1
-        for i, name in members:
+            lines.append(title)
+        for i in members:
+            name = scheme.labels[i]
             tag = "" if name in report.per_class else " *"
-            row = f"  {_subclass_name(scheme, name)}{tag}"
-            words = counts.tp[i] + counts.fn[i]
-            if name in report.per_class:
-                p, r, f = report.per_class[name]
-                metr = f"{p:>9.4f}{r:>9.4f}{f:>9.4f}"
-            else:
-                metr = f"{'-':>9}{'-':>9}{'-':>9}"
-            lines.append(
-                f"{row:<{width}}{words:>7}{counts.tp[i]:>7}{counts.fp[i]:>7}{counts.fn[i]:>7}{metr}"
-            )
+            tp, fp, fn = counts.tp[i], counts.fp[i], counts.fn[i]
+            lines.append(row(f"  {label_category(scheme, name)[1]}{tag}", (tp + fn, tp, fp, fn),
+                             report.per_class.get(name, ("-", "-", "-"))))
     lines.append(rule)
-    total = f"TOTAL (macro over {len(report.evaluated)} classes)"
-    lines.append(
-        f"{total:<{width}}{'':>7}{'':>7}{'':>7}{'':>7}"
-        f"{report.macro_precision:>9.4f}{report.macro_recall:>9.4f}{report.macro_f1:>9.4f}"
-    )
+    lines.append(row(f"TOTAL (macro over {len(report.evaluated)} classes)", ("",) * 4,
+                     (report.macro_precision, report.macro_recall, report.macro_f1)))
     lines.append("rows marked * are outside the evaluated class set")
     return "\n".join(lines) + "\n"

@@ -301,6 +301,12 @@ def validation_macro_f1(pred: RecordSet, gold: RecordSet, scheme: LabelScheme,
     return build_report(counts, scheme, evaluated).macro_f1
 
 
+def _check_kind(config: TrainConfig, kind: str) -> None:
+    # the checkpoint writes config.kind, and loading reads the model back by it
+    if config.kind != kind:
+        raise ValueError(f"a {kind} trainer got a config of kind {config.kind!r}")
+
+
 def fine_tune(
     train: RecordSet,
     valid: RecordSet,
@@ -311,6 +317,7 @@ def fine_tune(
 ) -> tuple[Checkpoint, list[dict]]:
     """Mini-batch Adam on the token cross-entropy; keeps the epoch with the
     best validation macro F1. Deterministic for a fixed seed."""
+    _check_kind(config, "encoder")
     if not train.records or not valid.records:
         raise ValueError("train and validation sets must be nonempty")
     check_compatible(model_config, table, scheme)
@@ -379,6 +386,7 @@ def train_crf(
 ) -> tuple[Checkpoint, list[dict]]:
     """Quasi-Newton CRF fit; validation macro F1 and whether L-BFGS
     converged are reported once at the end."""
+    _check_kind(config, "crf")
     model = crf_mod.CrfModel.build(train, scheme, config.feature_cutoff)
     fitted, history, converged = crf_mod.train(
         model, train, config.l2_lambda, config.max_iters, config.grad_tol)

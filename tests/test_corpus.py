@@ -21,6 +21,7 @@ from handover_ie.corpus import (
     parse_records,
     serialize_records,
 )
+from handover_ie.evaluation import label_category
 
 from helpers import as_saved, corruptions, draw_offset
 
@@ -93,6 +94,25 @@ def test_parse_malformed_line_reports_line_number():
     # a word holding a space could never be a BPE symbol sequence in merges.txt
     with pytest.raises(ParseError) as err:
         parse_records("ok\tN.A.\nno way\tN.A.\n")
+    assert err.value.line_no == 2
+
+
+def test_parse_rejects_an_id_comment_after_the_last_record():
+    with pytest.raises(ParseError, match="id comment for an empty record") as err:
+        parse_records("w\tN.A.\n\n# id: a\n")
+    assert err.value.line_no == 3
+
+
+def test_parse_rejects_an_id_comment_closed_by_a_blank_line():
+    # the id would otherwise be dropped and the record below named r0000
+    with pytest.raises(ParseError, match="id comment for an empty record") as err:
+        parse_records("# id: a\n\nw\tN.A.\n")
+    assert err.value.line_no == 1
+
+
+def test_parse_rejects_a_second_id_comment_for_one_record():
+    with pytest.raises(ParseError) as err:
+        parse_records("# id: a\n# id: b\nw\tN.A.\n")
     assert err.value.line_no == 2
 
 
@@ -222,9 +242,9 @@ def test_scheme_validation_and_categories():
         # a scheme file keeps ids only when N.A. leads
         LabelScheme(labels=("alpha", "N.A.", "bravo"))
     scheme = LabelScheme(labels=("N.A.", "MY SHIFT/Status", "odd"))
-    assert scheme.main_category("MY SHIFT/Status") == "MY SHIFT"
-    assert scheme.main_category("odd") == "N.A."
-    assert scheme.main_category("N.A.") == "N.A."
+    assert label_category(scheme, "MY SHIFT/Status") == ("MY SHIFT", "Status")
+    assert label_category(scheme, "odd") == ("N.A.", "odd")
+    assert label_category(scheme, "N.A.") == ("N.A.", "N.A.")
 
 
 def test_scheme_file_round_trip():

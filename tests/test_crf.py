@@ -425,6 +425,19 @@ def test_lbfgs_diverging_objective_raises():
         minimize_lbfgs(bad, np.array([700.0]), 50, GRAD_TOL)
 
 
+def test_lbfgs_gives_up_when_no_direction_descends():
+    # the gradient points uphill: the line search fails along the L-BFGS
+    # direction and again along the steepest-descent restart
+    def uphill(x):
+        return x @ x, -2 * x
+
+    start = np.array([1.0, -2.0])
+    x, history, converged = minimize_lbfgs(uphill, start, 10, 1e-9)
+    assert np.array_equal(x, start)
+    assert history == [5.0]
+    assert converged is False
+
+
 def test_lbfgs_solves_quadratic():
     rng = np.random.default_rng(6)
     a = rng.normal(0, 1, (8, 8))

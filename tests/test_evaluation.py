@@ -14,6 +14,7 @@ from handover_ie.evaluation import (
     build_report,
     confusion_counts,
     emit_report,
+    label_category,
     macro_average,
     majority_label,
     prf_from_counts,
@@ -110,7 +111,7 @@ def test_reference_counts_reproduce_reference_metrics():
 def test_reference_category_rows_are_pooled_counts():
     scheme = LabelScheme(labels=reference_scheme_labels())
     for cat, want in REFERENCE_CATEGORY_METRICS.items():
-        members = [c for c in REFERENCE_COUNTS if scheme.main_category(c) == cat]
+        members = [c for c in REFERENCE_COUNTS if label_category(scheme, c)[0] == cat]
         tp = sum(REFERENCE_COUNTS[c][0] for c in members)
         fp = sum(REFERENCE_COUNTS[c][1] for c in members)
         fn = sum(REFERENCE_COUNTS[c][2] for c in members)
@@ -277,3 +278,32 @@ def test_macro_can_exclude_na(small_scheme):
     assert without.macro_f1 == pytest.approx(
         sum(without.per_class[c][2] for c in without.evaluated) / 2
     )
+
+
+def test_report_pins_unevaluated_rows_odd_prefixes_and_quoted_cells():
+    # MEDICATION/Dose is counted but not evaluated, as a label of the test
+    # split only is; APPOINTMENTS/Time has no count and is not shown
+    scheme = LabelScheme(labels=("N.A.", "APPOINTMENTS/Time", "MEDICATION/Dose",
+                                 "my_shift / Input", 'x,"y"'))
+    counts = ClassCounts(tp=(5, 0, 0, 3, 1), fp=(1, 0, 2, 1, 0), fn=(2, 0, 1, 0, 1))
+    report = build_report(counts, scheme, {0, 3, 4})
+    assert emit_report(report, counts, "table", scheme) == "\n".join([
+        "CATEGORY                      WORDS     TP     FP     FN        P        R       F1",
+        "-----------------------------------------------------------------------------------",
+        "A. MY SHIFT                       3      3      1      0   0.7500   1.0000   0.8571",
+        "  Input                           3      3      1      0   0.7500   1.0000   0.8571",
+        "B. MEDICATION",
+        "  Dose *                          1      0      2      1        -        -        -",
+        "C. N.A.                           9      6      1      3   0.8571   0.6667   0.7500",
+        "  N.A.                            7      5      1      2   0.8333   0.7143   0.7692",
+        '  x,"y"                           2      1      0      1   1.0000   0.5000   0.6667',
+        "-----------------------------------------------------------------------------------",
+        "TOTAL (macro over 3 classes)                               0.8611   0.7381   0.7643",
+        "rows marked * are outside the evaluated class set",
+    ]) + "\n"
+    assert emit_report(report, counts, "csv", scheme) == "\n".join([
+        "class,tp,fp,fn,precision,recall,f1",
+        "N.A.,5,1,2,0.8333333333333334,0.7142857142857143,0.7692307692307692",
+        "my_shift / Input,3,1,0,0.75,1.0,0.8571428571428571",
+        '"x,""y""",1,0,1,1.0,0.5,0.6666666666666666',
+    ]) + "\n"

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
-from handover_ie.cli import main as cli_main
+from handover_ie.cli import build_parser, main as cli_main
 from handover_ie.corpus import (
     LabelingError,
     LabelScheme,
@@ -552,6 +552,27 @@ def test_crf_checkpoint_round_trip(tmp_path):
     assert pipeline.predict(loaded, empty) == empty
 
 
+def _fit_nothing(*args, **kwargs):
+    raise AssertionError("a trainer began to fit with a config of the other kind")
+
+
+def test_train_crf_rejects_an_encoder_config(tiny_setup, monkeypatch):
+    # its checkpoint would say kind=encoder in config.txt and fail to load
+    scheme, train, valid, _, _ = tiny_setup
+    monkeypatch.setattr(crf, "train", _fit_nothing)
+    with pytest.raises(ValueError, match="crf trainer got a config of kind 'encoder'"):
+        pipeline.train_crf(train, valid, scheme, pipeline.TrainConfig(max_iters=5))
+
+
+def test_fine_tune_rejects_a_crf_config(tiny_setup, monkeypatch):
+    # its encoder files would load as a CRF and fail on crf_features.tsv
+    scheme, train, valid, table, model_config = tiny_setup
+    monkeypatch.setattr(pipeline, "EncoderModel", _fit_nothing)
+    with pytest.raises(ValueError, match="encoder trainer got a config of kind 'crf'"):
+        pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(kind="crf"),
+                           model_config)
+
+
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
     scheme = default_synthetic_scheme()
     train = generate_synthetic(8, scheme, seed=36)
@@ -744,6 +765,20 @@ def test_cli_eval_table_and_csv(tmp_path, capsys):
                          "--train", str(paths["train"]), "--format", fmt]) == 0
         out = capsys.readouterr().out
         assert out
+
+
+def test_readme_cli_synopsis_parses():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    parser = build_parser()
+    seen = set()
+    for line in filter(str.strip, block.replace("\\\n", " ").splitlines()):
+        prog, *argv = line.replace("[", "").replace("]", "").split()
+        assert prog == "handover-ie", line
+        args = parser.parse_args(argv)
+        seen.add(" ".join(filter(None, (args.command, getattr(args, "tok_command", None)))))
+    assert seen == {"synth", "tokenizer train", "tokenizer encode", "train", "predict",
+                    "eval", "baseline"}
 
 
 def test_cli_validation_exit_code(tmp_path, capsys):
