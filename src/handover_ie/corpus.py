@@ -55,6 +55,10 @@ class LabelScheme:
             raise ValueError("duplicate label names in scheme")
         if self.labels[:1] != (self.na_label,):
             raise ValueError(f"scheme must start with its N.A. label {self.na_label!r}")
+        # files break lines at exactly these two, so no file could hold such a label
+        broken = [label for label in self.labels if "\n" in label or "\r" in label]
+        if broken:
+            raise ValueError(f"label {broken[0]!r} holds a line break")
 
     @classmethod
     def from_labels(cls, observed: Iterable[str], na_label: str = "N.A.") -> "LabelScheme":

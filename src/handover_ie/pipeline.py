@@ -248,33 +248,75 @@ class Checkpoint:
 
 
 class Adam:
-    """Adam with bias correction and decoupled optional weight decay."""
+    """Adam with bias correction and decoupled optional weight decay, over
+    one flat store.
+
+    Building it packs the parameters, one at a time, into one C-ordered
+    float64 buffer, `data`, and rebinds each `Parameter.data` to its view
+    of it; each `Parameter.grad` is bound to its view of one zeroed buffer,
+    `grad`. Backward adds into those views, so a gradient under Adam is
+    written into, never rebound: an array assigned to `p.grad` is one Adam
+    does not see. `zero_grad` zeroes every gradient at once, and a
+    parameter backward did not reach keeps a zero gradient.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
+    BLOCK = 1 << 15     # elements updated per pass; keeps the temporaries in cache
 
     def __init__(self, params: Sequence[T.Parameter], lr: float, weight_decay: float):
-        self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in params)
+        self.data = np.empty(size)
+        self.grad = np.zeros(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        stop = size
+        for p in reversed(params):
+            # one parameter at a time, and newest first: the allocator returns
+            # freed memory only from the top of its heap, so packing oldest first
+            # would keep the whole unpacked model resident until the last one
+            start = stop - p.data.size
+            view = self.data[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            p.grad = self.grad[start:stop].reshape(view.shape)
+            stop = start
+        self._tmp = np.empty((2, min(size, self.BLOCK)))
+
+    def zero_grad(self) -> None:
+        """Zero every parameter's gradient in place."""
+        self.grad.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            # a parameter backward did not reach has a zero gradient
-            g = 0.0 if p.grad is None else p.grad
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+        b1, b2 = self.b1, self.b2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for start in range(0, self.data.size, self.BLOCK):
+            block = slice(start, start + self.BLOCK)
+            p, g, m, v = self.data[block], self.grad[block], self.m[block], self.v[block]
+            tmp, update = self._tmp[:, :p.size]
+            # the ufuncs of m += (1 - b1) * g and v += (1 - b2) * g * g, in their
+            # order, so the result is bit-equal to the per-parameter expressions
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            # update = (m / c1) / (sqrt(v / c2) + eps) [+ weight_decay * p]
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, c1, out=update)
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                np.multiply(p, self.weight_decay, out=tmp)
+                update += tmp
+            update *= self.lr
+            p -= update
 
 
 def _predict_encoder(model: EncoderModel, records: RecordSet,
@@ -336,16 +378,16 @@ def fine_tune(
     valid_windows = [encode_words(rec.words, table, config.max_len) for rec in valid.records]
     evaluated = evaluated_classes(train, scheme)
 
-    # macro F1 is never below 0, so the first epoch always sets best_state
+    # macro F1 is never below 0, so the first epoch always fills best_state
     best_f1 = -1.0
-    best_state: list[np.ndarray] = []
+    best_state = np.empty_like(optimizer.data)
     metrics: list[dict] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            T.zero_grad(model.parameters())
+            optimizer.zero_grad()
             for j in batch:
                 seq, labels = examples[j]
                 with T.recording():
@@ -367,9 +409,9 @@ def fine_tune(
         })
         if val_f1 > best_f1:
             best_f1 = val_f1
-            best_state = [p.data.copy() for p in model.parameters()]
-    for p, data in zip(model.parameters(), best_state):
-        p.data = data
+            np.copyto(best_state, optimizer.data)
+    np.copyto(optimizer.data, best_state)
+    # the model keeps its views of the weights and drops those of the gradients
     T.zero_grad(model.parameters())
     checkpoint = Checkpoint(
         kind="encoder", scheme=scheme, train_config=config,

@@ -11,7 +11,10 @@ a scalar on that tape pops the tape newest first, which reaches every
 node after all of its consumers, and so fills exact gradients for all
 reachable leaves. The sweep consumes the tape: a graph is swept at most
 once, and it is freed as it is swept. A tensor's ``grad`` is None until
-backward first reaches it, and ``zero_grad`` sets it back to None.
+backward first reaches it, and ``zero_grad`` sets it back to None. The
+exception is a parameter under ``pipeline.Adam``: its ``grad`` is bound as
+a zeroed view of the optimizer's flat gradient buffer, backward adds into
+that view, and ``fine_tune`` drops the views when it ends.
 float64 is the default precision; float32 is accepted and preserved.
 Also home to the bit-exact tensor archive used for checkpoints.
 """
@@ -104,10 +107,13 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray, rows: np.ndarray | None = None) -> None:
     """Add g into t.grad, or scatter-add it into the given rows of t.grad.
 
-    The only place a gradient buffer is made: the first contribution
-    allocates it in t.data's layout. BLAS sums a transposed operand in
-    another order, so a buffer in any other layout changes the last bits
-    of the weights a training run ends with.
+    The only place a gradient buffer is made: when t.grad is None, the
+    first contribution allocates it in t.data's layout. BLAS sums a
+    transposed operand in another order, so a buffer in any other layout
+    changes the last bits of the weights a training run ends with. A
+    parameter whose gradient is bound to a zeroed view (``pipeline.Adam``)
+    allocates nothing: each contribution, the first too, adds into the
+    view, and 0.0 + g == g.
     """
     if not t.requires_grad:
         return
@@ -162,31 +168,40 @@ def zero_grad(tensors: Iterable[Tensor]) -> None:
 
 # --- kernels: the math the primitives and the encoder blocks share --------------
 
+# The reductions call the ufuncs' reduce directly: ndarray.sum and .max call
+# the same reduce, and .mean and .var are that sum divided by the row length,
+# so the results are bit-equal to the wrappers' without their Python cost.
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - _max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _sum(e, axis=-1, keepdims=True)
 
 
 def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    inner = (g * y).sum(axis=-1, keepdims=True)
+    inner = _sum(g * y, axis=-1, keepdims=True)
     return y * (g - inner)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """The normalized and affine output, with the xhat and 1/std its vjp reads."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = x - _sum(x, axis=-1, keepdims=True) / n
+    var = _sum(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mean) * inv
+    xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
 
 def _layer_norm_vjp(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
                     inv: np.ndarray) -> np.ndarray:
+    n = g.shape[-1]
     gx = g * gain
-    m1 = gx.mean(axis=-1, keepdims=True)
-    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    m1 = _sum(gx, axis=-1, keepdims=True) / n
+    m2 = _sum(gx * xhat, axis=-1, keepdims=True) / n
     return inv * (gx - m1 - xhat * m2)
 
 
@@ -287,12 +302,12 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x.data - _max(x.data, axis=-1, keepdims=True)
+    lse = np.log(_sum(np.exp(shifted), axis=-1, keepdims=True))
     y = shifted - lse
 
     def vjp(g):
-        _accum(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+        _accum(x, g - np.exp(y) * _sum(g, axis=-1, keepdims=True))
 
     return _result(y, (x,), vjp)
 
@@ -395,8 +410,8 @@ def _residual_norm_vjp(g: np.ndarray, gain: Tensor, bias: Tensor, saved):
     """Accumulate the norm's parameter gradients; return the gradients of
     the residual input and of the sub-layer output."""
     mask, xhat, inv = saved
-    _accum(gain, (g * xhat).sum(axis=0))
-    _accum(bias, g.sum(axis=0))
+    _accum(gain, _sum(g * xhat, axis=0))
+    _accum(bias, _sum(g, axis=0))
     g_res = _layer_norm_vjp(g, gain.data, xhat, inv)
     return g_res, g_res if mask is None else g_res * mask
 
@@ -431,7 +446,7 @@ def attention_block(x: Tensor, layer, num_heads: int, rate: float,
 
     def vjp(g):
         g_res, g_out = _residual_norm_vjp(g, layer.ln1_g, layer.ln1_b, tail)
-        _accum(layer.bo, g_out.sum(axis=0))
+        _accum(layer.bo, _sum(g_out, axis=0))
         _accum(layer.wo, ctx.T @ g_out)
         g_ctx = heads(g_out @ layer.wo.data.T)
         g_scores = _softmax_vjp(g_ctx @ v.swapaxes(-1, -2), attn) * c
@@ -442,7 +457,7 @@ def attention_block(x: Tensor, layer, num_heads: int, rate: float,
         # value, key, query: the order the primitive chain's sweep added them in
         for (w, b), g_head in zip(projections[::-1], g_heads[::-1]):
             g_proj = merge(g_head)
-            _accum(b, g_proj.sum(axis=0))
+            _accum(b, _sum(g_proj, axis=0))
             _accum(w, xd.T @ g_proj)
             if x.requires_grad:
                 g_x = g_x + g_proj @ w.data.T
@@ -465,10 +480,10 @@ def ffn_block(x: Tensor, layer, rate: float, rng: np.random.Generator | None) ->
 
     def vjp(g):
         g_res, g_out = _residual_norm_vjp(g, layer.ln2_g, layer.ln2_b, tail)
-        _accum(layer.b2, g_out.sum(axis=0))
+        _accum(layer.b2, _sum(g_out, axis=0))
         _accum(layer.w2, inner.T @ g_out)
         g_pre = _gelu_vjp(g_out @ layer.w2.data.T, pre, cdf)
-        _accum(layer.b1, g_pre.sum(axis=0))
+        _accum(layer.b1, _sum(g_pre, axis=0))
         _accum(layer.w1, xd.T @ g_pre)
         if x.requires_grad:
             _accum(x, g_res + g_pre @ layer.w1.data.T)

@@ -95,6 +95,61 @@ def reference_encode(x, model, rng=None):
         x = reference_ffn_block(x, layer, drop, rng)
     return x
 
+
+def reference_softmax(x):
+    """tensor._softmax through numpy's reduction wrappers."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_layer_norm(x, gain, bias):
+    """tensor._layer_norm through np.mean and np.var."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T.LAYER_NORM_EPS)
+    xhat = (x - mean) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def reference_layer_norm_vjp(g, gain, xhat, inv):
+    """tensor._layer_norm_vjp through np.mean."""
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gx - m1 - xhat * m2)
+
+
+class ReferenceAdam:
+    """Per-parameter reference for pipeline.Adam: one moment pair per
+    parameter, a None gradient read as zero, and each update rebinding
+    p.data to a new array."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float, weight_decay: float):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1 ** self.t
+        c2 = 1.0 - self.b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = 0.0 if p.grad is None else p.grad
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data = p.data - self.lr * update
+
+
 def param_count(config) -> int:
     """Exact number of trainable scalars implied by the architecture."""
     return sum(math.prod(shape) for _, shape in parameter_layout(config))

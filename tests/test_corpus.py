@@ -247,6 +247,17 @@ def test_scheme_validation_and_categories():
     assert label_category(scheme, "N.A.") == ("N.A.", "N.A.")
 
 
+def test_scheme_rejects_a_label_holding_a_line_feed():
+    with pytest.raises(ValueError, match="holds a line break"):
+        LabelScheme(labels=("N.A.", "a\nb"))
+
+
+def test_scheme_rejects_a_label_holding_a_carriage_return():
+    # a CSV report writes \r unquoted, and a reader would split its row there
+    with pytest.raises(ValueError, match="holds a line break"):
+        LabelScheme(labels=("N.A.", "a\rb"))
+
+
 def test_scheme_file_round_trip():
     scheme = LabelScheme(labels=("N.A.", "b", "a"))
     assert load_scheme(dump_scheme(scheme)) == scheme

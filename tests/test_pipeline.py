@@ -28,6 +28,7 @@ from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
 from helpers import (
+    ReferenceAdam,
     corruptions,
     draw_offset,
     loop_grid_search,
@@ -194,16 +195,69 @@ def test_fine_tune_leaves_no_gradient_buffers(tiny_setup):
 
 
 def test_adam_reads_a_missing_gradient_as_zero():
+    # gradients are written through the bound views, as backward writes them
     rng = np.random.default_rng(0)
     start = rng.normal(0, 1, (3, 2))
     reached, unreached = T.Parameter(start.copy(), "a"), T.Parameter(start.copy(), "b")
     opt = pipeline.Adam([reached, unreached], lr=0.1, weight_decay=0.01)
+    first = rng.normal(0, 1, (3, 2))
     for step in range(3):
-        reached.grad = rng.normal(0, 1, (3, 2)) if step == 0 else np.zeros((3, 2))
-        unreached.grad = reached.grad.copy() if step == 0 else None
+        opt.zero_grad()
+        if step == 0:
+            reached.grad[...] = first
+            unreached.grad[...] = first
+        else:
+            # backward reaches only one of the two
+            reached.grad[...] = 0.0
         opt.step()
     assert reached.data.tobytes() == unreached.data.tobytes()
-    assert not np.array_equal(reached.data, start)
+    # the first step moves every element by about lr; ignoring the gradients
+    # would leave only weight decay, which moves each by about lr * 0.01 * |p|
+    assert np.abs(reached.data - start).min() > 0.05
+
+
+def test_adam_packs_parameters_into_one_store():
+    rng = np.random.default_rng(1)
+    # a strided array, a vector and a scalar; packing copies them and leaves them be
+    arrays = [rng.normal(0, 1, (4, 3)).T, rng.normal(0, 1, 5), np.asarray(2.5)]
+    params = [T.Parameter(a, f"p{i}") for i, a in enumerate(arrays)]
+    opt = pipeline.Adam(params, lr=0.1, weight_decay=0.0)
+    assert opt.data.size == opt.grad.size == 12 + 5 + 1
+    for p, a in zip(params, arrays):
+        assert np.array_equal(p.data, a) and p.data.flags.c_contiguous
+        assert p.data.base is opt.data and p.grad.base is opt.grad
+        assert not p.grad.any()
+    params[0].grad[...] = 1.0
+    opt.step()
+    assert not np.array_equal(params[0].data, arrays[0])
+    assert np.array_equal(params[1].data, arrays[1])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_flat_adam_matches_the_per_parameter_adam(weight_decay):
+    """200 steps, bit for bit. The store is two update blocks, the second
+    one partial, and the edge between them falls inside the 200x200 weight;
+    the last parameter's gradient stays None for the reference and zero in
+    the store."""
+    rng = np.random.default_rng(2)
+    shapes = [(7,), (200, 200), (3, 5), (2, 4)]
+    starts = [rng.normal(0, 1, shape) for shape in shapes]
+    flat = [T.Parameter(a.copy(), f"p{i}") for i, a in enumerate(starts)]
+    loop = [T.Parameter(a.copy(), f"p{i}") for i, a in enumerate(starts)]
+    opt = pipeline.Adam(flat, lr=0.01, weight_decay=weight_decay)
+    ref = ReferenceAdam(loop, lr=0.01, weight_decay=weight_decay)
+    assert 7 < opt.BLOCK < 7 + 200 * 200 < 2 * opt.BLOCK
+    for _ in range(200):
+        opt.zero_grad()
+        for p, q in zip(flat[:-1], loop[:-1]):
+            q.grad = rng.normal(0, 1, q.data.shape)
+            p.grad[...] = q.grad
+        opt.step()
+        ref.step()
+    for p, q in zip(flat, loop):
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+    # weight decay alone moves the parameter backward never reached
+    assert np.array_equal(flat[-1].data, starts[-1]) == (weight_decay == 0.0)
 
 
 def test_same_seed_gives_byte_identical_checkpoints(tiny_setup, tmp_path):

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from handover_ie import tensor as T
 from handover_ie.tokenizer import IGNORE_INDEX
 
-from helpers import grad_check
+from helpers import (
+    grad_check,
+    reference_layer_norm,
+    reference_layer_norm_vjp,
+    reference_softmax,
+)
 
 def rows(min_cols=2, max_cols=6):
     return st.lists(
@@ -53,6 +58,35 @@ def test_layer_norm_standardizes_rows():
     out = T.layer_norm(x, gain, bias).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-6
+
+
+KERNEL_SHAPES = [(48, 32), (1, 32), (7, 32), (300, 33), (5, 1), (128, 768)]
+
+
+def kernel_inputs(shape, dtype, offset):
+    """Rows, a gain and a bias for one shape; offset shifts every row's
+    mean far from its spread."""
+    rng = np.random.default_rng(math.prod(shape))
+    x = rng.normal(offset, 1.0, shape).astype(dtype)
+    gain, bias = (rng.normal(1.0, 0.5, shape[-1]).astype(dtype) for _ in range(2))
+    return x, gain, bias, rng.normal(0.0, 1.0, shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_kernels_are_bit_equal_to_numpys_reduction_wrappers(shape, dtype, offset):
+    x, gain, bias, g = kernel_inputs(shape, dtype, offset)
+    got, want = T._layer_norm(x, gain, bias), reference_layer_norm(x, gain, bias)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+    _, xhat, inv = want
+    a = T._layer_norm_vjp(g, gain, xhat, inv)
+    b = reference_layer_norm_vjp(g, gain, xhat, inv)
+    assert a.dtype == dtype and a.tobytes() == b.tobytes()
+    scores = x - np.asarray(offset, dtype=dtype)
+    a, b = T._softmax(scores), reference_softmax(scores)
+    assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def test_log_softmax_matches_log_of_softmax():
