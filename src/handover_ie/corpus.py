@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence, TextIO
 import numpy as np
 
 SPLITS = ("train", "validation", "test")
+# the N.A. label of a scheme that parse_records builds from a file's labels
+NA_LABEL = "N.A."
 
 _ID_COMMENT = "# id:"
 # The one word rule of records and the tokenizer: a word is nonempty and
@@ -41,30 +43,28 @@ class LabelingError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class LabelScheme:
-    """Ordered label inventory that leads with its N.A. label.
+    """Ordered label inventory whose first label is its N.A. label.
 
-    Label ids are positions in ``labels``; N.A. is always id 0, so a
-    scheme file (one label per line) keeps every id.
+    Label ids are positions in ``labels``, so N.A. is id 0 and a scheme
+    file keeps every id. A label is nonempty and holds no tab, LF or CR.
     """
 
     labels: tuple[str, ...]
-    na_label: str = "N.A."
+    na_id = 0  # not a field: the id of the N.A. label
 
     def __post_init__(self) -> None:
+        if not self.labels:
+            raise ValueError("empty label scheme")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate label names in scheme")
-        if self.labels[:1] != (self.na_label,):
-            raise ValueError(f"scheme must start with its N.A. label {self.na_label!r}")
-        # files break lines at exactly these two, so no file could hold such a label
-        broken = [label for label in self.labels if "\n" in label or "\r" in label]
-        if broken:
-            raise ValueError(f"label {broken[0]!r} holds a line break")
+        # files break lines at \n and \r, and a records file ends a column at a tab
+        bad = [label for label in self.labels if not label or re.search("[\t\n\r]", label)]
+        if bad:
+            raise ValueError(f"label {bad[0]!r} is empty, holds a tab or holds a line break")
 
-    @classmethod
-    def from_labels(cls, observed: Iterable[str], na_label: str = "N.A.") -> "LabelScheme":
-        """Deterministic scheme from observed labels: N.A. first, rest sorted."""
-        rest = sorted(set(observed) - {na_label})
-        return cls(labels=(na_label, *rest), na_label=na_label)
+    @property
+    def na_label(self) -> str:
+        return self.labels[0]
 
     def index(self, label: str) -> int:
         try:
@@ -72,14 +72,11 @@ class LabelScheme:
         except ValueError:
             raise LabelingError(f"unknown label {label!r}") from None
 
-    @property
-    def na_id(self) -> int:
-        return self.labels.index(self.na_label)
-
 
 @dataclass(frozen=True, slots=True)
 class Record:
-    """One handover document: words plus one label id per word."""
+    """One handover document: words plus one label id per word. Its id holds
+    no line break and no whitespace at either end: its ``# id:`` line is stripped."""
 
     id: str
     words: tuple[str, ...]
@@ -95,6 +92,9 @@ class Record:
         if "" in self.words or WORD_BREAKS.search("".join(self.words)):
             raise ValueError(
                 f"record {self.id!r}: a word is empty or holds a space, tab or line break")
+        if self.id != self.id.strip() or "\n" in self.id or "\r" in self.id:
+            raise ValueError(
+                f"record id {self.id!r} holds a line break or whitespace at either end")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +141,8 @@ def parse_records(
     scheme: Optional[LabelScheme] = None,
     split: str = "train",
 ) -> tuple[RecordSet, LabelScheme]:
-    """Parse TSV records; build a scheme from observed labels when none given.
+    """Parse TSV records; when no scheme is given, build one from the
+    observed labels: N.A. first, the rest sorted.
 
     Raises ParseError (with line number) for structurally bad lines and
     LabelingError for labels outside a fixed scheme.
@@ -161,12 +162,13 @@ def parse_records(
                 raise ParseError("id comment for an empty record", id_line)
             rid, words, names = None, [], []
             continue
+        # no word holds the space of the comment, so a word line never starts with it
+        if line.startswith(_ID_COMMENT):
+            if words or rid is not None:
+                raise ParseError("id comment inside a record", line_no)
+            rid, id_line = line[len(_ID_COMMENT):].strip(), line_no
+            continue
         if "\t" not in line:
-            if line.startswith(_ID_COMMENT):
-                if words or rid is not None:
-                    raise ParseError("id comment inside a record", line_no)
-                rid, id_line = line[len(_ID_COMMENT):].strip(), line_no
-                continue
             raise ParseError(f"expected 2 tab-separated columns, got 1: {line!r}", line_no)
         cols = line.split("\t")
         if len(cols) != 2:
@@ -183,7 +185,7 @@ def parse_records(
 
     if scheme is None:
         observed = {name for _, _, labs in raw for name in labs}
-        scheme = LabelScheme.from_labels(observed | {"N.A."})
+        scheme = LabelScheme(labels=(NA_LABEL, *sorted(observed - {NA_LABEL})))
 
     records = []
     for i, (rid, ws, labs) in enumerate(raw):
@@ -211,11 +213,9 @@ def serialize_records(rs: RecordSet, scheme: LabelScheme) -> str:
 def load_scheme(text: str) -> LabelScheme:
     """One nonempty label per line; the first line is the N.A. label."""
     labels = list(read_lines(text))
-    if not labels:
-        raise ValueError("empty label scheme file")
     if "" in labels:
         raise ValueError(f"labels line {labels.index('') + 1}: empty label")
-    return LabelScheme(labels=tuple(labels), na_label=labels[0])
+    return LabelScheme(labels=tuple(labels))
 
 
 def dump_scheme(scheme: LabelScheme) -> str:
@@ -240,10 +240,7 @@ _FILLER = (
 
 
 def default_synthetic_scheme() -> LabelScheme:
-    return LabelScheme(
-        labels=("N.A.", "alpha", "bravo", "carol", "delta", "echo"),
-        na_label="N.A.",
-    )
+    return LabelScheme(labels=(NA_LABEL, "alpha", "bravo", "carol", "delta", "echo"))
 
 
 def _cue_pool(label: str, idx: int, size: int = 4) -> list[str]:
@@ -307,13 +304,13 @@ def convert_standoff(
     words, labels = [], []
     for m in WORD.finditer(text):
         s, e = m.span()
-        label = scheme.na_label
+        label = scheme.na_id
         for a, b, name in ordered:
             if a < e and s < b:
-                label = name
+                label = scheme.index(name)
                 break
         words.append(m.group())
-        labels.append(scheme.index(label))
+        labels.append(label)
     if not words:
         raise ValueError(f"document {doc_id!r} has no words")
     return Record(id=doc_id, words=tuple(words), labels=tuple(labels))

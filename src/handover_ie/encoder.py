@@ -233,13 +233,14 @@ def load_model(config: ModelConfig, path: str) -> EncoderModel:
 def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str) -> list[str]:
     """Copy externally exported weights into the model via a name mapping.
 
-    The mapping file has one `external<TAB>internal` pair per line; names
-    not listed keep their current values. The model changes only if every
-    line is accepted. Returns the imported internal names in file order.
+    The mapping file has one `external<TAB>internal` pair per line, each
+    internal name once; names not listed keep their current values. The
+    model changes only if every line is accepted. Returns the imported
+    internal names in file order.
     """
     entries = T.load_archive(archive_path)
     weights = {p.name: p.data for p in model.parameters()}
-    imported = []
+    imported: dict[str, int] = {}  # internal name -> its mapping line
     with open(mapping_path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -253,9 +254,12 @@ def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str)
                 raise CompatibilityError(f"mapping line {line_no}: {ext!r} not in archive")
             if internal not in weights:
                 raise CompatibilityError(f"mapping line {line_no}: {internal!r} not in model")
+            if internal in imported:
+                raise CompatibilityError(f"mapping line {line_no}: {internal!r} is already "
+                                         f"mapped on line {imported[internal]}")
             weights[internal] = entries[ext]
-            imported.append(internal)
+            imported[internal] = line_no
     checked = EncoderModel(model.config, weights=weights)
     for p, new in zip(model.parameters(), checked.parameters()):
         p.data = new.data
-    return imported
+    return list(imported)

@@ -74,7 +74,9 @@ class ClassCounts:
 
 @dataclass(frozen=True, slots=True)
 class EvalReport:
-    evaluated: tuple[str, ...]
+    """P/R/F1 of each evaluated class, keyed by label in scheme-id order,
+    their unweighted means, and the pooled rows of each main category."""
+
     per_class: dict[str, tuple[float, float, float]]
     macro_precision: float
     macro_recall: float
@@ -110,19 +112,6 @@ def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def macro_average(
-    per_class: dict[str, tuple[float, float, float]],
-    evaluated: tuple[str, ...],
-) -> tuple[float, float, float]:
-    if not evaluated:
-        raise ValueError("empty evaluated class set")
-    ps = [per_class[c][0] for c in evaluated]
-    rs = [per_class[c][1] for c in evaluated]
-    fs = [per_class[c][2] for c in evaluated]
-    n = len(evaluated)
-    return sum(ps) / n, sum(rs) / n, sum(fs) / n
-
-
 def build_report(
     counts: ClassCounts,
     scheme: LabelScheme,
@@ -132,17 +121,17 @@ def build_report(
     if not include_na:
         evaluated_ids = set(evaluated_ids) - {scheme.na_id}
     ids = [i for i in range(len(scheme.labels)) if i in evaluated_ids]
-    evaluated = tuple(scheme.labels[i] for i in ids)
+    if not ids:
+        raise ValueError("empty evaluated class set")
     per_class = {scheme.labels[i]: prf_from_counts(counts.tp[i], counts.fp[i], counts.fn[i])
                  for i in ids}
-    mp, mr, mf = macro_average(per_class, evaluated)
+    mp, mr, mf = (sum(column) / len(ids) for column in zip(*per_class.values()))
 
     categories: dict[str, tuple[int, int, int, float, float, float]] = {}
     for cat, members in _by_category(scheme, ids):
         ctp, cfp, cfn = (sum(c[i] for i in members) for c in (counts.tp, counts.fp, counts.fn))
         categories[cat] = (ctp, cfp, cfn, *prf_from_counts(ctp, cfp, cfn))
     return EvalReport(
-        evaluated=evaluated,
         per_class=per_class,
         macro_precision=mp,
         macro_recall=mr,
@@ -203,7 +192,7 @@ def _emit_json(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) -> 
             name: {"tp": counts.tp[i], "fp": counts.fp[i], "fn": counts.fn[i]}
             for i, name in enumerate(scheme.labels)
         },
-        "evaluated": list(report.evaluated),
+        "evaluated": list(report.per_class),
         "per_class": {
             name: {"precision": p, "recall": r, "f1": f}
             for name, (p, r, f) in report.per_class.items()
@@ -257,7 +246,7 @@ def _emit_table(report: EvalReport, counts: ClassCounts, scheme: LabelScheme) ->
             lines.append(row(f"  {label_category(scheme, name)[1]}{tag}", (tp + fn, tp, fp, fn),
                              report.per_class.get(name, ("-", "-", "-"))))
     lines.append(rule)
-    lines.append(row(f"TOTAL (macro over {len(report.evaluated)} classes)", ("",) * 4,
+    lines.append(row(f"TOTAL (macro over {len(report.per_class)} classes)", ("",) * 4,
                      (report.macro_precision, report.macro_recall, report.macro_f1)))
     lines.append("rows marked * are outside the evaluated class set")
     return "\n".join(lines) + "\n"

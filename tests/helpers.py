@@ -164,10 +164,12 @@ def parse_report_json(text: str) -> tuple[EvalReport, ClassCounts]:
         fp=tuple(obj["counts"][n]["fp"] for n in labels),
         fn=tuple(obj["counts"][n]["fn"] for n in labels),
     )
+    # the json keys are sorted, so the scheme-id order of the classes is "evaluated"
     report = EvalReport(
-        evaluated=tuple(obj["evaluated"]),
         per_class={
-            n: (d["precision"], d["recall"], d["f1"]) for n, d in obj["per_class"].items()
+            n: (obj["per_class"][n]["precision"], obj["per_class"][n]["recall"],
+                obj["per_class"][n]["f1"])
+            for n in obj["evaluated"]
         },
         macro_precision=obj["macro_precision"],
         macro_recall=obj["macro_recall"],

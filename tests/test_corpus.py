@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from handover_ie.corpus import (
     LabelScheme,
@@ -236,11 +236,13 @@ def test_record_length_invariant():
 def test_scheme_validation_and_categories():
     with pytest.raises(ValueError):
         LabelScheme(labels=("N.A.", "dup", "dup"))
-    with pytest.raises(ValueError):
-        LabelScheme(labels=("a", "b"), na_label="N.A.")
-    with pytest.raises(ValueError):
-        # a scheme file keeps ids only when N.A. leads
-        LabelScheme(labels=("alpha", "N.A.", "bravo"))
+    with pytest.raises(ValueError, match="empty label scheme"):
+        LabelScheme(labels=())
+    # the first label is the N.A. label, whatever its name, as in a scheme file
+    for labels in (("a", "b"), ("alpha", "N.A.", "bravo")):
+        scheme = LabelScheme(labels=labels)
+        assert (scheme.na_label, scheme.na_id) == (labels[0], 0)
+        assert load_scheme(dump_scheme(scheme)) == scheme
     scheme = LabelScheme(labels=("N.A.", "MY SHIFT/Status", "odd"))
     assert label_category(scheme, "MY SHIFT/Status") == ("MY SHIFT", "Status")
     assert label_category(scheme, "odd") == ("N.A.", "odd")
@@ -258,6 +260,31 @@ def test_scheme_rejects_a_label_holding_a_carriage_return():
         LabelScheme(labels=("N.A.", "a\rb"))
 
 
+def test_scheme_rejects_a_label_a_records_file_cannot_hold():
+    # a tab would split the label column of its word lines, and an empty
+    # label field is a parse error
+    for label in ("a\tb", "\t", "", "N.A.\t"):
+        with pytest.raises(ValueError, match="is empty, holds a tab"):
+            LabelScheme(labels=("N.A.", label))
+    with pytest.raises(ValueError, match="holds a tab"):
+        load_scheme("N.A.\na\tb\n")
+
+
+def test_record_rejects_an_id_a_records_file_cannot_hold():
+    # the id line ends at a line break and is stripped, so " a" would read
+    # back as "a" and "a\nb" would not parse
+    for rid in ("a\nb", "a\rb", "\n", " a", "a ", "\x85x", "x\u2028", "\ta", "a\x1c"):
+        with pytest.raises(ValueError, match="holds a line break or whitespace"):
+            Record(id=rid, words=("w",), labels=(0,))
+    with pytest.raises(ValueError, match="holds a line break or whitespace"):
+        convert_standoff(" doc", "w", [], LabelScheme(labels=("N.A.",)))
+    # any other id survives its file, a tab or a line separator inside it included
+    scheme = LabelScheme(labels=("N.A.",))
+    rs = RecordSet(split="train", records=tuple(
+        Record(id=rid, words=("w",), labels=(0,)) for rid in ("", "a\tb", "a\x85b", "# id: x")))
+    assert parse_records(serialize_records(rs, scheme), scheme) == (rs, scheme)
+
+
 def test_scheme_file_round_trip():
     scheme = LabelScheme(labels=("N.A.", "b", "a"))
     assert load_scheme(dump_scheme(scheme)) == scheme
@@ -270,16 +297,18 @@ def test_scheme_file_rejects_an_empty_line():
             load_scheme(text)
 
 
-# label names hold any character but a line break; surrogates cannot be written as UTF-8
+# label names hold any character but a tab or a line break; surrogates cannot
+# be written as UTF-8
 SCHEME_LABELS = st.lists(
-    st.text(st.characters(codec="utf-8", blacklist_characters="\n\r"), min_size=1, max_size=6),
+    st.text(st.characters(codec="utf-8", blacklist_characters="\t\n\r"), min_size=1,
+            max_size=6),
     min_size=1, max_size=6, unique=True)
 
 
 @given(SCHEME_LABELS, st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_corrupted_scheme_file_is_rejected_or_round_trips(labels, data):
-    scheme = LabelScheme(labels=tuple(labels), na_label=labels[0])
+    scheme = LabelScheme(labels=tuple(labels))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first.txt"), Path(tmp, "second.txt")
         first.write_text(dump_scheme(scheme), encoding="utf-8")
@@ -292,6 +321,48 @@ def test_corrupted_scheme_file_is_rejected_or_round_trips(labels, data):
                 continue
             second.write_text(dump_scheme(back), encoding="utf-8")
             assert second.read_bytes() == as_saved(corrupted)
+
+
+# any character, surrogates included, with the ones the file formats give a
+# meaning drawn often
+ANY_TEXT = st.text(st.one_of(st.sampled_from("\t\n\r \x85\u2028\x1c#:"), st.characters()),
+                   max_size=6)
+
+
+def _accepted(make, *args) -> bool:
+    try:
+        make(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def accepted_records_and_schemes(draw):
+    """A record set and a scheme from whatever values the types accept."""
+    labels = [l for l in draw(st.lists(ANY_TEXT, min_size=1, max_size=5, unique=True))
+              if _accepted(LabelScheme, (l,))]
+    assume(labels)
+    scheme = LabelScheme(labels=tuple(labels))
+    ids = [i for i in draw(st.lists(ANY_TEXT, max_size=4, unique=True))
+           if _accepted(Record, i, ("w",), (0,))]
+    records = []
+    for rid in ids:
+        words = [w for w in draw(st.lists(ANY_TEXT, min_size=1, max_size=5))
+                 if _accepted(Record, "", (w,), (0,))]
+        assume(words)
+        labs = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(words),
+                             max_size=len(words)))
+        records.append(Record(id=rid, words=tuple(words), labels=tuple(labs)))
+    return RecordSet(split="train", records=tuple(records)), scheme
+
+
+@given(accepted_records_and_schemes())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_accepted_record_set_and_scheme_survives_its_file(rs_scheme):
+    rs, scheme = rs_scheme
+    assert parse_records(serialize_records(rs, scheme), scheme) == (rs, scheme)
+    assert load_scheme(dump_scheme(scheme)) == scheme
 
 
 def test_relabel_keeps_everything_but_the_labels():

@@ -1,11 +1,10 @@
 import csv
 import io
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handover_ie.corpus import LabelScheme, Record, RecordSet
+from handover_ie.corpus import LabelScheme, Record, RecordSet, evaluated_classes
 from handover_ie.evaluation import (
     AlignmentError,
     ClassCounts,
@@ -15,7 +14,6 @@ from handover_ie.evaluation import (
     confusion_counts,
     emit_report,
     label_category,
-    macro_average,
     majority_label,
     prf_from_counts,
 )
@@ -120,40 +118,51 @@ def test_reference_category_rows_are_pooled_counts():
             assert abs(g - w) < 5e-4, (cat, got, want)
 
 
-def test_macro_two_point_mean():
-    per_class = {"a": (1.0, 1.0, 1.0), "b": (0.0, 0.0, 0.0)}
-    assert macro_average(per_class, ("a", "b")) == (0.5, 0.5, 0.5)
+def _macro(report):
+    return report.macro_precision, report.macro_recall, report.macro_f1
 
 
-def test_macro_single_class_identity():
-    per_class = {"a": (0.25, 0.5, 1 / 3)}
-    assert macro_average(per_class, ("a",)) == (0.25, 0.5, 1 / 3)
+def test_macro_two_point_mean(small_scheme):
+    # a is always right; b's one word is read as N.A.
+    counts = ClassCounts(tp=(0, 2, 0), fp=(1, 0, 0), fn=(0, 0, 1))
+    report = build_report(counts, small_scheme, {1, 2})
+    assert report.per_class == {"a": (1.0, 1.0, 1.0), "b": (0.0, 0.0, 0.0)}
+    assert _macro(report) == (0.5, 0.5, 0.5)
 
 
-def test_macro_empty_set_rejected():
-    with pytest.raises(ValueError):
-        macro_average({}, ())
+def test_macro_single_class_identity(small_scheme):
+    counts = ClassCounts(tp=(0, 1, 0), fp=(0, 3, 0), fn=(0, 1, 0))
+    report = build_report(counts, small_scheme, {1})
+    assert report.per_class == {"a": (0.25, 0.5, 1 / 3)}
+    assert _macro(report) == (0.25, 0.5, 1 / 3)
 
 
-def test_macro_f1_is_mean_of_f1_not_harmonic():
+def test_macro_empty_set_rejected(small_scheme):
+    counts = ClassCounts(tp=(4, 0, 0), fp=(0, 0, 0), fn=(0, 0, 0))
+    with pytest.raises(ValueError, match="empty evaluated class set"):
+        build_report(counts, small_scheme, set())
+    # a training set of N.A. words alone leaves nothing once N.A. is excluded
+    train = _rs("train", (0, 0), (0,))
+    evaluated = evaluated_classes(train, small_scheme)
+    assert evaluated == {0}
+    assert build_report(counts, small_scheme, evaluated).macro_f1 == 1.0
+    with pytest.raises(ValueError, match="empty evaluated class set"):
+        build_report(counts, small_scheme, evaluated, include_na=False)
+
+
+def test_macro_f1_is_mean_of_f1_not_harmonic(small_scheme):
     # the published totals only cohere with mean-of-per-class-F1 averaging:
     # harmonic(macro P, macro R) lands near 0.481, far from the 0.438 total
     mp, mr, mf = REFERENCE_TOTALS["fine-tuned-encoder"]
     harmonic = 2 * mp * mr / (mp + mr)
     assert abs(harmonic - 0.481) < 1e-3
     assert abs(harmonic - mf) > 0.04
-    per_class = {"a": (0.3, 0.9, 0.45), "b": (0.7, 0.1, 0.175)}
-    _, _, f = macro_average(per_class, ("a", "b"))
-    assert f == pytest.approx((0.45 + 0.175) / 2)
-
-
-@given(st.permutations(["a", "b", "c"]))
-@settings(max_examples=20)
-def test_macro_permutation_invariant(order):
-    per_class = {"a": (0.1, 0.2, 0.3), "b": (0.4, 0.5, 0.6), "c": (0.7, 0.8, 0.9)}
-    base = macro_average(per_class, ("a", "b", "c"))
-    got = macro_average(per_class, tuple(order))
-    assert all(math.isclose(x, y) for x, y in zip(base, got))
+    # a: P 0.3, R 0.9, F1 0.45; b: P 0.7, R 0.1, F1 0.175; macro P = macro R = 0.5
+    counts = ClassCounts(tp=(0, 9, 7), fp=(0, 21, 3), fn=(0, 1, 63))
+    report = build_report(counts, small_scheme, {1, 2})
+    assert report.macro_precision == pytest.approx(0.5)
+    assert report.macro_recall == pytest.approx(0.5)
+    assert report.macro_f1 == pytest.approx((0.45 + 0.175) / 2)
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=40))
@@ -235,7 +244,7 @@ def test_csv_report_rows_match_counts():
     text = emit_report(odd_report, odd_counts, "csv", odd)
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == ["class", "tp", "fp", "fn", "precision", "recall", "f1"]
-    assert [row[0] for row in rows[1:]] == list(odd_report.evaluated)
+    assert [row[0] for row in rows[1:]] == list(odd_report.per_class)
     for name, *cells in rows[1:]:
         i = odd.labels.index(name)
         assert [int(c) for c in cells[:3]] == [odd_counts.tp[i], odd_counts.fp[i],
@@ -272,11 +281,10 @@ def test_macro_can_exclude_na(small_scheme):
     counts = confusion_counts(gold, pred, small_scheme)
     with_na = build_report(counts, small_scheme, {0, 1, 2})
     without = build_report(counts, small_scheme, {0, 1, 2}, include_na=False)
-    assert "N.A." in with_na.evaluated
-    assert "N.A." not in without.evaluated
-    assert len(without.evaluated) == 2
+    assert list(with_na.per_class) == ["N.A.", "a", "b"]
+    assert list(without.per_class) == ["a", "b"]
     assert without.macro_f1 == pytest.approx(
-        sum(without.per_class[c][2] for c in without.evaluated) / 2
+        sum(f for _, _, f in without.per_class.values()) / 2
     )
 
 

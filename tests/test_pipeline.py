@@ -1127,3 +1127,20 @@ def test_import_pretrained_script(tmp_path):
     )
     assert proc.returncode != 0
     assert "ValueError: config lacks model key(s): ffn_size" in proc.stderr
+
+    # a mapping that names one internal tensor twice is rejected, not won by its last line
+    cfg_path.write_text(text, encoding="utf-8")
+    T.save_archive([("ext/embed", donor.token_emb.data), ("ext/other", donor.token_emb.data)],
+                   str(tmp_path / "ext.tarch"))
+    (tmp_path / "map.tsv").write_text(
+        "ext/embed\tembeddings.token\next/other\tembeddings.token\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "import_pretrained.py"),
+         "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
+         "--config", str(cfg_path), "--out", str(tmp_path / "twice.tarch")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert ("CompatibilityError: mapping line 2: 'embeddings.token' is already mapped on "
+            "line 1") in proc.stderr
+    assert not (tmp_path / "twice.tarch").exists()
