@@ -16,13 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from handover_ie.corpus import (
-    RecordSet,
-    convert_standoff,
-    load_scheme,
-    read_lines,
-    serialize_records,
-)
+from handover_ie.cli import read_scheme, run, write_out
+from handover_ie.corpus import RecordSet, convert_standoff, read_lines, serialize_records
 
 
 def read_spans(path: Path) -> list[tuple[int, int, str]]:
@@ -44,7 +39,7 @@ def main() -> int:
     parser.add_argument("--out", help="output TSV (default stdout)")
     args = parser.parse_args()
 
-    scheme = load_scheme(Path(args.scheme).read_text(encoding="utf-8"))
+    scheme = read_scheme(args.scheme)
     records = []
     for txt in sorted(Path(args.input_dir).glob("*.txt")):
         ann = txt.with_suffix(".ann")
@@ -55,13 +50,9 @@ def main() -> int:
                              read_spans(ann), scheme)
         )
     rs = RecordSet(split="train", records=tuple(records))
-    text = serialize_records(rs, scheme)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    write_out(serialize_records(rs, scheme), args.out)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(main))

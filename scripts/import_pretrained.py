@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from handover_ie.cli import run
 from handover_ie.encoder import EncoderModel, import_pretrained, save_model
 from handover_ie.pipeline import build_model_config, load_train_config
 
@@ -38,4 +39,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(main))

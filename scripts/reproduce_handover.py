@@ -17,7 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie import pipeline
-from handover_ie.corpus import load_scheme, parse_records
+from handover_ie.cli import read_records, read_scheme, run
+from handover_ie.corpus import SPLITS
 
 
 def main() -> int:
@@ -38,11 +39,8 @@ def main() -> int:
     args = parser.parse_args()
 
     data = Path(args.data_dir)
-    scheme = load_scheme((data / "labels.txt").read_text(encoding="utf-8"))
-    splits = {}
-    for name in ("train", "validation", "test"):
-        with open(data / f"{name}.tsv", encoding="utf-8") as fh:
-            splits[name], _ = parse_records(fh, scheme=scheme, split=name)
+    scheme = read_scheme(data / "labels.txt")
+    splits = {name: read_records(data / f"{name}.tsv", scheme, name)[0] for name in SPLITS}
 
     base = pipeline.TrainConfig(
         kind="encoder", seed=args.seed, max_len=args.max_len,
@@ -59,4 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(main))

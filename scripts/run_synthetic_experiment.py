@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie import pipeline
+from handover_ie.cli import run, write_out
 from handover_ie.corpus import (
     RecordSet,
     default_synthetic_scheme,
@@ -50,9 +51,9 @@ def main() -> int:
                             ("test", args.n_test, 2)):
         rs = generate_synthetic(n, scheme, seed=args.seed + offset)
         rs = RecordSet(split=name, records=rs.records)
-        (work / f"{name}.tsv").write_text(serialize_records(rs, scheme), encoding="utf-8")
+        write_out(serialize_records(rs, scheme), work / f"{name}.tsv")
         splits[name] = rs
-    (work / "labels.txt").write_text(dump_scheme(scheme), encoding="utf-8")
+    write_out(dump_scheme(scheme), work / "labels.txt")
 
     base = pipeline.TrainConfig(
         kind="encoder", learning_rate=args.learning_rate, batch_size=args.batch_size,
@@ -69,4 +70,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(main))

@@ -2,7 +2,7 @@
 
 Subcommands: synth, tokenizer train/encode, train, predict, eval,
 baseline. Exit codes: 0 success, 2 validation error, 3 training
-divergence.
+divergence; `run` maps errors to them for this CLI and every script.
 """
 from __future__ import annotations
 
@@ -23,18 +23,19 @@ EXIT_DIVERGENCE = 3
 DEFAULT_SHAPE = dict(num_layers=2, hidden_size=32, num_heads=2, ffn_size=64)
 
 
-def _read_records(path: str, scheme=None, split="train"):
+def read_records(path: str | Path, scheme=None, split="train"):
     with open(path, encoding="utf-8") as fh:
         return corpus.parse_records(fh, scheme=scheme, split=split)
 
 
-def _load_scheme_arg(path: str | None):
+def read_scheme(path: str | Path | None):
     if path is None:
         return None
     return corpus.load_scheme(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_out(text: str, out: str | None) -> None:
+def write_out(text: str, out: str | Path | None) -> None:
+    """Write text to the file out, or to stdout when out is not given."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -42,14 +43,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
-    scheme = _load_scheme_arg(args.scheme) or corpus.default_synthetic_scheme()
+    scheme = read_scheme(args.scheme) or corpus.default_synthetic_scheme()
     rs = corpus.generate_synthetic(args.n, scheme, args.seed)
-    _write_out(corpus.serialize_records(rs, scheme), args.out)
+    write_out(corpus.serialize_records(rs, scheme), args.out)
     return EXIT_OK
 
 
 def _cmd_tokenizer_train(args) -> int:
-    rs, _ = _read_records(args.input)
+    rs, _ = read_records(args.input)
     table = pipeline.fit_tokenizer(rs, args.num_merges, args.lowercase)
     save_table(table, args.out)
     print(f"trained {len(table.merges)} merges, vocab size {len(table.pieces)}")
@@ -58,14 +59,14 @@ def _cmd_tokenizer_train(args) -> int:
 
 def _cmd_tokenizer_encode(args) -> int:
     table = read_table(args.table, args.lowercase)
-    rs, _ = _read_records(args.input)
+    rs, _ = read_records(args.input)
     lines = []
     for rec in rs.records:
         for w, seq in enumerate(encode_words(rec.words, table, args.max_len)):
             ids = " ".join(str(i) for i in seq.token_ids)
             pieces = " ".join(seq.pieces)
             lines.append(f"{rec.id}\t{w}\t{ids}\t{pieces}")
-    _write_out("\n".join(lines) + "\n", args.out)
+    write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -74,9 +75,9 @@ def _cmd_train(args) -> int:
     config = replace(config, kind=args.model)
     if args.pretrained:
         config = replace(config, pretrained=args.pretrained)
-    scheme = _load_scheme_arg(args.scheme)
-    train_rs, scheme = _read_records(args.train, scheme=scheme, split="train")
-    valid_rs, _ = _read_records(args.valid, scheme=scheme, split="validation")
+    scheme = read_scheme(args.scheme)
+    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
+    valid_rs, _ = read_records(args.valid, scheme=scheme, split="validation")
 
     table = model_config = None
     if args.model == "encoder":
@@ -101,29 +102,29 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     checkpoint = pipeline.Checkpoint.load(args.checkpoint)
-    rs, _ = _read_records(args.input, scheme=checkpoint.scheme, split="test")
+    rs, _ = read_records(args.input, scheme=checkpoint.scheme, split="test")
     pred = pipeline.predict(checkpoint, rs)
-    _write_out(corpus.serialize_records(pred, checkpoint.scheme), args.out)
+    write_out(corpus.serialize_records(pred, checkpoint.scheme), args.out)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    scheme = _load_scheme_arg(args.scheme)
-    train_rs, scheme = _read_records(args.train, scheme=scheme, split="train")
-    gold, _ = _read_records(args.gold, scheme=scheme, split="test")
-    pred, _ = _read_records(args.pred, scheme=scheme, split="test")
+    scheme = read_scheme(args.scheme)
+    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
+    gold, _ = read_records(args.gold, scheme=scheme, split="test")
+    pred, _ = read_records(args.pred, scheme=scheme, split="test")
     evaluated = corpus.evaluated_classes(train_rs, scheme)
     counts = evaluation.confusion_counts(gold, pred, scheme)
     report = evaluation.build_report(counts, scheme, evaluated,
                                      include_na=not args.exclude_na)
-    _write_out(evaluation.emit_report(report, counts, args.format, scheme), args.out)
+    write_out(evaluation.emit_report(report, counts, args.format, scheme), args.out)
     return EXIT_OK
 
 
 def _cmd_baseline(args) -> int:
-    scheme = _load_scheme_arg(args.scheme)
-    train_rs, scheme = _read_records(args.train, scheme=scheme, split="train")
-    rs, _ = _read_records(args.input, scheme=scheme, split="test")
+    scheme = read_scheme(args.scheme)
+    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
+    rs, _ = read_records(args.input, scheme=scheme, split="test")
     if args.kind == "random":
         evaluated = corpus.evaluated_classes(train_rs, scheme)
         pred = evaluation.baseline_random(rs, args.seed, evaluated)
@@ -131,7 +132,7 @@ def _cmd_baseline(args) -> int:
         label = (scheme.index(args.majority_label) if args.majority_label
                  else evaluation.majority_label(train_rs, scheme))
         pred = evaluation.baseline_majority(rs, label)
-    _write_out(corpus.serialize_records(pred, scheme), args.out)
+    write_out(corpus.serialize_records(pred, scheme), args.out)
     return EXIT_OK
 
 
@@ -209,17 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
 VALIDATION_ERRORS = (ValueError, OSError, IndexError)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(fn, *args) -> int:
+    """fn(*args)'s exit code, or the code of the error it raised, with one
+    `error: ...` line on stderr; any other error propagates."""
     try:
-        return args.fn(args)
-    except TrainingDivergence as err:
+        return fn(*args)
+    except (TrainingDivergence, *VALIDATION_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except VALIDATION_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_DIVERGENCE if isinstance(err, TrainingDivergence) else EXIT_VALIDATION
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.fn, args)
 
 
 if __name__ == "__main__":

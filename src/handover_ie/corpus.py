@@ -142,12 +142,14 @@ def parse_records(
     split: str = "train",
 ) -> tuple[RecordSet, LabelScheme]:
     """Parse TSV records; when no scheme is given, build one from the
-    observed labels: N.A. first, the rest sorted.
+    observed labels: N.A. first, the rest sorted. A record without an id
+    line is named ``r{i:04d}`` by its position i (from 0) in the file.
 
     Raises ParseError (with line number) for structurally bad lines and
-    LabelingError for labels outside a fixed scheme.
+    repeated record ids, and LabelingError for labels outside a fixed scheme.
     """
-    raw: list[tuple[str | None, list[str], list[str]]] = []
+    # each record's words and label names by its id, in file order
+    raw: dict[str, tuple[list[str], list[str]]] = {}
     # the open record: its id and the line of its id comment, words, labels
     rid: str | None = None
     id_line = 0
@@ -157,7 +159,12 @@ def parse_records(
     for line_no, line in enumerate(itertools.chain(read_lines(stream), [""]), start=1):
         if line == "":
             if words:
-                raw.append((rid, words, names))
+                if rid is None:
+                    # named by its position; its word lines end at this blank line
+                    rid, id_line = f"r{len(raw):04d}", line_no - len(words)
+                if rid in raw:
+                    raise ParseError(f"duplicate record id {rid!r}", id_line)
+                raw[rid] = (words, names)
             elif rid is not None:
                 raise ParseError("id comment for an empty record", id_line)
             rid, words, names = None, [], []
@@ -184,19 +191,13 @@ def parse_records(
         names.append(label)
 
     if scheme is None:
-        observed = {name for _, _, labs in raw for name in labs}
+        observed = {name for _, labs in raw.values() for name in labs}
         scheme = LabelScheme(labels=(NA_LABEL, *sorted(observed - {NA_LABEL})))
 
-    records = []
-    for i, (rid, ws, labs) in enumerate(raw):
-        records.append(
-            Record(
-                id=rid if rid is not None else f"r{i:04d}",
-                words=tuple(ws),
-                labels=tuple(scheme.index(name) for name in labs),
-            )
-        )
-    return RecordSet(split=split, records=tuple(records)), scheme
+    records = tuple(
+        Record(id=rid, words=tuple(ws), labels=tuple(scheme.index(name) for name in labs))
+        for rid, (ws, labs) in raw.items())
+    return RecordSet(split=split, records=records), scheme
 
 
 def serialize_records(rs: RecordSet, scheme: LabelScheme) -> str:

@@ -179,6 +179,12 @@ class Checkpoint:
     table: Optional[MergeTable] = None
     crf: Optional[crf_mod.CrfModel] = None
 
+    def __post_init__(self) -> None:
+        # the saved config's kind is what loading reads the model back by
+        if self.kind != self.train_config.kind:
+            raise ValueError(f"a {self.kind} checkpoint got a config of kind "
+                             f"{self.train_config.kind!r}")
+
     def save(self, directory: str | Path) -> None:
         """Write every file into a sibling staging directory, then rename it
         into place: a save that fails leaves no partial checkpoint behind
@@ -223,10 +229,8 @@ class Checkpoint:
         if self.kind == "encoder":
             save_table(self.table, d)
             enc.save_model(self.model, str(d / "model.tarch"))
-        elif self.kind == "crf":
-            crf_mod.save_crf(self.crf, str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"))
         else:
-            raise ValueError(f"cannot checkpoint model kind {self.kind!r}")
+            crf_mod.save_crf(self.crf, str(d / "crf_features.tsv"), str(d / "crf_weights.tarch"))
 
     @classmethod
     def load(cls, directory: str | Path) -> "Checkpoint":
@@ -252,12 +256,14 @@ class Adam:
     one flat store.
 
     Building it packs the parameters, one at a time, into one C-ordered
-    float64 buffer, `data`, and rebinds each `Parameter.data` to its view
-    of it; each `Parameter.grad` is bound to its view of one zeroed buffer,
-    `grad`. Backward adds into those views, so a gradient under Adam is
-    written into, never rebound: an array assigned to `p.grad` is one Adam
-    does not see. `zero_grad` zeroes every gradient at once, and a
-    parameter backward did not reach keeps a zero gradient.
+    buffer, `data`, and rebinds each `Parameter.data` to its view of it;
+    each `Parameter.grad` is bound to its view of one zeroed buffer,
+    `grad`. Every buffer takes the parameters' one dtype, so the model
+    alone decides the precision; mixed dtypes are a ValueError. Backward
+    adds into the gradient views, so a gradient under Adam is written
+    into, never rebound: an array assigned to `p.grad` is one Adam does
+    not see. `zero_grad` zeroes every gradient at once, and a parameter
+    backward did not reach keeps a zero gradient.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -267,11 +273,15 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
+        dtypes = {p.data.dtype for p in params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters of mixed dtypes: {', '.join(sorted(map(str, dtypes)))}")
+        dtype = dtypes.pop() if dtypes else np.float64
         size = sum(p.data.size for p in params)
-        self.data = np.empty(size)
-        self.grad = np.zeros(size)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.data = np.empty(size, dtype)
+        self.grad = np.zeros(size, dtype)
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
         stop = size
         for p in reversed(params):
             # one parameter at a time, and newest first: the allocator returns
@@ -283,7 +293,7 @@ class Adam:
             p.data = view
             p.grad = self.grad[start:stop].reshape(view.shape)
             stop = start
-        self._tmp = np.empty((2, min(size, self.BLOCK)))
+        self._tmp = np.empty((2, min(size, self.BLOCK)), dtype)
 
     def zero_grad(self) -> None:
         """Zero every parameter's gradient in place."""
@@ -482,10 +492,8 @@ def predict(checkpoint: Checkpoint, records: RecordSet) -> RecordSet:
         max_len = checkpoint.train_config.max_len
         windows = [encode_words(rec.words, checkpoint.table, max_len) for rec in records.records]
         return _predict_encoder(checkpoint.model, records, windows)
-    if checkpoint.kind == "crf":
-        return records.relabel(
-            crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records)))
-    raise ValueError(f"cannot predict with model kind {checkpoint.kind!r}")
+    return records.relabel(
+        crf_mod.predict_labels(checkpoint.crf, (r.words for r in records.records)))
 
 
 def grid_search(

@@ -116,6 +116,23 @@ def test_parse_rejects_a_second_id_comment_for_one_record():
     assert err.value.line_no == 2
 
 
+def test_parse_rejects_a_repeated_id_at_its_id_line():
+    with pytest.raises(ParseError, match="duplicate record id 'a'") as err:
+        parse_records("# id: a\nx\tN.A.\n\n# id: a\ny\tN.A.\n")
+    assert err.value.line_no == 4
+
+
+def test_parse_rejects_an_id_repeating_a_positional_name_at_its_first_word():
+    # a record without an id line is named by its position: the second is r0001
+    with pytest.raises(ParseError, match="duplicate record id 'r0001'") as err:
+        parse_records("# id: r0001\na\tN.A.\n\nb\tN.A.\nc\tN.A.\n")
+    assert err.value.line_no == 4
+    # and an id line may repeat such a name, at its own line
+    with pytest.raises(ParseError, match="duplicate record id 'r0000'") as err:
+        parse_records("a\tN.A.\n\n# id: r0000\nb\tN.A.\n")
+    assert err.value.line_no == 3
+
+
 def test_parse_unknown_label_with_fixed_scheme():
     scheme = LabelScheme(labels=("N.A.", "x"))
     with pytest.raises(LabelingError):

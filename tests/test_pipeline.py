@@ -260,6 +260,43 @@ def test_flat_adam_matches_the_per_parameter_adam(weight_decay):
     assert np.array_equal(flat[-1].data, starts[-1]) == (weight_decay == 0.0)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_flat_adam_keeps_float32_parameters(weight_decay):
+    """50 steps over float32 parameters, one of them spanning two update
+    blocks: the store keeps their dtype and the result is bit-equal to the
+    per-parameter Adam."""
+    rng = np.random.default_rng(3)
+    shapes = [(200, 200), (9,), (4, 6)]
+    starts = [rng.normal(0, 1, shape).astype(np.float32) for shape in shapes]
+    flat = [T.Parameter(a.copy(), f"p{i}") for i, a in enumerate(starts)]
+    loop = [T.Parameter(a.copy(), f"p{i}") for i, a in enumerate(starts)]
+    opt = pipeline.Adam(flat, lr=0.01, weight_decay=weight_decay)
+    ref = ReferenceAdam(loop, lr=0.01, weight_decay=weight_decay)
+    for _ in range(50):
+        opt.zero_grad()
+        for p, q in zip(flat, loop):
+            q.grad = rng.normal(0, 1, q.data.shape).astype(np.float32)
+            p.grad[...] = q.grad
+        opt.step()
+        ref.step()
+    for p, q in zip(flat, loop):
+        assert p.data.dtype == q.data.dtype == np.float32, p.name
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+
+
+def test_adam_rejects_parameters_of_mixed_dtypes():
+    params = [T.Parameter(np.zeros(3), "a"), T.Parameter(np.zeros(2, np.float32), "b")]
+    with pytest.raises(ValueError, match="mixed dtypes: float32, float64"):
+        pipeline.Adam(params, lr=0.01, weight_decay=0.0)
+
+
+def test_checkpoint_kind_is_its_config_kind():
+    # the saved config's kind decides how the checkpoint loads back
+    with pytest.raises(ValueError, match="a crf checkpoint got a config of kind 'encoder'"):
+        pipeline.Checkpoint(kind="crf", scheme=default_synthetic_scheme(),
+                            train_config=pipeline.TrainConfig(kind="encoder"))
+
+
 def test_same_seed_gives_byte_identical_checkpoints(tiny_setup, tmp_path):
     scheme, train, valid, table, model_config = tiny_setup
     dirs = []
@@ -1125,8 +1162,8 @@ def test_import_pretrained_script(tmp_path):
          "--config", str(cfg_path), "--out", str(tmp_path / "other.tarch")],
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode != 0
-    assert "ValueError: config lacks model key(s): ffn_size" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == "error: config lacks model key(s): ffn_size\n"
 
     # a mapping that names one internal tensor twice is rejected, not won by its last line
     cfg_path.write_text(text, encoding="utf-8")
@@ -1140,7 +1177,24 @@ def test_import_pretrained_script(tmp_path):
          "--config", str(cfg_path), "--out", str(tmp_path / "twice.tarch")],
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode != 0
-    assert ("CompatibilityError: mapping line 2: 'embeddings.token' is already mapped on "
-            "line 1") in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: mapping line 2: 'embeddings.token' is already mapped on "
+                           "line 1\n")
     assert not (tmp_path / "twice.tarch").exists()
+
+
+@pytest.mark.parametrize("script, args", [
+    ("run_synthetic_experiment.py", ["--workdir", "{tmp}/work", "--n-train", "-1"]),
+    ("reproduce_handover.py", ["--data-dir", "{tmp}/missing", "--workdir", "{tmp}/work"]),
+    ("import_pretrained.py", ["--archive", "{tmp}/ext.tarch", "--mapping", "{tmp}/map.tsv",
+                              "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out.tarch"]),
+    ("convert_standoff.py", ["--input-dir", "{tmp}", "--scheme", "{tmp}/missing.txt"]),
+])
+def test_every_script_exits_2_with_one_error_line_on_bad_input(tmp_path, script, args):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
