@@ -28,7 +28,11 @@ def read_spans(path: Path) -> list[tuple[int, int, str]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected start<TAB>end<TAB>label")
-        spans.append((int(parts[0]), int(parts[1]), parts[2]))
+        try:
+            start, end = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: start and end must be integers") from None
+        spans.append((start, end, parts[2]))
     return spans
 
 

@@ -41,18 +41,18 @@ def main() -> int:
     parser.add_argument("--num-heads", type=int, default=2)
     args = parser.parse_args()
 
-    work = Path(args.workdir)
-    work.mkdir(parents=True, exist_ok=True)
     scheme = default_synthetic_scheme()
-
     splits = {}
     for name, n, offset in (("train", args.n_train, 0),
                             ("validation", args.n_valid, 1),
                             ("test", args.n_test, 2)):
         rs = generate_synthetic(n, scheme, seed=args.seed + offset)
-        rs = RecordSet(split=name, records=rs.records)
+        splits[name] = RecordSet(split=name, records=rs.records)
+    # made only once every split is generated, so a rejected run leaves nothing
+    work = Path(args.workdir)
+    work.mkdir(parents=True, exist_ok=True)
+    for name, rs in splits.items():
         write_out(serialize_records(rs, scheme), work / f"{name}.tsv")
-        splits[name] = rs
     write_out(dump_scheme(scheme), work / "labels.txt")
 
     base = pipeline.TrainConfig(

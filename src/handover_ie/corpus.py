@@ -299,16 +299,22 @@ def convert_standoff(
     Words are the runs of text between WORD_BREAKS, as in a records file,
     so U+0085, U+2028 and other Unicode whitespace stay inside a word; a
     word takes the label of the first (by start, then end) span
-    overlapping its character range, else N.A.
+    overlapping its character range, else N.A. Every span's label must be
+    in the scheme.
     """
-    ordered = sorted(spans, key=lambda s: (s[0], s[1]))
+    ordered = []
+    for a, b, name in sorted(spans, key=lambda s: (s[0], s[1])):
+        if name not in scheme.labels:
+            raise LabelingError(
+                f"document {doc_id!r}: span {a}-{b} has unknown label {name!r}")
+        ordered.append((a, b, scheme.index(name)))
     words, labels = [], []
     for m in WORD.finditer(text):
         s, e = m.span()
         label = scheme.na_id
-        for a, b, name in ordered:
+        for a, b, span_label in ordered:
             if a < e and s < b:
-                label = scheme.index(name)
+                label = span_label
                 break
         words.append(m.group())
         labels.append(label)

@@ -2,15 +2,25 @@
 
 Training repeatedly merges the corpus-wide most frequent adjacent symbol
 pair (weighted by word frequency, ties broken lexicographically), so the
-merge list is a deterministic function of the corpus. Merge rules operate
-on bare symbol strings; the derived vocabulary stores every symbol twice,
-as a word-initial piece and as a ``##``-prefixed continuation piece, which
-keeps decoding and word alignment unambiguous. Inputs longer than the
-encoder window are split into overlapping windows that never cut a word
-unless a single word overflows the window by itself.
+merge list is a deterministic function of the corpus. Each merge finds its
+work through an index, not a scan: a map from each pair to the words that
+hold it, so only those words are re-counted, and a max-heap of
+(-count, pair) whose least entry is the highest count and, among equal
+counts, the lexicographically least pair; an entry whose count has moved
+on is dropped when it reaches the top. Segmentation applies the merges in
+list order, and from rank r jumps straight to the least rank >= r whose
+pair the word holds, so a word pays for the merges it takes, not for the
+whole list. Merge rules operate on bare symbol strings; the derived
+vocabulary stores every symbol twice, as a word-initial piece and as a
+``##``-prefixed continuation piece, which keeps decoding and word
+alignment unambiguous. Inputs longer than the encoder window are split
+into overlapping windows that never cut a word unless a single word
+overflows the window by itself.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,17 +42,28 @@ class AlignmentError(ValueError):
 class MergeTable:
     """Ordered merge rules plus the derived subword vocabulary.
 
-    ``segmentations`` memoizes segment_word per word for encode. It is private
-    to each table (init=False, so dataclasses.replace starts it empty),
-    unbounded, and grows with the distinct words the table encodes.
+    Two fields are derived, private to each table and left out of
+    comparison (init=False, so dataclasses.replace rebuilds them):
+    ``ranks`` maps each merge pair to its ascending list positions (a table
+    load_table accepts may list one pair twice), which lets segment_word
+    jump from rank r straight to the next rank whose pair a word holds;
+    ``segmentations`` memoizes segment_word per word for encode. It is
+    unbounded and grows with the distinct words the table encodes.
     """
 
     merges: tuple[tuple[str, str], ...]
     pieces: tuple[str, ...]          # piece string per token id
     vocab: dict[str, int]            # piece string -> token id
     lowercase: bool = False
+    ranks: dict[tuple[str, str], list[int]] = field(init=False, compare=False, repr=False)
     segmentations: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ranks: dict[tuple[str, str], list[int]] = {}
+        for r, pair in enumerate(self.merges):
+            ranks.setdefault(pair, []).append(r)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def unk_id(self) -> int:
@@ -75,14 +96,6 @@ class TokenizedSequence:
     piece_span: tuple[int, int]
 
 
-def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for seq, freq in words.items():
-        for pair in zip(seq, seq[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def _merge_seq(seq: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
     merged = pair[0] + pair[1]
     out: list[str] = []
@@ -97,16 +110,6 @@ def _merge_seq(seq: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def best_pair(counts: Counter) -> Optional[tuple[str, str]]:
-    """Highest-count pair; ties break toward the lexicographically least."""
-    best = None
-    best_count = 0
-    for pair, count in counts.items():
-        if count > best_count or (count == best_count and best is not None and pair < best):
-            best, best_count = pair, count
-    return best
-
-
 def train_bpe(
     word_frequency: Mapping[str, int],
     num_merges: int,
@@ -115,7 +118,9 @@ def train_bpe(
     """Learn min(num_merges, available) merges from a word-frequency map.
 
     Pair statistics are updated incrementally: after each merge only the
-    words containing the merged pair are recounted.
+    words holding the merged pair (its ``holders`` entry) are recounted, and
+    the next pair comes off a max-heap of (-count, pair) entries, each
+    dropped when popped if the pair's count has moved on since.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -132,23 +137,43 @@ def train_bpe(
         words[key] = words.get(key, 0) + count
 
     chars = sorted({ch for seq in words for ch in seq})
-    counts = _pair_counts(words)
+    seqs = list(words)
+    freqs = list(words.values())
+    counts: Counter = Counter()
+    holders: dict[tuple[str, str], set[int]] = {}
+    for w, seq in enumerate(seqs):
+        for pair in zip(seq, seq[1:]):
+            counts[pair] += freqs[w]
+            holders.setdefault(pair, set()).add(w)
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pair = best_pair(counts)
-        if pair is None:
+    while len(merges) < num_merges:
+        # an entry is live while its count is still the pair's count
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
+        pair = heapq.heappop(heap)[1]
         merges.append(pair)
-        for seq in [s for s in words if _contains_pair(s, pair)]:
-            freq = words.pop(seq)
+        delta: Counter = Counter()
+        for w in holders.pop(pair):
+            seq, freq = seqs[w], freqs[w]
+            new_seq = seqs[w] = _merge_seq(seq, pair)
             for p in zip(seq, seq[1:]):
-                counts[p] -= freq
-                if counts[p] <= 0:
-                    del counts[p]
-            new_seq = _merge_seq(seq, pair)
-            words[new_seq] = words.get(new_seq, 0) + freq
+                delta[p] -= freq
+                if p != pair:
+                    holders[p].discard(w)
             for p in zip(new_seq, new_seq[1:]):
-                counts[p] += freq
+                delta[p] += freq
+                holders.setdefault(p, set()).add(w)
+        for p, d in delta.items():
+            if d:
+                counts[p] += d
+                if counts[p]:
+                    heapq.heappush(heap, (-counts[p], p))
+                else:
+                    del counts[p]
 
     pieces: list[str] = list(SPECIALS)
     vocab: dict[str, int] = {p: i for i, p in enumerate(pieces)}
@@ -162,20 +187,29 @@ def train_bpe(
     )
 
 
-def _contains_pair(seq: tuple[str, ...], pair: tuple[str, str]) -> bool:
-    return any(seq[i] == pair[0] and seq[i + 1] == pair[1] for i in range(len(seq) - 1))
-
-
 def segment_word(word: str, table: MergeTable) -> list[str]:
-    """Split one word into piece surfaces (continuation pieces ##-prefixed)."""
+    """Split one word into piece surfaces (continuation pieces ##-prefixed).
+
+    Applies the merges in list order, each wherever its pair is adjacent;
+    from rank r it jumps to the least rank >= r whose pair the word holds.
+    """
     if table.lowercase:
         word = word.lower()
     seq: tuple[str, ...] = tuple(word)
-    for pair in table.merges:
-        if len(seq) == 1:
+    ranks = table.ranks
+    r = 0
+    while len(seq) > 1:
+        best = None
+        for pair in zip(seq, seq[1:]):
+            pair_ranks = ranks.get(pair)
+            if pair_ranks is not None:
+                i = bisect_left(pair_ranks, r)
+                if i < len(pair_ranks) and (best is None or pair_ranks[i] < best):
+                    best = pair_ranks[i]
+        if best is None:
             break
-        if _contains_pair(seq, pair):
-            seq = _merge_seq(seq, pair)
+        seq = _merge_seq(seq, table.merges[best])
+        r = best + 1
     return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
-from handover_ie.tokenizer import CONTINUATION
+from handover_ie.tokenizer import CONTINUATION, SPECIALS, MergeTable, _merge_seq
 
 
 def grad_check(f, params, epsilon: float = 1e-5) -> float:
@@ -219,6 +220,74 @@ def word_accuracy(gold, pred) -> float:
             total += 1
             correct += a == b
     return correct / total
+
+
+def _contains_pair(seq, pair) -> bool:
+    return any(seq[i] == pair[0] and seq[i + 1] == pair[1] for i in range(len(seq) - 1))
+
+
+def _best_pair(counts):
+    """Highest-count pair; ties break toward the lexicographically least."""
+    best = None
+    best_count = 0
+    for pair, count in counts.items():
+        if count > best_count or (count == best_count and best is not None and pair < best):
+            best, best_count = pair, count
+    return best
+
+
+def reference_train_bpe(word_frequency, num_merges, lowercase=False) -> MergeTable:
+    """Scan reference for tokenizer.train_bpe: each merge takes the best
+    pair by a scan of every pair count and re-counts the words it finds by
+    a scan of every word."""
+    words = {}
+    for word, count in word_frequency.items():
+        key = tuple(word.lower() if lowercase else word)
+        words[key] = words.get(key, 0) + count
+    chars = sorted({ch for seq in words for ch in seq})
+    counts = Counter()
+    for seq, freq in words.items():
+        for pair in zip(seq, seq[1:]):
+            counts[pair] += freq
+    merges = []
+    for _ in range(num_merges):
+        pair = _best_pair(counts)
+        if pair is None:
+            break
+        merges.append(pair)
+        for seq in [s for s in words if _contains_pair(s, pair)]:
+            freq = words.pop(seq)
+            for p in zip(seq, seq[1:]):
+                counts[p] -= freq
+                if counts[p] <= 0:
+                    del counts[p]
+            new_seq = _merge_seq(seq, pair)
+            words[new_seq] = words.get(new_seq, 0) + freq
+            for p in zip(new_seq, new_seq[1:]):
+                counts[p] += freq
+    pieces = list(SPECIALS)
+    vocab = {p: i for i, p in enumerate(pieces)}
+    for sym in chars + [a + b for a, b in merges]:
+        for form in (sym, CONTINUATION + sym):
+            if form not in vocab:
+                vocab[form] = len(pieces)
+                pieces.append(form)
+    return MergeTable(merges=tuple(merges), pieces=tuple(pieces), vocab=vocab,
+                      lowercase=lowercase)
+
+
+def reference_segment_word(word, table) -> list[str]:
+    """Merge-list walk reference for tokenizer.segment_word: every merge in
+    list order, applied wherever its pair is adjacent."""
+    if table.lowercase:
+        word = word.lower()
+    seq = tuple(word)
+    for pair in table.merges:
+        if len(seq) == 1:
+            break
+        if _contains_pair(seq, pair):
+            seq = _merge_seq(seq, pair)
+    return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
 
 
 def decode(seqs) -> list[str]:

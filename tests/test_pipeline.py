@@ -1127,6 +1127,34 @@ def test_standoff_conversion_script_splits_annotations_at_line_breaks_only(tmp_p
     )
 
 
+def run_standoff_script(tmp_path, ann_text):
+    """Convert one document, 'Mary rests quietly', with the given .ann text."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "rec1.txt").write_text("Mary rests quietly", encoding="utf-8")
+    (docs / "rec1.ann").write_text(ann_text, encoding="utf-8")
+    scheme_path = tmp_path / "labels.txt"
+    scheme_path.write_text("N.A.\nname\n", encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "convert_standoff.py"),
+         "--input-dir", str(docs), "--scheme", str(scheme_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_standoff_conversion_script_names_the_line_of_a_bad_offset(tmp_path):
+    proc = run_standoff_script(tmp_path, "0\t4\tname\n5\tx\tname\n")
+    assert proc.returncode == 2
+    ann = tmp_path / "docs" / "rec1.ann"
+    assert proc.stderr == f"error: {ann}:2: start and end must be integers\n"
+
+
+def test_standoff_conversion_script_names_the_document_and_span_of_an_unknown_label(tmp_path):
+    proc = run_standoff_script(tmp_path, "0\t4\tnmae\n")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: document 'rec1': span 0-4 has unknown label 'nmae'\n"
+
+
 def test_import_pretrained_script(tmp_path):
     from handover_ie import tensor as T
     from handover_ie.encoder import EncoderModel
@@ -1181,6 +1209,18 @@ def test_import_pretrained_script(tmp_path):
     assert proc.stderr == ("error: mapping line 2: 'embeddings.token' is already mapped on "
                            "line 1\n")
     assert not (tmp_path / "twice.tarch").exists()
+
+
+def test_rejected_synthetic_experiment_leaves_no_work_directory(tmp_path):
+    work = tmp_path / "work"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_synthetic_experiment.py"),
+         "--workdir", str(work), "--n-train", "-1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: n_records must be >= 0\n"
+    assert not work.exists()
 
 
 @pytest.mark.parametrize("script, args", [

@@ -28,7 +28,15 @@ from handover_ie.tokenizer import (
     word_frequencies,
 )
 
-from helpers import WORD_LISTS, as_saved, corruptions, decode, draw_offset
+from helpers import (
+    WORD_LISTS,
+    as_saved,
+    corruptions,
+    decode,
+    draw_offset,
+    reference_segment_word,
+    reference_train_bpe,
+)
 
 SENNRICH_CORPUS = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
 
@@ -166,6 +174,49 @@ def test_train_rejects_bad_input():
         train_bpe({"x": 1}, -1)
 
 
+# few letters, so pairs repeat across words and counts tie often; upper case
+# letters make lowercasing merge words
+SMALL_CORPORA = st.dictionaries(st.text("abcAB", min_size=1, max_size=10),
+                                st.integers(1, 9), min_size=1, max_size=20)
+
+
+@given(SMALL_CORPORA, st.integers(0, 40), st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_indexed_fit_matches_scan_oracle(corpus, num_merges, lowercase):
+    table = train_bpe(corpus, num_merges, lowercase=lowercase)
+    oracle = reference_train_bpe(corpus, num_merges, lowercase=lowercase)
+    assert (table.merges, table.vocab, table.pieces) == (oracle.merges, oracle.vocab,
+                                                          oracle.pieces)
+
+
+def test_fit_merges_only_the_words_that_hold_each_pair(monkeypatch):
+    import numpy as np
+
+    corpus = {}
+    for trial in range(20):
+        for word, count in random_corpus(np.random.default_rng(trial)).items():
+            corpus[word] = corpus.get(word, 0) + count
+    table = train_bpe(corpus, 40)
+    # replay the merges: each touches the distinct words that hold its pair
+    words = {tuple(w) for w in corpus}
+    touched = 0
+    for pair in table.merges:
+        holding = {seq for seq in words if pair in zip(seq, seq[1:])}
+        touched += len(holding)
+        words = (words - holding) | {tokenizer._merge_seq(seq, pair) for seq in holding}
+    assert touched < len(table.merges) * len(corpus) // 4   # a scan would merge every word
+    calls = []
+    merge_seq = tokenizer._merge_seq
+
+    def counted(seq, pair):
+        calls.append(pair)
+        return merge_seq(seq, pair)
+
+    monkeypatch.setattr(tokenizer, "_merge_seq", counted)
+    assert train_bpe(corpus, 40) == table
+    assert len(calls) == touched
+
+
 def test_encode_single_known_word():
     table = train_bpe(SENNRICH_CORPUS, 10)
     (seq,) = encode(["low"], table, max_len=8)
@@ -239,6 +290,48 @@ def test_rank_order_segmentation_can_differ_from_merge_list_order():
                        "".join(f"{p}\t{i}\n" for i, p in enumerate(pieces)))
     assert segment_word("xabcd", table) == ["x", "##abcd"]
     assert rank_order_segment("xabcd", table) == ["xabcd"]
+
+
+def table_of(merges, chars=""):
+    """A table load_table accepts: the merges as listed, and as pieces the
+    specials, chars, and each merge's two sides and join."""
+    pieces = [*SPECIALS, *sorted({*chars, *(p for a, b in merges for p in (a, b, a + b))})]
+    return load_table("".join(f"{a} {b}\n" for a, b in merges),
+                      "".join(f"{p}\t{i}\n" for i, p in enumerate(pieces)))
+
+
+def test_a_repeated_merge_pair_applies_again_at_its_later_rank():
+    # (ab, c) is absent at rank 0 and present at rank 2, once (a, b) made ab
+    table = table_of([("ab", "c"), ("a", "b"), ("ab", "c")])
+    assert table.ranks[("ab", "c")] == [0, 2]
+    assert segment_word("abc", table) == reference_segment_word("abc", table) == ["abc"]
+
+
+@st.composite
+def loaded_tables(draw):
+    """Random merge lists over three letters, a pair sometimes repeated.
+
+    A side is a symbol an earlier merge made, or any short string, so a
+    pair may come before the merge that makes one of its sides.
+    """
+    symbols = list("abc")
+    merges = []
+    for _ in range(draw(st.integers(0, 12))):
+        if merges and draw(st.integers(0, 3)) == 0:
+            merges.append(draw(st.sampled_from(merges)))
+        else:
+            side = st.one_of(st.sampled_from(symbols), st.text("abc", min_size=1, max_size=2))
+            pair = (draw(side), draw(side))
+            merges.append(pair)
+            symbols.append(pair[0] + pair[1])
+    return table_of(merges, "abc")
+
+
+@given(loaded_tables(), st.lists(st.text("abc", min_size=1, max_size=14), max_size=10))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rank_jump_segmentation_matches_merge_list_walk(table, words):
+    for word in words:
+        assert segment_word(word, table) == reference_segment_word(word, table)
 
 
 def test_encode_requires_room_for_specials():
