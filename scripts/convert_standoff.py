@@ -49,10 +49,9 @@ def main() -> int:
         ann = txt.with_suffix(".ann")
         if not ann.exists():
             raise FileNotFoundError(f"missing annotation file {ann}")
-        records.append(
-            convert_standoff(txt.stem, txt.read_text(encoding="utf-8"),
-                             read_spans(ann), scheme)
-        )
+        # newline="" keeps each CRLF two characters, as the .ann offsets count it
+        with txt.open(encoding="utf-8", newline="") as f:
+            records.append(convert_standoff(txt.stem, f.read(), read_spans(ann), scheme))
     rs = RecordSet(split="train", records=tuple(records))
     write_out(serialize_records(rs, scheme), args.out)
     return 0

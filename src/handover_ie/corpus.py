@@ -299,11 +299,14 @@ def convert_standoff(
     Words are the runs of text between WORD_BREAKS, as in a records file,
     so U+0085, U+2028 and other Unicode whitespace stay inside a word; a
     word takes the label of the first (by start, then end) span
-    overlapping its character range, else N.A. Every span's label must be
-    in the scheme.
+    overlapping its character range, else N.A. Every span must lie in the
+    text, 0 <= start < end <= len(text), and its label in the scheme.
     """
     ordered = []
     for a, b, name in sorted(spans, key=lambda s: (s[0], s[1])):
+        if not 0 <= a < b <= len(text):
+            raise ValueError(f"document {doc_id!r}: span {a}-{b} is not inside the text "
+                             f"(0 <= start < end <= {len(text)})")
         if name not in scheme.labels:
             raise LabelingError(
                 f"document {doc_id!r}: span {a}-{b} has unknown label {name!r}")

@@ -79,10 +79,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0), ("max_len", 3),
+                           ("num_merges", 0), ("feature_cutoff", 1)):
+            if (value := getattr(self, key)) < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
         # a zero learning rate is allowed so a null-update run stays expressible
         for key in ("learning_rate", "weight_decay", "l2_lambda", "max_iters", "grad_tol"):
             value = getattr(self, key)

@@ -13,9 +13,10 @@ pair the word holds, so a word pays for the merges it takes, not for the
 whole list. Merge rules operate on bare symbol strings; the derived
 vocabulary stores every symbol twice, as a word-initial piece and as a
 ``##``-prefixed continuation piece, which keeps decoding and word
-alignment unambiguous. Inputs longer than the encoder window are split
-into overlapping windows that never cut a word unless a single word
-overflows the window by itself.
+alignment unambiguous. Encoding builds a note's flat piece arrays in one
+pass and cuts each window as a slice of them; a note longer than the
+encoder window gets overlapping windows whose edges snap back to a word
+start by lookup, so no word is cut unless it overflows a window by itself.
 """
 from __future__ import annotations
 
@@ -213,35 +214,29 @@ def segment_word(word: str, table: MergeTable) -> list[str]:
     return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
 
 
-def _plan_windows(word_of_piece: list[int], capacity: int) -> list[tuple[int, int]]:
-    """Overlapping [start, end) piece windows; boundaries snap to words."""
+def _plan_windows(word_of_piece: list[int], first_piece: list[int],
+                  capacity: int) -> list[tuple[int, int]]:
+    """Overlapping [start, end) windows of at most capacity pieces. Both
+    edges snap back to a word start, first_piece[word_of_piece[i]], unless
+    that stops the windows advancing; a word that fills a window is cut."""
     n = len(word_of_piece)
-    if n <= capacity:
-        return [(0, n)]
     overlap = capacity // 4
     windows: list[tuple[int, int]] = []
     start = 0
     while True:
         end = min(start + capacity, n)
-        if end < n:
-            snapped = end
-            while snapped > start and word_of_piece[snapped] == word_of_piece[snapped - 1]:
-                snapped -= 1
-            if snapped > start:
-                end = snapped
+        if end < n and (snapped := first_piece[word_of_piece[end]]) > start:
+            end = snapped
         windows.append((start, end))
         if end == n:
             return windows
-        nxt = end - overlap
-        while nxt > 0 and word_of_piece[nxt] == word_of_piece[nxt - 1]:
-            nxt -= 1
-        if nxt <= start or min(nxt + capacity, n) <= end:
-            nxt = end
-        start = nxt
+        nxt = first_piece[word_of_piece[max(end - overlap, 0)]]
+        start = end if nxt <= start or min(nxt + capacity, n) <= end else nxt
 
 
 def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[TokenizedSequence]:
-    """Tokenize a word sequence into one or more [CLS] ... [SEP] windows."""
+    """Tokenize a word sequence into one or more [CLS] ... [SEP] windows,
+    each a slice of the flat piece arrays one pass over the words builds."""
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
     surfaces: list[str] = []
@@ -255,35 +250,20 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[Tokeni
             pcs = memo[word] = tuple(segment_word(word, table))
         surfaces.extend(pcs)
         word_of_piece.extend([w] * len(pcs))
-
+    first_flat.append(len(surfaces))   # word w holds pieces first_flat[w] to first_flat[w + 1]
+    get, unk = table.vocab.get, table.unk_id
+    ids = [get(piece, unk) for piece in surfaces]
     out: list[TokenizedSequence] = []
-    for s, e in _plan_windows(word_of_piece, max_len - 2) if surfaces else [(0, 0)]:
-        ids = [table.cls_id]
-        pieces = [CLS]
-        word_idx: list[Optional[int]] = [None]
-        firsts: dict[int, int] = {}
-        for k in range(s, e):
-            w = word_of_piece[k]
-            if first_flat[w] == k:
-                firsts[w] = len(ids)
-            ids.append(table.vocab.get(surfaces[k], table.unk_id))
-            pieces.append(surfaces[k])
-            word_idx.append(w)
-        ids.append(table.sep_id)
-        pieces.append(SEP)
-        word_idx.append(None)
+    for s, e in _plan_windows(word_of_piece, first_flat, max_len - 2):
         # word_of_piece never decreases, so the window's end pieces bound its words
-        span = (word_of_piece[s], word_of_piece[e - 1] + 1) if e > s else (0, 0)
-        out.append(
-            TokenizedSequence(
-                token_ids=tuple(ids),
-                pieces=tuple(pieces),
-                word_index_of=tuple(word_idx),
-                first_subtoken_of=firsts,
-                word_span=span,
-                piece_span=(s, e),
-            )
-        )
+        lo, hi = (word_of_piece[s], word_of_piece[e - 1] + 1) if e > s else (0, 0)
+        out.append(TokenizedSequence(
+            token_ids=(table.cls_id, *ids[s:e], table.sep_id),
+            pieces=(CLS, *surfaces[s:e], SEP),
+            word_index_of=(None, *word_of_piece[s:e], None),
+            first_subtoken_of={w: 1 + first_flat[w] - s for w in range(lo, hi)
+                               if s <= first_flat[w] < first_flat[w + 1]},
+            word_span=(lo, hi), piece_span=(s, e)))
     return out
 
 

@@ -15,7 +15,9 @@ from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
-from handover_ie.tokenizer import CONTINUATION, SPECIALS, MergeTable, _merge_seq
+from handover_ie.tokenizer import (
+    CLS, CONTINUATION, SEP, SPECIALS, MergeTable, TokenizedSequence, _merge_seq, segment_word,
+)
 
 
 def grad_check(f, params, epsilon: float = 1e-5) -> float:
@@ -288,6 +290,63 @@ def reference_segment_word(word, table) -> list[str]:
         if _contains_pair(seq, pair):
             seq = _merge_seq(seq, pair)
     return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
+
+
+def reference_plan_windows(word_of_piece, capacity) -> list[tuple[int, int]]:
+    """Backward-walk reference for tokenizer._plan_windows: each edge walks
+    back piece by piece to a word start."""
+    n = len(word_of_piece)
+    if n <= capacity:
+        return [(0, n)]
+    overlap = capacity // 4
+    windows = []
+    start = 0
+    while True:
+        end = min(start + capacity, n)
+        if end < n:
+            snapped = end
+            while snapped > start and word_of_piece[snapped] == word_of_piece[snapped - 1]:
+                snapped -= 1
+            if snapped > start:
+                end = snapped
+        windows.append((start, end))
+        if end == n:
+            return windows
+        nxt = end - overlap
+        while nxt > 0 and word_of_piece[nxt] == word_of_piece[nxt - 1]:
+            nxt -= 1
+        if nxt <= start or min(nxt + capacity, n) <= end:
+            nxt = end
+        start = nxt
+
+
+def reference_encode_words(words, table, max_len) -> list[TokenizedSequence]:
+    """Per-piece reference for tokenizer.encode: each window is built one
+    piece at a time, a word's first subtoken found where its first piece is."""
+    surfaces, word_of_piece, first_flat = [], [], []
+    for w, word in enumerate(words):
+        first_flat.append(len(surfaces))
+        pcs = segment_word(word, table)
+        surfaces.extend(pcs)
+        word_of_piece.extend([w] * len(pcs))
+    out = []
+    for s, e in reference_plan_windows(word_of_piece, max_len - 2) if surfaces else [(0, 0)]:
+        ids, pieces, word_idx, firsts = [table.cls_id], [CLS], [None], {}
+        for k in range(s, e):
+            w = word_of_piece[k]
+            if first_flat[w] == k:
+                firsts[w] = len(ids)
+            ids.append(table.vocab.get(surfaces[k], table.unk_id))
+            pieces.append(surfaces[k])
+            word_idx.append(w)
+        ids.append(table.sep_id)
+        pieces.append(SEP)
+        word_idx.append(None)
+        span = (word_of_piece[s], word_of_piece[e - 1] + 1) if e > s else (0, 0)
+        out.append(TokenizedSequence(token_ids=tuple(ids), pieces=tuple(pieces),
+                                     word_index_of=tuple(word_idx), first_subtoken_of=firsts,
+                                     word_span=span, piece_span=(s, e)))
+    return out
 
 
 def decode(seqs) -> list[str]:

@@ -439,6 +439,16 @@ def test_convert_standoff_overlap_rules():
     assert [scheme.labels[l] for l in rec.labels] == ["x"]
 
 
+@pytest.mark.parametrize("start, end", [(-3, 2), (40, 60), (9, 4), (5, 5), (0, 15)])
+def test_convert_standoff_rejects_a_span_outside_the_text(start, end):
+    scheme = LabelScheme(labels=("N.A.", "name"))
+    with pytest.raises(ValueError, match=f"^document 'd': span {start}-{end} is not inside "
+                                         r"the text \(0 <= start < end <= 14\)$"):
+        convert_standoff("d", "Mary rests now", [(0, 4, "name"), (start, end, "name")], scheme)
+    # the text's first and last characters are inside
+    assert convert_standoff("d", "Mary rests now", [(0, 14, "name")], scheme).labels == (1, 1, 1)
+
+
 def test_convert_standoff_cuts_words_by_the_word_rule():
     scheme = LabelScheme(labels=("N.A.", "name"))
     rec = convert_standoff("d", "Mary\x85Jones rests", [(0, 10, "name")], scheme)

@@ -94,6 +94,16 @@ def test_train_config_rejects_bad_encoder_setting(key, value):
         pipeline.TrainConfig(**{key: value})
 
 
+BELOW_LEAST = [("max_len", 2, 3), ("max_len", 0, 3), ("num_merges", -1, 0),
+               ("feature_cutoff", 0, 1), ("seed", -1, 0)]
+
+
+@pytest.mark.parametrize("key, value, least", BELOW_LEAST)
+def test_train_config_rejects_setting_below_its_least_value(key, value, least):
+    with pytest.raises(ValueError, match=f"^{key} must be >= {least}, got {value}$"):
+        pipeline.TrainConfig(**{key: value})
+
+
 def test_config_text_round_trip():
     train_config = pipeline.TrainConfig(kind="crf", learning_rate=2e-5, lowercase=True,
                                         pretrained="w.tarch", grad_tol=1e-7)
@@ -1006,6 +1016,19 @@ def test_cli_rejects_zero_attention_heads(tiny_setup, tmp_path, capsys):
     assert "num_heads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, least", BELOW_LEAST)
+def test_cli_train_exits_2_naming_a_setting_below_its_least_value(tmp_path, capsys, monkeypatch,
+                                                                   key, value, least):
+    monkeypatch.delenv(pipeline.SEED_ENV_VAR, raising=False)
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, **{key: value})
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "trained")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
+    assert not (tmp_path / "trained").exists()
+
+
 def test_cli_rejects_crf_weights_not_named_weights(tmp_path, capsys):
     scheme, paths = _write_corpus(tmp_path)
     train = generate_synthetic(8, scheme, seed=37)
@@ -1127,11 +1150,11 @@ def test_standoff_conversion_script_splits_annotations_at_line_breaks_only(tmp_p
     )
 
 
-def run_standoff_script(tmp_path, ann_text):
-    """Convert one document, 'Mary rests quietly', with the given .ann text."""
+def run_standoff_script(tmp_path, ann_text, text="Mary rests quietly"):
+    """Convert one document, its .txt the bytes of text, with the given .ann text."""
     docs = tmp_path / "docs"
     docs.mkdir()
-    (docs / "rec1.txt").write_text("Mary rests quietly", encoding="utf-8")
+    (docs / "rec1.txt").write_bytes(text.encode("utf-8"))
     (docs / "rec1.ann").write_text(ann_text, encoding="utf-8")
     scheme_path = tmp_path / "labels.txt"
     scheme_path.write_text("N.A.\nname\n", encoding="utf-8")
@@ -1153,6 +1176,23 @@ def test_standoff_conversion_script_names_the_document_and_span_of_an_unknown_la
     proc = run_standoff_script(tmp_path, "0\t4\tnmae\n")
     assert proc.returncode == 2
     assert proc.stderr == "error: document 'rec1': span 0-4 has unknown label 'nmae'\n"
+
+
+def test_standoff_conversion_script_counts_a_crlf_as_two_characters(tmp_path):
+    text = "Bed 4\r\nDr A\r\nNurse\r\nPlan\r\nJohn rests"
+    start = text.index("John")
+    proc = run_standoff_script(tmp_path, f"{start}\t{start + 4}\tname\n", text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("# id: rec1\nBed\tN.A.\n4\tN.A.\nDr\tN.A.\nA\tN.A.\n"
+                           "Nurse\tN.A.\nPlan\tN.A.\nJohn\tname\nrests\tN.A.\n\n")
+
+
+@pytest.mark.parametrize("start, end", [(-3, 2), (40, 60), (9, 4)])
+def test_standoff_conversion_script_rejects_a_span_outside_the_text(tmp_path, start, end):
+    proc = run_standoff_script(tmp_path, f"{start}\t{end}\tname\n")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: document 'rec1': span {start}-{end} is not inside the "
+                           f"text (0 <= start < end <= 18)\n")
 
 
 def test_import_pretrained_script(tmp_path):

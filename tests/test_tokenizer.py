@@ -34,6 +34,8 @@ from helpers import (
     corruptions,
     decode,
     draw_offset,
+    reference_encode_words,
+    reference_plan_windows,
     reference_segment_word,
     reference_train_bpe,
 )
@@ -338,6 +340,30 @@ def test_encode_requires_room_for_specials():
     table = train_bpe({"a": 1}, 0)
     with pytest.raises(ValueError):
         encode(["a"], table, max_len=2)
+
+
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 40))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_window_plan_by_lookup_matches_backward_walk(word_lengths, capacity):
+    word_of_piece, first_piece = [], []
+    for w, length in enumerate(word_lengths):
+        first_piece.append(len(word_of_piece))
+        word_of_piece.extend([w] * length)
+    assert (tokenizer._plan_windows(word_of_piece, first_piece, capacity)
+            == reference_plan_windows(word_of_piece, capacity))
+
+
+@given(st.dictionaries(st.text("abcd", min_size=1, max_size=8), st.integers(1, 5),
+                       min_size=1, max_size=8),
+       st.integers(0, 12),
+       st.lists(st.text("abcdZ", max_size=30), max_size=12),
+       st.integers(3, 14))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_sliced_windows_match_per_piece_oracle(counts, n_merges, words, max_len):
+    # words of up to 30 pieces overflow every window; "" and [] are drawn too
+    table = train_bpe(counts, n_merges)
+    # dataclass equality compares all six fields of every window
+    assert encode(words, table, max_len) == reference_encode_words(words, table, max_len)
 
 
 def test_lowercase_table():
