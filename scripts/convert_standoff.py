@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Convert standoff-annotated documents to the word-per-line TSV format.
 
-Expects a directory of `<name>.txt` / `<name>.ann` pairs. Each .ann line
-is `start<TAB>end<TAB>label` with character offsets into the .txt file;
-words are whitespace tokens and take the label of the first overlapping
-span, or N.A. Use this to adapt span-annotated corpora (the public
+Expects a directory of `<name>.txt` / `<name>.ann` pairs, both UTF-8.
+Each .ann line is `start<TAB>end<TAB>label` with character offsets into
+the .txt file, counted after its byte-order mark if it has one; words are
+whitespace tokens and take the label of the first overlapping span, or
+N.A. Use this to adapt span-annotated corpora (the public
 handover set ships per-record documents with span annotations) to the
 toolkit's record format.
 """
@@ -20,9 +21,19 @@ from handover_ie.cli import read_scheme, run, write_out
 from handover_ie.corpus import RecordSet, convert_standoff, read_lines, serialize_records
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 file's characters after its byte-order mark, if any, with no
+    newline translation; a file that is not UTF-8 is a ValueError naming it."""
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as f:
+            return f.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_spans(path: Path) -> list[tuple[int, int, str]]:
     spans = []
-    for line_no, line in enumerate(read_lines(path.read_text(encoding="utf-8")), 1):
+    for line_no, line in enumerate(read_lines(read_text(path)), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -49,9 +60,8 @@ def main() -> int:
         ann = txt.with_suffix(".ann")
         if not ann.exists():
             raise FileNotFoundError(f"missing annotation file {ann}")
-        # newline="" keeps each CRLF two characters, as the .ann offsets count it
-        with txt.open(encoding="utf-8", newline="") as f:
-            records.append(convert_standoff(txt.stem, f.read(), read_spans(ann), scheme))
+        # each CRLF stays two characters, as the .ann offsets count it
+        records.append(convert_standoff(txt.stem, read_text(txt), read_spans(ann), scheme))
     rs = RecordSet(split="train", records=tuple(records))
     write_out(serialize_records(rs, scheme), args.out)
     return 0

@@ -3,14 +3,16 @@
 Unary features are indicator functions over word windows around the
 current position (previous/current/next words and their conjunctions),
 each conjoined with the current label; a |Y| x |Y| block of weights scores
-label transitions. Notes are featurized once into flat arrays of
-observation ids and the positions they fire at, so one scatter-add gives
-the unary scores and another the unary gradient. Inference is log-space
-forward-backward and Viterbi, each run once over all notes of a call in a
-length-sorted packed layout; training is penalized maximum likelihood
-under a limited-memory quasi-Newton optimizer with a strong Wolfe line
-search, so runs are bit-reproducible. A saved model is a features file
-with one row per observation, in id order, plus a weights archive.
+label transitions. Notes are featurized once into a [positions, templates]
+matrix of observation ids, so the unary scores are one gather and one sum
+over its rows. Inference is log-space forward-backward and Viterbi, each
+run once over all notes of a call in a length-sorted packed layout;
+training is penalized maximum likelihood under a limited-memory
+quasi-Newton optimizer with a strong Wolfe line search, so runs are
+bit-reproducible. A fit lays its notes out once (FitPlan): each objective
+call then scores in packed order, reads the gold path by gather and
+scatters the unary gradient with one bincount. A saved model is a features
+file with one row per observation, in id order, plus a weights archive.
 """
 from __future__ import annotations
 
@@ -51,13 +53,14 @@ WOLFE_MAX_STEPS = 25
 
 
 class Featurized(NamedTuple):
-    """Notes as flat arrays: observation ``ids[k]`` fires at position
-    ``pos[k]`` of the concatenated notes, note i spans positions
-    ``starts[i]:starts[i + 1]``, and ``gold`` holds the label of each
-    position (empty for notes given without labels)."""
+    """Notes as flat arrays: row p of ``ids`` holds the observation ids of
+    position p of the concatenated notes, one column per template in
+    template order, with the index's ``num_obs`` (the pad id) where a
+    surface was not indexed; note i spans positions ``starts[i]:starts[i +
+    1]``, and ``gold`` holds the label of each position (empty for notes
+    given without labels)."""
 
     ids: np.ndarray
-    pos: np.ndarray
     starts: np.ndarray
     gold: np.ndarray
 
@@ -89,22 +92,17 @@ class FeatureIndex:
         return self
 
     def transform(self, notes: Iterable[tuple[Sequence[str], Sequence[int]]]) -> Featurized:
-        """Featurize (words, labels) notes; unseen surfaces are dropped and
-        each position's ids keep template order."""
-        ids, pos, gold, starts = [], [], [], [0]
-        get = self.obs.get
+        """Featurize (words, labels) notes; an unseen surface gets the pad id."""
+        ids, gold, starts = [], [], [0]
+        get, pad = self.obs.get, self.num_obs
         for words, labels in notes:
-            offset = starts[-1]
             padded = (BOS, *words, EOS)
-            for p in range(len(words)):
-                for ti, a, b in TEMPLATE_SLICES:
-                    obs = get((ti, padded[p + a:p + b]))
-                    if obs is not None:
-                        ids.append(obs)
-                        pos.append(offset + p)
-            starts.append(offset + len(words))
+            ids.extend(get((ti, padded[p + a:p + b]), pad)
+                       for p in range(len(words)) for ti, a, b in TEMPLATE_SLICES)
+            starts.append(starts[-1] + len(words))
             gold.extend(labels)
-        return Featurized(*(np.array(a, dtype=np.int64) for a in (ids, pos, starts, gold)))
+        return Featurized(np.array(ids, dtype=np.int64).reshape(-1, len(TEMPLATE_SLICES)),
+                          np.array(starts, dtype=np.int64), np.array(gold, dtype=np.int64))
 
 
 def weight_count(num_obs: int, num_labels: int) -> int:
@@ -112,15 +110,21 @@ def weight_count(num_obs: int, num_labels: int) -> int:
     return num_obs * num_labels + num_labels ** 2
 
 
-def unary_scores(unary_w: np.ndarray, feats: Featurized) -> np.ndarray:
-    """[positions, |Y|] sums of the unary weights firing at each position.
+def unary_scores(unary_w: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """[rows, |Y|] sums of the unary weights of each row of an id matrix
+    (Featurized.ids, or its rows in any order); the pad id scores zero.
 
-    np.add.at adds a position's rows one at a time in template order, so a
-    note scores bit-identically alone or among others.
+    Each row's weights are added onto +0.0 one at a time in template order,
+    so a note scores bit-identically alone or among others, in flat or
+    packed order.
     """
-    unary = np.zeros((int(feats.starts[-1]), unary_w.shape[1]))
-    np.add.at(unary, feats.pos, unary_w[feats.ids])
-    return unary
+    if not len(unary_w):      # an index that kept no observation: every id is the pad
+        return np.zeros((len(ids), unary_w.shape[1]))
+    # the pad id clips to the last row, whose copies are then zeroed; this
+    # spares a copy of the weights with a zero row appended
+    rows = unary_w.take(ids, axis=0, mode="clip")
+    rows[ids == len(unary_w)] = 0.0
+    return np.add.reduce(rows, axis=1, initial=0.0)
 
 
 @dataclass
@@ -156,7 +160,7 @@ class CrfModel:
         the concatenated notes; note i spans rows starts[i]:starts[i + 1]."""
         unary_w, trans = self.split(self.weights)
         feats = self.index.transform((words, ()) for words in notes)
-        return unary_scores(unary_w, feats), feats.starts, trans
+        return unary_scores(unary_w, feats.ids), feats.starts, trans
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -192,18 +196,12 @@ def pack(starts: np.ndarray) -> Packed:
                   np.array(last, dtype=np.int64), order)
 
 
-def posteriors(
-    unary: np.ndarray, starts: np.ndarray, transition: np.ndarray
+def _packed_posteriors(
+    u: np.ndarray, pk: Packed, transition: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node marginals [positions, |Y|], pairwise marginals summed over every
-    note and step [|Y|, |Y|], and each note's log Z [notes].
-
-    The log-space forward and backward recursions each run once over all
-    notes, one step at a time, in the packed layout; no array holds a
-    pairwise marginal per position.
-    """
-    pk = pack(starts)
-    u = unary[pk.perm]
+    """posteriors of unary rows u given in pk's packed order: the node
+    marginals in packed order, the pairwise sum, and log Z in sorted-note
+    order."""
     alpha = u.copy()
     for prev, lo, hi in pk.steps:
         alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
@@ -217,8 +215,23 @@ def posteriors(
         pair += np.exp(alpha[prev:prev + k, :, None] + transition
                        + (u[lo:hi] + beta[lo:hi])[:, None, :]
                        - log_z[:k, None, None]).sum(axis=0)
+    return np.exp(alpha + beta - log_z[pk.note][:, None]), pair, log_z
+
+
+def posteriors(
+    unary: np.ndarray, starts: np.ndarray, transition: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node marginals [positions, |Y|], pairwise marginals summed over every
+    note and step [|Y|, |Y|], and each note's log Z [notes].
+
+    The log-space forward and backward recursions each run once over all
+    notes, one step at a time, in the packed layout; no array holds a
+    pairwise marginal per position.
+    """
+    pk = pack(starts)
+    packed_node, pair, log_z = _packed_posteriors(unary[pk.perm], pk, transition)
     node = np.empty_like(unary)
-    node[pk.perm] = np.exp(alpha + beta - log_z[pk.note][:, None])
+    node[pk.perm] = packed_node
     by_note = np.empty_like(log_z)
     by_note[pk.order] = log_z
     return node, pair, by_note
@@ -261,33 +274,68 @@ def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> li
     return [labels[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+class FitPlan(NamedTuple):
+    """Labelled notes laid out once per fit: everything nll_and_grad needs
+    that does not depend on the weights. Gold cells, gold transitions and
+    firings keep flat order (position, then template), so every sum adds
+    its terms in the order of the flat layout."""
+
+    packed: Packed
+    ids: np.ndarray          # Featurized.ids in packed row order
+    gold_cells: np.ndarray   # each position's gold cell, a flat index into packed [rows, |Y|]
+    gold_pairs: np.ndarray   # flat index (previous * |Y| + current) of each gold transition
+    gold_counts: np.ndarray  # [|Y|, |Y|] count of each gold transition
+    slots: np.ndarray        # unary weight slot of each (firing, label), label fastest
+    firing_rows: np.ndarray  # packed row of each firing
+    by_input: np.ndarray     # sorted-note index of each input note
+
+
+def plan_fit(model: CrfModel, feats: Featurized) -> FitPlan:
+    """The FitPlan of labelled notes featurized by model's index."""
+    y = model.num_labels
+    pk = pack(feats.starts)
+    row_of = np.empty_like(pk.perm)
+    row_of[pk.perm] = np.arange(pk.perm.size)
+    gold = feats.gold
+    # gold transitions stay inside a record: skip each record's last position
+    inner = np.ones(gold.size, dtype=bool)
+    inner[feats.starts[1:] - 1] = False
+    pairs = (gold[:-1] * y + gold[1:])[inner[:-1]]
+    fires = feats.ids != model.index.num_obs
+    slots = (feats.ids[fires][:, None] * y + np.arange(y)).reshape(-1)
+    return FitPlan(
+        packed=pk,
+        ids=feats.ids[pk.perm],
+        gold_cells=row_of * y + gold,
+        gold_pairs=pairs,
+        gold_counts=np.bincount(pairs, minlength=y * y).reshape(y, y),
+        slots=slots,
+        firing_rows=np.broadcast_to(row_of[:, None], feats.ids.shape)[fires],
+        by_input=np.argsort(pk.order),
+    )
+
+
 def nll_and_grad(
-    model: CrfModel, feats: Featurized, weights: np.ndarray, l2_lambda: float
+    model: CrfModel, plan: FitPlan, weights: np.ndarray, l2_lambda: float
 ) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood of labelled notes at the given
+    """Penalized negative log-likelihood of the planned notes at the given
     weights, and its exact gradient.
 
     loss = sum over notes of (log Z - gold path score) + (lambda/2) ||w||^2;
     gradient = expected feature counts - empirical counts + lambda * w.
     """
-    y = model.num_labels
     unary_w, trans_w = model.split(weights)
-    unary = unary_scores(unary_w, feats)
-    gold = feats.gold
-    positions = np.arange(gold.size)
-    # gold transitions stay inside a record: skip each record's last position
-    inner = np.ones(gold.size, dtype=bool)
-    inner[feats.starts[1:] - 1] = False
-    prev, cur = gold[inner], gold[positions[inner] + 1]
+    u = unary_scores(unary_w, plan.ids)
+    node, pair_sum, log_z = _packed_posteriors(u, plan.packed, trans_w)
+    # log Z summed in input-note order, the gold path in flat order
+    loss = float(log_z[plan.by_input].sum()) - float(
+        u.reshape(-1)[plan.gold_cells].sum() + trans_w.reshape(-1)[plan.gold_pairs].sum())
 
-    node, pair_sum, log_z = posteriors(unary, feats.starts, trans_w)
-    loss = float(log_z.sum()) - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
-
-    grad = np.zeros_like(weights)
-    grad_unary, grad_trans = model.split(grad)
-    node[positions, gold] -= 1.0
-    np.add.at(grad_unary, feats.ids, node[feats.pos])
-    grad_trans += pair_sum - np.bincount(prev * y + cur, minlength=y * y).reshape(y, y)
+    node.reshape(-1)[plan.gold_cells] -= 1.0
+    # bincount adds into each slot in firing order, one term at a time
+    grad_unary = np.bincount(plan.slots, weights=node[plan.firing_rows].reshape(-1),
+                             minlength=unary_w.size)
+    grad = np.concatenate((grad_unary, (pair_sum - plan.gold_counts).reshape(-1)))
 
     loss += 0.5 * l2_lambda * float(weights @ weights)
     grad += l2_lambda * weights
@@ -411,10 +459,10 @@ def train(
     and whether L-BFGS converged."""
     if not records.records:
         raise ValueError("cannot train on an empty record set")
-    feats = model.index.transform((r.words, r.labels) for r in records.records)
+    plan = plan_fit(model, model.index.transform((r.words, r.labels) for r in records.records))
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        return nll_and_grad(model, feats, w, l2_lambda)
+        return nll_and_grad(model, plan, w, l2_lambda)
 
     weights, history, converged = minimize_lbfgs(objective, model.weights, max_iters, grad_tol)
     return replace(model, weights=weights), history, converged

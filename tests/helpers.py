@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 
 from handover_ie import tensor as T
 from handover_ie.corpus import WORD_BREAKS
-from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES
+from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES, _logsumexp, pack, plan_fit
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
@@ -372,9 +372,9 @@ def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
 
 
 def featurize(model, records):
-    """A record set's words and gold labels as the Featurized form that
+    """A record set's words and gold labels as the FitPlan that
     crf.nll_and_grad takes."""
-    return model.index.transform((r.words, r.labels) for r in records.records)
+    return plan_fit(model, model.index.transform((r.words, r.labels) for r in records.records))
 
 
 def path_score(unary, transition, path) -> float:
@@ -439,6 +439,72 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
             grad_trans[gold[t], gold[t + 1]] -= 1.0
     loss += 0.5 * l2_lambda * float(weights @ weights)
     grad = np.concatenate([grad_unary.reshape(-1), grad_trans.reshape(-1)]) + l2_lambda * weights
+    return loss, grad
+
+
+def reference_posteriors(unary, starts, transition):
+    """The flat-order posteriors that the scatter objective called: node
+    marginals and log Z scattered back from the packed layout to flat
+    position and input-note order."""
+    pk = pack(starts)
+    u = unary[pk.perm]
+    alpha = u.copy()
+    for prev, lo, hi in pk.steps:
+        alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
+    log_z = _logsumexp(alpha[pk.last], axis=1)
+    beta = np.zeros_like(u)
+    pair = np.zeros_like(transition)
+    for prev, lo, hi in reversed(pk.steps):
+        k = hi - lo
+        beta[prev:prev + k] = _logsumexp(
+            transition + u[lo:hi, None, :] + beta[lo:hi, None, :], axis=2)
+        pair += np.exp(alpha[prev:prev + k, :, None] + transition
+                       + (u[lo:hi] + beta[lo:hi])[:, None, :]
+                       - log_z[:k, None, None]).sum(axis=0)
+    node = np.empty_like(unary)
+    node[pk.perm] = np.exp(alpha + beta - log_z[pk.note][:, None])
+    by_note = np.empty_like(log_z)
+    by_note[pk.order] = log_z
+    return node, pair, by_note
+
+
+def reference_nll_and_grad(model, records, weights, l2_lambda):
+    """Byte-for-byte reference for crf.nll_and_grad: the scatter objective,
+    which featurizes on every call into flat (observation, position)
+    firings, scores and scatters the unary gradient with np.add.at, and
+    runs reference_posteriors in flat order."""
+    y = model.num_labels
+    ids, pos, gold, starts = [], [], [], [0]
+    for rec in records.records:
+        for p, firings in enumerate(extract_features(rec.words)):
+            active = [model.index.obs[key] for key in firings if key in model.index.obs]
+            ids += active
+            pos += [starts[-1] + p] * len(active)
+        starts.append(starts[-1] + len(rec.words))
+        gold += rec.labels
+    ids, pos, gold, starts = (np.array(a, dtype=np.int64) for a in (ids, pos, gold, starts))
+    n_unary = model.index.num_obs * y
+    unary_w = weights[:n_unary].reshape(model.index.num_obs, y)
+    trans_w = weights[n_unary:].reshape(y, y)
+    unary = np.zeros((int(starts[-1]), y))
+    np.add.at(unary, pos, unary_w[ids])
+    positions = np.arange(gold.size)
+    inner = np.ones(gold.size, dtype=bool)
+    inner[starts[1:] - 1] = False
+    prev, cur = gold[inner], gold[positions[inner] + 1]
+
+    node, pair_sum, log_z = reference_posteriors(unary, starts, trans_w)
+    loss = float(log_z.sum()) - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
+
+    grad = np.zeros_like(weights)
+    grad_unary = grad[:n_unary].reshape(model.index.num_obs, y)
+    grad_trans = grad[n_unary:].reshape(y, y)
+    node[positions, gold] -= 1.0
+    np.add.at(grad_unary, ids, node[pos])
+    grad_trans += pair_sum - np.bincount(prev * y + cur, minlength=y * y).reshape(y, y)
+
+    loss += 0.5 * l2_lambda * float(weights @ weights)
+    grad += l2_lambda * weights
     return loss, grad
 
 

@@ -42,6 +42,7 @@ from helpers import (
     loop_nll_and_grad,
     loop_viterbi,
     path_score,
+    reference_nll_and_grad,
 )
 
 # the L-BFGS budget and tolerance train_crf uses by default
@@ -112,26 +113,22 @@ def test_feature_ids_stable_across_rebuilds():
     two = FeatureIndex().fit(words, 1)
     assert one.obs == two.obs
     a, b = (index.transform([(["a", "b"], ())]) for index in (one, two))
-    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.pos, b.pos)
+    assert np.array_equal(a.ids, b.ids)
 
 
 def test_unseen_surfaces_are_dropped():
     index = FeatureIndex().fit([["a", "b"]], 1)
     feats = index.transform([(["z", "q"], ())])
-    firing_counts = np.bincount(feats.pos, minlength=2)
-    assert all(c < 6 for c in firing_counts)
+    firing_counts = (feats.ids != index.num_obs).sum(axis=1)
+    assert firing_counts.tolist() == [1, 1]      # only w[-1] = BOS and w[+1] = EOS are indexed
 
 
 def test_transform_flattens_notes_in_order():
     index = FeatureIndex().fit([["a", "b"], ["c"]], 1)
     feats = index.transform([(["a", "b"], (1, 0)), (["c"], (2,))])
-    expected_ids, expected_pos = [], []
-    for offset, words in ((0, ["a", "b"]), (2, ["c"])):
-        for p, firings in enumerate(extract_features(words)):
-            expected_ids += [index.obs[key] for key in firings]
-            expected_pos += [offset + p] * len(firings)
+    expected_ids = [[index.obs.get(key, index.num_obs) for key in firings]
+                    for words in (["a", "b"], ["c"]) for firings in extract_features(words)]
     assert feats.ids.tolist() == expected_ids
-    assert feats.pos.tolist() == expected_pos
     assert feats.starts.tolist() == [0, 2, 3]
     assert feats.gold.tolist() == [1, 0, 2]
 
@@ -331,6 +328,49 @@ def test_objective_matches_loop_oracle():
         want_loss, want_grad = loop_nll_and_grad(model, rs, w, lam)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(grad - want_grad).max() <= 1e-10
+
+
+def assert_objective_bytes_equal_reference(model, rs, w, lam):
+    loss, grad = nll_and_grad(model, featurize(model, rs), w, lam)
+    want_loss, want_grad = reference_nll_and_grad(model, rs, w, lam)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_objective_is_byte_equal_to_the_scatter_reference():
+    scheme = default_synthetic_scheme()
+    lengths = np.random.default_rng(63).permutation(np.arange(1, 31))
+    rs = ragged_set(lengths, seed=64)
+    rng = np.random.default_rng(65)
+    empty = RecordSet(split="train", records=())
+    # at cutoff 2 some template columns of the training notes are pads; at
+    # cutoff 1000 the index keeps no observation and every column is a pad
+    for cutoff, some_pads, all_pads in ((1, False, False), (2, True, False), (1000, True, True)):
+        model = CrfModel.build(rs, scheme, cutoff)
+        pads = featurize(model, rs).ids == model.index.num_obs
+        assert (pads.any(), pads.all()) == (some_pads, all_pads)
+        w = rng.normal(0, 1, model.weights.shape)
+        draw = rng.random(w.size)
+        w[draw < 0.2] = 0.0
+        w[draw > 0.8] = -0.0
+        signed_zeros = np.where(rng.random(w.size) < 0.5, 0.0, -0.0)
+        for weights in (w, signed_zeros):
+            for lam in (0.0, 0.5):
+                assert_objective_bytes_equal_reference(model, rs, weights, lam)
+        assert_objective_bytes_equal_reference(model, empty, w, 0.5)
+
+
+def test_train_is_byte_equal_to_lbfgs_over_the_scatter_reference():
+    scheme = default_synthetic_scheme()
+    rs = ragged_set(np.random.default_rng(66).permutation(np.arange(1, 13)), seed=67)
+    for cutoff in (1, 2):
+        model = CrfModel.build(rs, scheme, cutoff)
+        fitted, history, converged = train(model, rs, 0.5, 12, GRAD_TOL)
+        want, want_history, want_converged = minimize_lbfgs(
+            lambda w: reference_nll_and_grad(model, rs, w, 0.5), model.weights, 12, GRAD_TOL)
+        assert fitted.weights.tobytes() == want.tobytes()
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert converged == want_converged
 
 
 def test_scores_unary_equals_per_position_sums_bitwise():

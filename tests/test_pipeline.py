@@ -1151,10 +1151,11 @@ def test_standoff_conversion_script_splits_annotations_at_line_breaks_only(tmp_p
 
 
 def run_standoff_script(tmp_path, ann_text, text="Mary rests quietly"):
-    """Convert one document, its .txt the bytes of text, with the given .ann text."""
+    """Convert one document, its .txt the given bytes or the UTF-8 bytes of
+    text, with the given .ann text."""
     docs = tmp_path / "docs"
     docs.mkdir()
-    (docs / "rec1.txt").write_bytes(text.encode("utf-8"))
+    (docs / "rec1.txt").write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     (docs / "rec1.ann").write_text(ann_text, encoding="utf-8")
     scheme_path = tmp_path / "labels.txt"
     scheme_path.write_text("N.A.\nname\n", encoding="utf-8")
@@ -1193,6 +1194,22 @@ def test_standoff_conversion_script_rejects_a_span_outside_the_text(tmp_path, st
     assert proc.returncode == 2
     assert proc.stderr == (f"error: document 'rec1': span {start}-{end} is not inside the "
                            f"text (0 <= start < end <= 18)\n")
+
+
+def test_standoff_conversion_script_names_a_file_that_is_not_utf8(tmp_path):
+    proc = run_standoff_script(tmp_path, "0\t4\tname\n", b"Mary \xffrests")
+    assert proc.returncode == 2
+    txt = tmp_path / "docs" / "rec1.txt"
+    assert proc.stderr == (f"error: {txt}: 'utf-8' codec can't decode byte 0xff in "
+                           f"position 5: invalid start byte\n")
+
+
+def test_standoff_conversion_script_counts_offsets_after_a_byte_order_mark(tmp_path):
+    # an editor-saved document starts with EF BB BF; the offsets count the text after it
+    proc = run_standoff_script(tmp_path, "0\t4\tname\n11\t18\tname\n",
+                               b"\xef\xbb\xbfMary rests quietly")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "# id: rec1\nMary\tname\nrests\tN.A.\nquietly\tname\n\n"
 
 
 def test_import_pretrained_script(tmp_path):
