@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 LAYER_NORM_EPS = 1e-12
 
@@ -210,9 +209,22 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _erf(x: np.ndarray) -> np.ndarray:
+    """scipy's erf ufunc, imported on the first call, which rebinds this
+    name to the ufunc itself.
+
+    Importing scipy.special takes about half of the CLI's start-up, and
+    only the GELU needs it, so a process that never runs an encoder
+    never imports it.
+    """
+    global _erf
+    from scipy.special import erf as _erf
+    return _erf(x)
+
+
 def _gelu(x: np.ndarray):
     """The output, with the normal cdf its vjp reads."""
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     return x * cdf, cdf
 
 
