@@ -7,12 +7,15 @@ label transitions. Notes are featurized once into a [positions, templates]
 matrix of observation ids, so the unary scores are one gather and one sum
 over its rows. Inference is log-space forward-backward and Viterbi, each
 run once over all notes of a call in a length-sorted packed layout;
-training is penalized maximum likelihood under a limited-memory
-quasi-Newton optimizer with a strong Wolfe line search, so runs are
-bit-reproducible. A fit lays its notes out once (FitPlan): each objective
-call then scores in packed order, reads the gold path by gather and
-scatters the unary gradient with one bincount. A saved model is a features
-file with one row per observation, in id order, plus a weights archive.
+forward-backward holds it label-major, with the notes of a step
+innermost, and keeps the row layout for the two sums whose order that
+layout would change (see _packed_posteriors). Training is penalized
+maximum likelihood under a limited-memory quasi-Newton optimizer with a
+strong Wolfe line search, so runs are bit-reproducible. A fit lays its
+notes out once (FitPlan): each objective call then scores in packed
+order, reads the gold path by gather and scatters the unary gradient with
+one bincount. A saved model is a features file with one row per
+observation, in id order, plus a weights archive.
 """
 from __future__ import annotations
 
@@ -186,10 +189,13 @@ class Packed(NamedTuple):
 
 
 def pack(starts: np.ndarray) -> Packed:
-    """Packed layout of notes spanning flat rows starts[i]:starts[i + 1]."""
+    """Packed layout of notes spanning flat rows starts[i]:starts[i + 1];
+    a note with no rows is a ValueError."""
     lengths = starts[1:] - starts[:-1]
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
+    if lengths.size and lengths[-1] == 0:   # empty notes sort last, in input order
+        raise ValueError(f"note {int(order[lengths.argmin()])} has no words")
     running = np.arange(lengths[0] if lengths.size else 0)[:, None] < lengths   # [steps, notes]
     step, note = running.nonzero()
     offsets = [0, *np.bincount(step).cumsum().tolist()]   # block bounds, one per step
@@ -203,21 +209,49 @@ def _packed_posteriors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """posteriors of unary rows u given in pk's packed order: the node
     marginals in packed order, the pairwise sum, and log Z in sorted-note
-    order."""
-    alpha = u.copy()
+    order.
+
+    The recursion is held label-major: u, alpha and beta are [|Y|, rows],
+    and a step's blocks are [|Y|, |Y|, k] with its k running notes
+    innermost, so every elementwise op and every max runs over rows of k
+    values, not of |Y|. The forward sum over the previous label reduces
+    the outer axis, adding in the order a reduce over axis 1 of
+    [k, |Y|, |Y|] does. Two sums keep [k, |Y|, |Y|] rows, each over one
+    contiguous copy of the step's exp block: the backward sum over the next
+    label, because numpy adds a contiguous row of 8 or more values
+    pairwise, and the pair sum over notes, which stays inside the step so
+    that no block outlives it. So every result is the same bits as in the
+    row layout of the notes.
+    """
+    ut = u.T.copy()
+    alpha = ut.copy()
+    trans = transition[:, :, None]
     for prev, lo, hi in pk.steps:
-        alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
-    log_z = _logsumexp(alpha[pk.last], axis=1)
-    beta = np.zeros_like(u)      # zero at each note's last position
+        cand = alpha[:, prev:prev + hi - lo][:, None, :] + trans   # [previous, current, k]
+        m = np.maximum.reduce(cand, axis=0)
+        cand -= m
+        total = np.add.reduce(np.exp(cand, out=cand), axis=0)
+        alpha[:, lo:hi] += m + np.log(total, out=total)
+    log_z = _logsumexp(alpha[:, pk.last].T.copy(), axis=1)
+    beta = np.zeros_like(ut)      # zero at each note's last position
     pair = np.zeros_like(transition)
     for prev, lo, hi in reversed(pk.steps):
         k = hi - lo
-        beta[prev:prev + k] = _logsumexp(
-            transition + u[lo:hi, None, :] + beta[lo:hi, None, :], axis=2)
-        pair += np.add.reduce(np.exp(alpha[prev:prev + k, :, None] + transition
-                                     + (u[lo:hi] + beta[lo:hi])[:, None, :]
-                                     - log_z[:k, None, None]), axis=0)
-    return np.exp(alpha + beta - log_z[pk.note][:, None]), pair, log_z
+        nxt = trans + ut[:, lo:hi]
+        nxt += beta[:, lo:hi]                         # [current, next, k]
+        m = np.maximum.reduce(nxt, axis=1)
+        nxt -= m[:, None, :]
+        rows = np.exp(nxt, out=nxt).transpose(2, 0, 1).copy()
+        total = np.add.reduce(rows, axis=2).T
+        beta[:, prev:prev + k] = m + np.log(total, out=total)
+        joint = alpha[:, prev:prev + k][:, None, :] + trans
+        joint += ut[:, lo:hi] + beta[:, lo:hi]
+        joint -= log_z[:k]
+        pair += np.add.reduce(np.exp(joint, out=joint).transpose(2, 0, 1).copy(), axis=0)
+    alpha += beta
+    alpha -= log_z[pk.note]
+    node = alpha.T.copy()
+    return np.exp(node, out=node), pair, log_z
 
 
 def posteriors(
@@ -407,27 +441,23 @@ def minimize_lbfgs(
     if not np.isfinite(f):
         raise TrainingDivergence(f"non-finite initial loss {f}")
     history = [f]
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    # accepted curvature pairs, oldest first: (s, y, rho = 1/(s.y), gamma = s.y/(y.y))
+    pairs: list[tuple[np.ndarray, np.ndarray, float, float]] = []
+    scratch = np.empty_like(x)
     for _ in range(max_iters):
         gnorm = float(np.abs(g).max()) if g.size else 0.0
         if gnorm <= grad_tol:
             return x, history, True
         q = g.copy()
         alphas = []
-        for s, yv in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / float(yv @ s)
+        for s, yv, rho, _ in reversed(pairs):
             a = rho * float(s @ q)
-            alphas.append((a, rho))
-            q -= a * yv
-        if y_hist:
-            yv, s = y_hist[-1], s_hist[-1]
-            q *= float(s @ yv) / float(yv @ yv)
-        else:
-            q *= 1.0 / max(gnorm, 1.0)
-        for (a, rho), s, yv in zip(reversed(alphas), s_hist, y_hist):
+            alphas.append(a)
+            q -= np.multiply(yv, a, out=scratch)
+        q *= pairs[-1][3] if pairs else 1.0 / max(gnorm, 1.0)
+        for a, (s, yv, rho, _) in zip(reversed(alphas), pairs):
             b = rho * float(yv @ q)
-            q += (a - b) * s
+            q += np.multiply(s, a - b, out=scratch)
         direction = -q
         result = _wolfe_line_search(fun, x, f, g, direction)
         if result is None:
@@ -436,17 +466,15 @@ def minimize_lbfgs(
             result = _wolfe_line_search(fun, x, f, g, direction)
             if result is None:
                 return x, history, False
-            s_hist.clear()
-            y_hist.clear()
+            pairs.clear()
         step, f_new, g_new = result
         s = step * direction
         yv = g_new - g
-        if float(s @ yv) > 1e-10:
-            s_hist.append(s)
-            y_hist.append(yv)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy = float(s @ yv)
+        if sy > 1e-10:
+            pairs.append((s, yv, 1.0 / sy, sy / float(yv @ yv)))
+            if len(pairs) > LBFGS_MEMORY:
+                pairs.pop(0)
         x = x + s
         f, g = f_new, g_new
         history.append(f)

@@ -11,7 +11,9 @@ from scipy.special import logsumexp
 
 from handover_ie import tensor as T
 from handover_ie.corpus import WORD_BREAKS
-from handover_ie.crf import BOS, EOS, TEMPLATE_SLICES, _logsumexp, pack, plan_fit
+from handover_ie.crf import (
+    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _logsumexp, _wolfe_line_search, pack, plan_fit,
+)
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
@@ -443,9 +445,10 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
 
 
 def reference_posteriors(unary, starts, transition):
-    """The flat-order posteriors that the scatter objective called: node
-    marginals and log Z scattered back from the packed layout to flat
-    position and input-note order."""
+    """Row-layout reference for crf.posteriors, and the posteriors the
+    scatter objective calls: each step's blocks are [k, |Y|, |Y|], with the
+    labels innermost; node marginals and log Z are scattered back from the
+    packed layout to flat position and input-note order."""
     pk = pack(starts)
     u = unary[pk.perm]
     alpha = u.copy()
@@ -506,6 +509,59 @@ def reference_nll_and_grad(model, records, weights, l2_lambda):
     loss += 0.5 * l2_lambda * float(weights @ weights)
     grad += l2_lambda * weights
     return loss, grad
+
+
+def reference_minimize_lbfgs(fun, x0, max_iters, grad_tol):
+    """Byte-for-byte reference for crf.minimize_lbfgs: the two-loop
+    recursion that recomputes each pair's 1/(y.s) on every iteration and
+    the last pair's s.y/(y.y) scale, and allocates each vector update."""
+    x = x0.astype(np.float64).copy()
+    f, g = fun(x)
+    if not np.isfinite(f):
+        raise T.TrainingDivergence(f"non-finite initial loss {f}")
+    history = [f]
+    s_hist, y_hist = [], []
+    for _ in range(max_iters):
+        gnorm = float(np.abs(g).max()) if g.size else 0.0
+        if gnorm <= grad_tol:
+            return x, history, True
+        q = g.copy()
+        alphas = []
+        for s, yv in zip(reversed(s_hist), reversed(y_hist)):
+            rho = 1.0 / float(yv @ s)
+            a = rho * float(s @ q)
+            alphas.append((a, rho))
+            q -= a * yv
+        if y_hist:
+            yv, s = y_hist[-1], s_hist[-1]
+            q *= float(s @ yv) / float(yv @ yv)
+        else:
+            q *= 1.0 / max(gnorm, 1.0)
+        for (a, rho), s, yv in zip(reversed(alphas), s_hist, y_hist):
+            b = rho * float(yv @ q)
+            q += (a - b) * s
+        direction = -q
+        result = _wolfe_line_search(fun, x, f, g, direction)
+        if result is None:
+            direction = -g
+            result = _wolfe_line_search(fun, x, f, g, direction)
+            if result is None:
+                return x, history, False
+            s_hist.clear()
+            y_hist.clear()
+        step, f_new, g_new = result
+        s = step * direction
+        yv = g_new - g
+        if float(s @ yv) > 1e-10:
+            s_hist.append(s)
+            y_hist.append(yv)
+            if len(s_hist) > LBFGS_MEMORY:
+                s_hist.pop(0)
+                y_hist.pop(0)
+        x = x + s
+        f, g = f_new, g_new
+        history.append(f)
+    return x, history, float(np.abs(g).max()) <= grad_tol
 
 
 def loop_grid_search(grid, train, valid, scheme, model_config, table):

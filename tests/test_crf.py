@@ -14,6 +14,7 @@ from handover_ie.corpus import (
     default_synthetic_scheme,
     generate_synthetic,
 )
+from handover_ie import crf
 from handover_ie.crf import (
     BOS,
     EOS,
@@ -22,12 +23,14 @@ from handover_ie.crf import (
     FeatureIndex,
     minimize_lbfgs,
     nll_and_grad,
+    pack,
     posteriors,
     predict_labels,
     save_crf,
     load_crf,
     train,
     viterbi,
+    _wolfe_line_search,
 )
 from handover_ie.pipeline import TrainConfig
 from handover_ie.tensor import TrainingDivergence
@@ -42,7 +45,9 @@ from helpers import (
     loop_nll_and_grad,
     loop_viterbi,
     path_score,
+    reference_minimize_lbfgs,
     reference_nll_and_grad,
+    reference_posteriors,
 )
 
 # the L-BFGS budget and tolerance train_crf uses by default
@@ -268,6 +273,54 @@ def test_one_call_over_ragged_notes_matches_per_note_results():
         assert paths[i] == loop_viterbi(alone[0], trans)
 
 
+# note lengths of one call: ragged (in drawn order, so sorting and its ties
+# matter), all of length 1 (no step at all), or one note alone
+NOTE_LENGTHS = st.one_of(st.lists(st.integers(1, 60), min_size=1, max_size=8),
+                         st.lists(st.just(1), min_size=1, max_size=8),
+                         st.lists(st.integers(1, 60), min_size=1, max_size=1))
+
+
+@given(st.integers(2, 40), NOTE_LENGTHS, st.floats(0.0, 50.0), st.floats(0.0, 50.0),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_posteriors_are_byte_equal_to_the_reference(y, lengths, unary_scale, trans_scale, seed):
+    # |Y| from 2 to 40 crosses 8, where numpy starts to add a contiguous
+    # row pairwise
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    unary = rng.uniform(-unary_scale, unary_scale, (int(starts[-1]), y))
+    transition = rng.uniform(-trans_scale, trans_scale, (y, y))
+    got = posteriors(unary, starts, transition)
+    want = reference_posteriors(unary, starts, transition)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("starts, empty", [([0, 0, 3], 0), ([0, 3, 3], 1), ([0, 0], 0),
+                                           ([0, 2, 2, 2], 1)])
+def test_a_note_with_no_words_is_a_value_error(starts, empty):
+    starts = np.array(starts)
+    message = f"note {empty} has no words"
+    unary, transition = np.zeros((int(starts[-1]), 3)), np.zeros((3, 3))
+    with pytest.raises(ValueError, match=message):
+        pack(starts)
+    with pytest.raises(ValueError, match=message):
+        posteriors(unary, starts, transition)
+    with pytest.raises(ValueError, match=message):
+        viterbi(unary, starts, transition)
+
+
+def test_predict_labels_rejects_a_note_with_no_words():
+    scheme = LabelScheme(labels=("N.A.", "a"))
+    model = CrfModel.build(make_set([[("x", 0), ("y", 1)]]), scheme, 1)
+    with pytest.raises(ValueError, match="note 0 has no words"):
+        predict_labels(model, [[]])
+    with pytest.raises(ValueError, match="note 1 has no words"):
+        predict_labels(model, [["x"], [], ["y"]])
+    assert predict_labels(model, [["x"], ["y"]]) == [[0], [0]]
+
+
 def make_set(rows, split="train"):
     records = tuple(
         Record(id=f"r{i}", words=tuple(w for w, _ in row), labels=tuple(l for _, l in row))
@@ -366,7 +419,7 @@ def test_train_is_byte_equal_to_lbfgs_over_the_scatter_reference():
     for cutoff in (1, 2):
         model = CrfModel.build(rs, scheme, cutoff)
         fitted, history, converged = train(model, rs, 0.5, 12, GRAD_TOL)
-        want, want_history, want_converged = minimize_lbfgs(
+        want, want_history, want_converged = reference_minimize_lbfgs(
             lambda w: reference_nll_and_grad(model, rs, w, 0.5), model.weights, 12, GRAD_TOL)
         assert fitted.weights.tobytes() == want.tobytes()
         assert np.array(history).tobytes() == np.array(want_history).tobytes()
@@ -476,6 +529,59 @@ def test_lbfgs_gives_up_when_no_direction_descends():
     assert np.array_equal(x, start)
     assert history == [5.0]
     assert converged is False
+
+
+def lbfgs_paths(fun, x0, max_iters, grad_tol, monkeypatch):
+    """minimize_lbfgs's result, with the number of steepest-descent restarts
+    and of curvature pairs it accepted and rejected, read from its line
+    searches."""
+    searches = []
+
+    def recorded(fun, x, f0, g0, direction):
+        result = _wolfe_line_search(fun, x, f0, g0, direction)
+        searches.append((x, g0, direction, result))
+        return result
+
+    monkeypatch.setattr(crf, "_wolfe_line_search", recorded)
+    out = minimize_lbfgs(fun, x0, max_iters, grad_tol)
+    restarts = sum(a[3] is None and b[0] is a[0] for a, b in zip(searches, searches[1:]))
+    sy = [float((r[0] * d) @ (r[2] - g)) for _, g, d, r in searches if r is not None]
+    return out, restarts, sum(v > 1e-10 for v in sy), sum(v <= 1e-10 for v in sy)
+
+
+def test_lbfgs_is_byte_equal_to_the_reference(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 40
+    # far from its minimum a pseudo-Huber sum has a near-constant slope: the
+    # first search, along -g/|g|, runs out of doublings, and the restart
+    # along -g overshoots and zooms in
+    c, centre, width = rng.uniform(50, 200, n), rng.uniform(1.8e7, 3e7, n), 1e4
+
+    def huber(x):
+        r = np.sqrt(width ** 2 + (x - centre) ** 2)
+        return float(c @ r), c * (x - centre) / r
+
+    a = rng.normal(0, 1, (n, n))
+    h, b = a @ a.T / n + np.diag(np.geomspace(1e-3, 10, n)), rng.normal(0, 1, n)
+
+    # near the optimum of an ill-conditioned quadratic the steps shrink
+    # until s.y <= 1e-10 while the gradient is still above the tolerance
+    def quad(x):
+        return 0.5 * float(x @ h @ x) - float(b @ x), h @ x - b
+
+    for fun, max_iters, grad_tol, (want_restarts, want_rejected) in (
+            (huber, 60, 1e-6, (1, False)),
+            (quad, 300, 1e-13, (2, True)),
+            (quad, 20, 1e-6, (0, False))):
+        (x, history, converged), restarts, accepted, rejected = lbfgs_paths(
+            fun, np.zeros(n), max_iters, grad_tol, monkeypatch)
+        assert (restarts, rejected > 0) == (want_restarts, want_rejected)
+        assert accepted > 10      # the history is full and drops its oldest pair
+        want_x, want_history, want_converged = reference_minimize_lbfgs(
+            fun, np.zeros(n), max_iters, grad_tol)
+        assert x.tobytes() == want_x.tobytes()
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert converged is want_converged
 
 
 def test_lbfgs_solves_quadratic():
