@@ -65,8 +65,8 @@ def _cmd_tokenizer_encode(args) -> int:
         for w, seq in enumerate(encode_words(rec.words, table, args.max_len)):
             ids = " ".join(str(i) for i in seq.token_ids)
             pieces = " ".join(seq.pieces)
-            lines.append(f"{rec.id}\t{w}\t{ids}\t{pieces}")
-    write_out("\n".join(lines) + "\n", args.out)
+            lines.append(f"{rec.id}\t{w}\t{ids}\t{pieces}\n")
+    write_out("".join(lines), args.out)
     return EXIT_OK
 
 

@@ -3,19 +3,20 @@
 Unary features are indicator functions over word windows around the
 current position (previous/current/next words and their conjunctions),
 each conjoined with the current label; a |Y| x |Y| block of weights scores
-label transitions. Notes are featurized once into a [positions, templates]
-matrix of observation ids, so the unary scores are one gather and one sum
-over its rows. Inference is log-space forward-backward and Viterbi, each
-run once over all notes of a call in a length-sorted packed layout;
-forward-backward holds it label-major, with the notes of a step
-innermost, and keeps the row layout for the two sums whose order that
-layout would change (see _packed_posteriors). Training is penalized
-maximum likelihood under a limited-memory quasi-Newton optimizer with a
-strong Wolfe line search, so runs are bit-reproducible. A fit lays its
-notes out once (FitPlan): each objective call then scores in packed
-order, reads the gold path by gather and scatters the unary gradient with
-one bincount. A saved model is a features file with one row per
-observation, in id order, plus a weights archive.
+label transitions. Notes are featurized from their words alone, once,
+into a [positions, templates] matrix of observation ids, so the unary
+scores are one gather and one sum over its rows. Inference is log-space
+forward-backward and Viterbi, each run once over all notes of a call in a
+length-sorted packed layout; forward-backward holds it label-major, with
+the notes of a step innermost, and keeps the row layout for the two sums
+whose order that layout would change (see _packed_posteriors). Training
+is penalized maximum likelihood under a limited-memory quasi-Newton
+optimizer with a strong Wolfe line search, so runs are bit-reproducible.
+A fit lays its notes out once and reads their gold labels there
+(plan_fit): each objective call then scores in packed order, reads the
+gold path by gather and scatters the unary gradient with one bincount. A
+saved model is a features file with one row per observation, in id
+order, plus a weights archive.
 """
 from __future__ import annotations
 
@@ -60,12 +61,10 @@ class Featurized(NamedTuple):
     position p of the concatenated notes, one column per template in
     template order, with the index's ``num_obs`` (the pad id) where a
     surface was not indexed; note i spans positions ``starts[i]:starts[i +
-    1]``, and ``gold`` holds the label of each position (empty for notes
-    given without labels)."""
+    1]``."""
 
     ids: np.ndarray
     starts: np.ndarray
-    gold: np.ndarray
 
 
 class FeatureIndex:
@@ -94,18 +93,17 @@ class FeatureIndex:
                         self.obs[key] = len(self.obs)
         return self
 
-    def transform(self, notes: Iterable[tuple[Sequence[str], Sequence[int]]]) -> Featurized:
-        """Featurize (words, labels) notes; an unseen surface gets the pad id."""
-        ids, gold, starts = [], [], [0]
+    def transform(self, notes: Iterable[Sequence[str]]) -> Featurized:
+        """Featurize notes given as words; an unseen surface gets the pad id."""
+        ids, starts = [], [0]
         get, pad = self.obs.get, self.num_obs
-        for words, labels in notes:
+        for words in notes:
             padded = (BOS, *words, EOS)
             ids.extend(get((ti, padded[p + a:p + b]), pad)
                        for p in range(len(words)) for ti, a, b in TEMPLATE_SLICES)
             starts.append(starts[-1] + len(words))
-            gold.extend(labels)
         return Featurized(np.array(ids, dtype=np.int64).reshape(-1, len(TEMPLATE_SLICES)),
-                          np.array(starts, dtype=np.int64), np.array(gold, dtype=np.int64))
+                          np.array(starts, dtype=np.int64))
 
 
 def weight_count(num_obs: int, num_labels: int) -> int:
@@ -162,7 +160,7 @@ class CrfModel:
         """(unary [positions, |Y|], note starts, transition [|Y|, |Y|]) for
         the concatenated notes; note i spans rows starts[i]:starts[i + 1]."""
         unary_w, trans = self.split(self.weights)
-        feats = self.index.transform((words, ()) for words in notes)
+        feats = self.index.transform(notes)
         return unary_scores(unary_w, feats.ids), feats.starts, trans
 
 
@@ -207,9 +205,11 @@ def pack(starts: np.ndarray) -> Packed:
 def _packed_posteriors(
     u: np.ndarray, pk: Packed, transition: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """posteriors of unary rows u given in pk's packed order: the node
-    marginals in packed order, the pairwise sum, and log Z in sorted-note
-    order.
+    """Posteriors of unary rows u given in pk's packed order: the node
+    marginals in packed order, the pairwise marginals summed over every
+    note and step, and log Z in sorted-note order. Each recursion runs
+    once over all notes, one step at a time; no array holds a pairwise
+    marginal per position.
 
     The recursion is held label-major: u, alpha and beta are [|Y|, rows],
     and a step's blocks are [|Y|, |Y|, k] with its k running notes
@@ -252,25 +252,6 @@ def _packed_posteriors(
     alpha -= log_z[pk.note]
     node = alpha.T.copy()
     return np.exp(node, out=node), pair, log_z
-
-
-def posteriors(
-    unary: np.ndarray, starts: np.ndarray, transition: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node marginals [positions, |Y|], pairwise marginals summed over every
-    note and step [|Y|, |Y|], and each note's log Z [notes].
-
-    The log-space forward and backward recursions each run once over all
-    notes, one step at a time, in the packed layout; no array holds a
-    pairwise marginal per position.
-    """
-    pk = pack(starts)
-    packed_node, pair, log_z = _packed_posteriors(unary[pk.perm], pk, transition)
-    node = np.empty_like(unary)
-    node[pk.perm] = packed_node
-    by_note = np.empty_like(log_z)
-    by_note[pk.order] = log_z
-    return node, pair, by_note
 
 
 def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:
@@ -326,13 +307,15 @@ class FitPlan(NamedTuple):
     by_input: np.ndarray     # sorted-note index of each input note
 
 
-def plan_fit(model: CrfModel, feats: Featurized) -> FitPlan:
-    """The FitPlan of labelled notes featurized by model's index."""
+def plan_fit(model: CrfModel, records: RecordSet) -> FitPlan:
+    """The FitPlan of the records' words, featurized by model's index, and
+    their gold labels."""
     y = model.num_labels
+    feats = model.index.transform(r.words for r in records.records)
     pk = pack(feats.starts)
     row_of = np.empty_like(pk.perm)
     row_of[pk.perm] = np.arange(pk.perm.size)
-    gold = feats.gold
+    gold = np.array([label for r in records.records for label in r.labels], dtype=np.int64)
     # gold transitions stay inside a record: skip each record's last position
     inner = np.ones(gold.size, dtype=bool)
     inner[feats.starts[1:] - 1] = False
@@ -436,7 +419,7 @@ def minimize_lbfgs(
     """Two-loop-recursion L-BFGS for at most max_iters iterations; converged
     means the largest gradient entry is at most grad_tol. Returns (x,
     accepted losses, converged)."""
-    x = x0.astype(np.float64).copy()
+    x = x0.astype(np.float64)
     f, g = fun(x)
     if not np.isfinite(f):
         raise TrainingDivergence(f"non-finite initial loss {f}")
@@ -489,7 +472,7 @@ def train(
     and whether L-BFGS converged."""
     if not records.records:
         raise ValueError("cannot train on an empty record set")
-    plan = plan_fit(model, model.index.transform((r.words, r.labels) for r in records.records))
+    plan = plan_fit(model, records)
 
     def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         return nll_and_grad(model, plan, w, l2_lambda)
@@ -543,7 +526,7 @@ def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfM
     if list(entries) != ["weights"]:
         raise ValueError(f"{weights_path}: expected one entry named 'weights', "
                          f"got {sorted(entries)}")
-    weights = entries["weights"].astype(np.float64)
+    weights = np.asarray(entries["weights"], dtype=np.float64)
     model = CrfModel(num_labels=len(scheme.labels), index=index, weights=weights)
     model.split(weights)   # raises ValueError for weights sized for another model
     return model

@@ -125,11 +125,15 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
         if key in train_kw or key in model_kw:
             raise ValueError(f"config line {line_no}: duplicate key {key!r}")
         if key in _TRAIN_FIELD_TYPES:
-            train_kw[key] = _convert(_TRAIN_FIELD_TYPES[key], value)
+            kw, type_name = train_kw, _TRAIN_FIELD_TYPES[key]
         elif key in _MODEL_FIELD_TYPES:
-            model_kw[key] = _convert(_MODEL_FIELD_TYPES[key], value)
+            kw, type_name = model_kw, _MODEL_FIELD_TYPES[key]
         else:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        try:
+            kw[key] = _convert(type_name, value)
+        except ValueError as err:
+            raise ValueError(f"config line {line_no}: key {key!r}: {err}") from None
     return train_kw, model_kw
 
 
@@ -147,7 +151,10 @@ def load_train_config(path: str) -> tuple[TrainConfig, dict]:
     train_kw, model_kw = parse_config_text(Path(path).read_text(encoding="utf-8"))
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        train_kw["seed"] = int(env)
+        try:
+            train_kw["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
     return TrainConfig(**train_kw), model_kw
 
 
@@ -337,12 +344,12 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
-            log_probs = enc.run_token_classifier(model, seq).data
+            top = enc.run_token_classifier(model, seq).data.argmax(axis=1).tolist()
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
                 dist = min(w - lo, hi - 1 - w)
                 if w not in best or dist > best[w][0]:
-                    best[w] = (dist, int(log_probs[pos].argmax()))
+                    best[w] = (dist, top[pos])
         labels.append([best[w][1] for w in range(len(rec.words))])
     return records.relabel(labels)
 

@@ -12,7 +12,8 @@ from scipy.special import logsumexp
 from handover_ie import tensor as T
 from handover_ie.corpus import WORD_BREAKS
 from handover_ie.crf import (
-    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _logsumexp, _wolfe_line_search, pack, plan_fit,
+    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _logsumexp, _packed_posteriors, _wolfe_line_search,
+    pack,
 )
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
@@ -373,10 +374,17 @@ def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
             for p in range(len(words))]
 
 
-def featurize(model, records):
-    """A record set's words and gold labels as the FitPlan that
-    crf.nll_and_grad takes."""
-    return plan_fit(model, model.index.transform((r.words, r.labels) for r in records.records))
+def posteriors(unary, starts, transition):
+    """crf._packed_posteriors in flat order: node marginals [positions,
+    |Y|], pairwise marginals summed over every note and step [|Y|, |Y|],
+    and each note's log Z [notes], in input-note order."""
+    pk = pack(starts)
+    packed_node, pair, log_z = _packed_posteriors(unary[pk.perm], pk, transition)
+    node = np.empty_like(unary)
+    node[pk.perm] = packed_node
+    by_note = np.empty_like(log_z)
+    by_note[pk.order] = log_z
+    return node, pair, by_note
 
 
 def path_score(unary, transition, path) -> float:
@@ -445,7 +453,7 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
 
 
 def reference_posteriors(unary, starts, transition):
-    """Row-layout reference for crf.posteriors, and the posteriors the
+    """Row-layout reference for posteriors, and the posteriors the
     scatter objective calls: each step's blocks are [k, |Y|, |Y|], with the
     labels innermost; node marginals and log Z are scattered back from the
     packed layout to flat position and input-note order."""

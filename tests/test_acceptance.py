@@ -22,13 +22,13 @@ from handover_ie.corpus import (
     generate_synthetic,
     serialize_records,
 )
-from handover_ie.crf import CrfModel, nll_and_grad, posteriors, viterbi
+from handover_ie.crf import CrfModel, nll_and_grad, plan_fit, viterbi
 from handover_ie.encoder import EncoderModel, ModelConfig, classify, embed, encode, token_loss
 from handover_ie.evaluation import prf_from_counts
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
 from helpers import (
-    featurize, grad_check, param_count, parse_report_json, path_score, probed, randomize,
+    grad_check, param_count, parse_report_json, path_score, posteriors, probed, randomize,
     word_accuracy,
 )
 from test_crf import brute_force as crf_brute_force, notes_of, random_instance
@@ -114,14 +114,14 @@ def test_criterion_3_gradient_suites():
         rs = RecordSet(split="train", records=tuple(records))
         lam = float(rng.uniform(0.1, 2))
         model = CrfModel.build(rs, scheme, 1)
-        feats = featurize(model, rs)
+        plan = plan_fit(model, rs)
         w = rng.normal(0, 0.5, model.weights.shape)
-        _, grad = nll_and_grad(model, feats, w, lam)
+        _, grad = nll_and_grad(model, plan, w, lam)
         for k in range(w.size):
             wp = w.copy(); wp[k] += eps
             wm = w.copy(); wm[k] -= eps
-            numeric = (nll_and_grad(model, feats, wp, lam)[0]
-                       - nll_and_grad(model, feats, wm, lam)[0]) / (2 * eps)
+            numeric = (nll_and_grad(model, plan, wp, lam)[0]
+                       - nll_and_grad(model, plan, wm, lam)[0]) / (2 * eps)
             denom = abs(grad[k]) + abs(numeric)
             if denom > 1e-12:
                 worst_crf = max(worst_crf, abs(grad[k] - numeric) / denom)

@@ -24,7 +24,7 @@ from handover_ie.crf import (
     minimize_lbfgs,
     nll_and_grad,
     pack,
-    posteriors,
+    plan_fit,
     predict_labels,
     save_crf,
     load_crf,
@@ -41,10 +41,10 @@ from helpers import (
     corruptions,
     draw_offset,
     extract_features,
-    featurize,
     loop_nll_and_grad,
     loop_viterbi,
     path_score,
+    posteriors,
     reference_minimize_lbfgs,
     reference_nll_and_grad,
     reference_posteriors,
@@ -117,25 +117,34 @@ def test_feature_ids_stable_across_rebuilds():
     one = FeatureIndex().fit(words, 1)
     two = FeatureIndex().fit(words, 1)
     assert one.obs == two.obs
-    a, b = (index.transform([(["a", "b"], ())]) for index in (one, two))
+    a, b = (index.transform([["a", "b"]]) for index in (one, two))
     assert np.array_equal(a.ids, b.ids)
 
 
 def test_unseen_surfaces_are_dropped():
     index = FeatureIndex().fit([["a", "b"]], 1)
-    feats = index.transform([(["z", "q"], ())])
+    feats = index.transform([["z", "q"]])
     firing_counts = (feats.ids != index.num_obs).sum(axis=1)
     assert firing_counts.tolist() == [1, 1]      # only w[-1] = BOS and w[+1] = EOS are indexed
 
 
 def test_transform_flattens_notes_in_order():
     index = FeatureIndex().fit([["a", "b"], ["c"]], 1)
-    feats = index.transform([(["a", "b"], (1, 0)), (["c"], (2,))])
+    feats = index.transform([["a", "b"], ["c"]])
     expected_ids = [[index.obs.get(key, index.num_obs) for key in firings]
                     for words in (["a", "b"], ["c"]) for firings in extract_features(words)]
     assert feats.ids.tolist() == expected_ids
     assert feats.starts.tolist() == [0, 2, 3]
-    assert feats.gold.tolist() == [1, 0, 2]
+
+
+def test_plan_fit_gold_cells_hold_each_records_labels():
+    # the shorter notes come first, so packing reorders the rows
+    rs = make_set([[("a", 1), ("b", 0)], [("c", 2)], [("d", 0), ("e", 1), ("f", 2)]])
+    model = CrfModel.build(rs, LabelScheme(labels=("N.A.", "a", "b")), 1)
+    plan = plan_fit(model, rs)
+    rows, labels = np.divmod(plan.gold_cells, model.num_labels)
+    assert labels.tolist() == [label for r in rs.records for label in r.labels]
+    assert plan.packed.perm[rows].tolist() == list(range(6))
 
 
 def test_feature_cutoff_prunes_rare_observations():
@@ -253,7 +262,7 @@ def test_one_call_over_ragged_notes_matches_per_note_results():
     rs = ragged_set(lengths, seed=61)
     model = CrfModel.build(rs, scheme, 1)
     w = np.random.default_rng(62).normal(0, 1, model.weights.shape)
-    loss, grad = nll_and_grad(model, featurize(model, rs), w, 0.5)
+    loss, grad = nll_and_grad(model, plan_fit(model, rs), w, 0.5)
     want_loss, want_grad = loop_nll_and_grad(model, rs, w, 0.5)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.abs(grad - want_grad).max() <= 1e-10
@@ -333,7 +342,7 @@ def test_nll_zero_weights_is_uniform_loss():
     scheme = LabelScheme(labels=("N.A.", "a", "b"))
     rs = make_set([[("x", 0), ("y", 1), ("z", 2), ("w", 0)]])
     model = CrfModel.build(rs, scheme, 1)
-    loss, _ = nll_and_grad(model, featurize(model, rs), model.weights, 0.0)
+    loss, _ = nll_and_grad(model, plan_fit(model, rs), model.weights, 0.0)
     assert abs(loss - 4 * math.log(3)) < 1e-12
 
 
@@ -351,15 +360,15 @@ def test_nll_gradient_matches_finite_differences():
         rs = make_set(rows)
         lam = float(rng.uniform(0, 2))
         model = CrfModel.build(rs, scheme, 1)
-        feats = featurize(model, rs)
+        plan = plan_fit(model, rs)
         w = rng.normal(0, 0.5, model.weights.shape)
-        _, grad = nll_and_grad(model, feats, w, lam)
+        _, grad = nll_and_grad(model, plan, w, lam)
         eps = 1e-5
         for k in rng.choice(w.size, size=min(40, w.size), replace=False):
             wp = w.copy(); wp[k] += eps
             wm = w.copy(); wm[k] -= eps
-            num = (nll_and_grad(model, feats, wp, lam)[0]
-                   - nll_and_grad(model, feats, wm, lam)[0]) / (2 * eps)
+            num = (nll_and_grad(model, plan, wp, lam)[0]
+                   - nll_and_grad(model, plan, wm, lam)[0]) / (2 * eps)
             denom = abs(grad[k]) + abs(num)
             if denom > 1e-12:
                 worst_all = max(worst_all, abs(grad[k] - num) / denom)
@@ -377,14 +386,14 @@ def test_objective_matches_loop_oracle():
         lam = float(rng.uniform(0, 2))
         model = CrfModel.build(rs, scheme, 1)
         w = rng.normal(0, 1, model.weights.shape)
-        loss, grad = nll_and_grad(model, featurize(model, rs), w, lam)
+        loss, grad = nll_and_grad(model, plan_fit(model, rs), w, lam)
         want_loss, want_grad = loop_nll_and_grad(model, rs, w, lam)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(grad - want_grad).max() <= 1e-10
 
 
 def assert_objective_bytes_equal_reference(model, rs, w, lam):
-    loss, grad = nll_and_grad(model, featurize(model, rs), w, lam)
+    loss, grad = nll_and_grad(model, plan_fit(model, rs), w, lam)
     want_loss, want_grad = reference_nll_and_grad(model, rs, w, lam)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
@@ -400,7 +409,7 @@ def test_objective_is_byte_equal_to_the_scatter_reference():
     # cutoff 1000 the index keeps no observation and every column is a pad
     for cutoff, some_pads, all_pads in ((1, False, False), (2, True, False), (1000, True, True)):
         model = CrfModel.build(rs, scheme, cutoff)
-        pads = featurize(model, rs).ids == model.index.num_obs
+        pads = plan_fit(model, rs).ids == model.index.num_obs
         assert (pads.any(), pads.all()) == (some_pads, all_pads)
         w = rng.normal(0, 1, model.weights.shape)
         draw = rng.random(w.size)
@@ -449,7 +458,7 @@ def test_regularizer_only_gradient_for_empty_records():
     model = CrfModel.build(fit_on, scheme, 1)
     empty = RecordSet(split="train", records=())
     w = np.arange(model.weights.size, dtype=np.float64)
-    loss, grad = nll_and_grad(model, featurize(model, empty), w, 0.5)
+    loss, grad = nll_and_grad(model, plan_fit(model, empty), w, 0.5)
     assert np.array_equal(grad, 0.5 * w)
     assert abs(loss - 0.25 * float(w @ w)) < 1e-9
 

@@ -991,6 +991,56 @@ def test_cli_train_rejects_a_repeated_config_key(tmp_path, capsys):
     assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", "x", "invalid literal for int() with base 10: 'x'"),
+    ("learning_rate", "fast", "could not convert string to float: 'fast'"),
+    ("lowercase", "maybe", "expected a boolean, got 'maybe'"),
+    ("hidden_size", "1.5", "invalid literal for int() with base 10: '1.5'"),
+])
+def test_cli_train_names_the_line_and_key_of_a_value_that_fails_to_convert(
+        tmp_path, capsys, key, value, message):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, **{key: value})
+    line_no = cfg.read_text(encoding="utf-8").splitlines().index(f"{key}={value}") + 1
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert capsys.readouterr().err == f"error: config line {line_no}: key {key!r}: {message}\n"
+    assert not (tmp_path / "ck").exists()
+
+
+def test_cli_train_names_the_seed_variable_when_it_is_not_an_integer(tmp_path, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv(pipeline.SEED_ENV_VAR, "abc")
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["train", "--model", "crf", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pipeline.SEED_ENV_VAR}: expected an integer, got 'abc'\n")
+    assert not (tmp_path / "ck").exists()
+
+
+def test_cli_tokenizer_encode_writes_an_empty_file_for_no_records(tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    assert cli_main(["tokenizer", "train", "--input", str(paths["train"]),
+                     "--num-merges", "10", "--out", str(tmp_path / "tok")]) == 0
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+
+    def encode(source):
+        out = tmp_path / "encoded.tsv"
+        assert cli_main(["tokenizer", "encode", "--table", str(tmp_path / "tok"),
+                         "--input", str(source), "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+    text = encode(paths["test"])
+    assert text.endswith("\n") and "\n\n" not in text    # one line per window
+    assert encode(empty) == ""
+    capsys.readouterr()
+
+
 def test_checkpoint_load_rejects_a_repeated_config_key(tiny_setup, tmp_path):
     scheme, _, _, table, model_config = tiny_setup
     ck = tmp_path / "ck"
