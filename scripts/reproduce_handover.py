@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie import pipeline
 from handover_ie.cli import read_records, read_scheme, run
-from handover_ie.corpus import SPLITS
 
 
 def main() -> int:
@@ -40,7 +39,8 @@ def main() -> int:
 
     data = Path(args.data_dir)
     scheme = read_scheme(data / "labels.txt")
-    splits = {name: read_records(data / f"{name}.tsv", scheme, name)[0] for name in SPLITS}
+    splits = {name: read_records(data / f"{name}.tsv", scheme)[0]
+              for name in ("train", "validation", "test")}
 
     base = pipeline.TrainConfig(
         kind="encoder", seed=args.seed, max_len=args.max_len,

@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from handover_ie import pipeline
 from handover_ie.cli import run, write_out
 from handover_ie.corpus import (
-    RecordSet,
     default_synthetic_scheme,
     dump_scheme,
     generate_synthetic,
@@ -42,12 +41,10 @@ def main() -> int:
     args = parser.parse_args()
 
     scheme = default_synthetic_scheme()
-    splits = {}
-    for name, n, offset in (("train", args.n_train, 0),
-                            ("validation", args.n_valid, 1),
-                            ("test", args.n_test, 2)):
-        rs = generate_synthetic(n, scheme, seed=args.seed + offset)
-        splits[name] = RecordSet(split=name, records=rs.records)
+    splits = {name: generate_synthetic(n, scheme, seed=args.seed + offset)
+              for name, n, offset in (("train", args.n_train, 0),
+                                      ("validation", args.n_valid, 1),
+                                      ("test", args.n_test, 2))}
     # made only once every split is generated, so a rejected run leaves nothing
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)

@@ -23,9 +23,9 @@ EXIT_DIVERGENCE = 3
 DEFAULT_SHAPE = dict(num_layers=2, hidden_size=32, num_heads=2, ffn_size=64)
 
 
-def read_records(path: str | Path, scheme=None, split="train"):
+def read_records(path: str | Path, scheme=None):
     with open(path, encoding="utf-8") as fh:
-        return corpus.parse_records(fh, scheme=scheme, split=split)
+        return corpus.parse_records(fh, scheme=scheme)
 
 
 def read_scheme(path: str | Path | None):
@@ -76,8 +76,8 @@ def _cmd_train(args) -> int:
     if args.pretrained:
         config = replace(config, pretrained=args.pretrained)
     scheme = read_scheme(args.scheme)
-    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
-    valid_rs, _ = read_records(args.valid, scheme=scheme, split="validation")
+    train_rs, scheme = read_records(args.train, scheme=scheme)
+    valid_rs, _ = read_records(args.valid, scheme=scheme)
 
     table = model_config = None
     if args.model == "encoder":
@@ -102,7 +102,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     checkpoint = pipeline.Checkpoint.load(args.checkpoint)
-    rs, _ = read_records(args.input, scheme=checkpoint.scheme, split="test")
+    rs, _ = read_records(args.input, scheme=checkpoint.scheme)
     pred = pipeline.predict(checkpoint, rs)
     write_out(corpus.serialize_records(pred, checkpoint.scheme), args.out)
     return EXIT_OK
@@ -110,9 +110,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     scheme = read_scheme(args.scheme)
-    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
-    gold, _ = read_records(args.gold, scheme=scheme, split="test")
-    pred, _ = read_records(args.pred, scheme=scheme, split="test")
+    train_rs, scheme = read_records(args.train, scheme=scheme)
+    gold, _ = read_records(args.gold, scheme=scheme)
+    pred, _ = read_records(args.pred, scheme=scheme)
     evaluated = corpus.evaluated_classes(train_rs, scheme)
     counts = evaluation.confusion_counts(gold, pred, scheme)
     report = evaluation.build_report(counts, scheme, evaluated,
@@ -123,8 +123,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_baseline(args) -> int:
     scheme = read_scheme(args.scheme)
-    train_rs, scheme = read_records(args.train, scheme=scheme, split="train")
-    rs, _ = read_records(args.input, scheme=scheme, split="test")
+    train_rs, scheme = read_records(args.train, scheme=scheme)
+    rs, _ = read_records(args.input, scheme=scheme)
     if args.kind == "random":
         evaluated = corpus.evaluated_classes(train_rs, scheme)
         pred = evaluation.baseline_random(rs, args.seed, evaluated)

@@ -258,28 +258,23 @@ def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> li
     """Highest-scoring path of each note, all notes decoded in one pass;
     ties resolve to the lower label id at each step."""
     pk = pack(starts)
-    u = unary[pk.perm]
-    back = np.empty(u.shape, dtype=np.int64)
-    final = np.empty((pk.order.size, u.shape[1]))   # path scores at each note's last step
-    delta = u[:pk.order.size]   # path scores at the current step of each running note
+    score = unary[pk.perm]   # filled in place, step by step: each row's best path score
+    back = np.empty(score.shape, dtype=np.int64)
     # one step is a handful of numpy calls on tiny arrays, which is all a
-    # one-note call does: out= and the bare ufunc reduce skip a copy and a
-    # Python wrapper each
+    # one-note call does: out=, the bare ufunc reduce and adding into a
+    # bound block skip a copy, a Python wrapper and a slice write-back each
     for prev, lo, hi in pk.steps:
-        k = hi - lo
-        if k < lo - prev:       # notes that ended at the previous step
-            final[k:lo - prev] = delta[k:]
-        cand = delta[:k, :, None] + transition
+        cand = score[prev:prev + hi - lo, :, None] + transition
         cand.argmax(axis=1, out=back[lo:hi])       # argmax returns the first (lowest) id
-        delta = u[lo:hi] + np.maximum.reduce(cand, axis=1)
-    final[:len(delta)] = delta
+        block = score[lo:hi]
+        block += np.maximum.reduce(cand, axis=1)
     # Chase the back-pointers one scalar at a time: a row at step t points
     # into the row of the same note at step t - 1, one block earlier. A
     # vector op per step would cost ten scalar steps on a one-note call.
     rows, y = back.shape
     pointers = back.ravel().tolist()      # row r, label j at r * |Y| + j
     path = [0] * rows
-    for r, best in zip(pk.last.tolist(), final.argmax(axis=1).tolist()):
+    for r, best in zip(pk.last.tolist(), score[pk.last].argmax(axis=1).tolist()):
         path[r] = best
     for prev, lo, hi in reversed(pk.steps):
         for r in range(lo, hi):

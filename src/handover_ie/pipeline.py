@@ -152,9 +152,12 @@ def load_train_config(path: str) -> tuple[TrainConfig, dict]:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            train_kw["seed"] = int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
+        if seed < 0:
+            raise ValueError(f"{SEED_ENV_VAR}: seed must be >= 0, got {seed}")
+        train_kw["seed"] = seed
     return TrainConfig(**train_kw), model_kw
 
 

@@ -209,22 +209,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
-    """scipy's erf ufunc, imported on the first call, which rebinds this
-    name to the ufunc itself.
-
-    Importing scipy.special takes about half of the CLI's start-up, and
-    only the GELU needs it, so a process that never runs an encoder
-    never imports it.
-    """
-    global _erf
-    from scipy.special import erf as _erf
-    return _erf(x)
-
-
 def _gelu(x: np.ndarray):
-    """The output, with the normal cdf its vjp reads."""
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    """The output, with the normal cdf its vjp reads. Only the GELU needs
+    scipy, whose import takes about half of the CLI's start-up, so a process
+    that never runs an encoder never imports it."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     return x * cdf, cdf
 
 
@@ -354,8 +344,6 @@ def dropout_mask(like: np.ndarray, rate: float, rng: np.random.Generator) -> np.
     """Inverted-dropout mask shaped and typed like an array: 0 or 1/(1-rate), from rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones_like(like)
     keep = rng.random(like.shape) >= rate
     return keep.astype(like.dtype) / (1.0 - rate)
 
@@ -471,8 +459,7 @@ def attention_block(x: Tensor, layer, num_heads: int, rate: float,
             g_proj = merge(g_head)
             _accum(b, _sum(g_proj, axis=0))
             _accum(w, xd.T @ g_proj)
-            if x.requires_grad:
-                g_x = g_x + g_proj @ w.data.T
+            g_x = g_x + g_proj @ w.data.T
         _accum(x, g_x)
 
     params = (*(p for pair in projections for p in pair), layer.wo, layer.bo,
@@ -497,8 +484,7 @@ def ffn_block(x: Tensor, layer, rate: float, rng: np.random.Generator | None) ->
         g_pre = _gelu_vjp(g_out @ layer.w2.data.T, pre, cdf)
         _accum(layer.b1, _sum(g_pre, axis=0))
         _accum(layer.w1, xd.T @ g_pre)
-        if x.requires_grad:
-            _accum(x, g_res + g_pre @ layer.w1.data.T)
+        _accum(x, g_res + g_pre @ layer.w1.data.T)
 
     params = (layer.w1, layer.b1, layer.w2, layer.b2, layer.ln2_g, layer.ln2_b)
     return _result(y, (x, *params), vjp)

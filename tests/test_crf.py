@@ -306,6 +306,26 @@ def test_posteriors_are_byte_equal_to_the_reference(y, lengths, unary_scale, tra
         assert a.tobytes() == b.tobytes()
 
 
+@given(st.integers(1, 12), NOTE_LENGTHS, st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_viterbi_matches_the_per_note_reference(y, lengths, integer, seed):
+    # integer-valued scores from a few values tie at nearly every step and
+    # label, so the lowest-id rule is exercised everywhere
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    shape = (int(starts[-1]), y)
+    if integer:
+        unary = rng.integers(-2, 3, shape).astype(float)
+        transition = rng.integers(-2, 3, (y, y)).astype(float)
+    else:
+        unary = rng.normal(0.0, 3.0, shape)
+        transition = rng.normal(0.0, 3.0, (y, y))
+    paths = viterbi(unary, starts, transition)
+    assert len(paths) == len(lengths)
+    for i, path in enumerate(paths):
+        assert path == loop_viterbi(unary[starts[i]:starts[i + 1]], transition)
+
+
 @pytest.mark.parametrize("starts, empty", [([0, 0, 3], 0), ([0, 3, 3], 1), ([0, 0], 0),
                                            ([0, 2, 2, 2], 1)])
 def test_a_note_with_no_words_is_a_value_error(starts, empty):

@@ -1022,6 +1022,18 @@ def test_cli_train_names_the_seed_variable_when_it_is_not_an_integer(tmp_path, c
     assert not (tmp_path / "ck").exists()
 
 
+def test_cli_train_names_the_seed_variable_when_it_is_negative(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(pipeline.SEED_ENV_VAR, "-1")
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["train", "--model", "crf", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--out", str(tmp_path / "ck")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pipeline.SEED_ENV_VAR}: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "ck").exists()
+
+
 def test_cli_tokenizer_encode_writes_an_empty_file_for_no_records(tmp_path, capsys):
     _, paths = _write_corpus(tmp_path)
     assert cli_main(["tokenizer", "train", "--input", str(paths["train"]),
