@@ -53,6 +53,8 @@ from .tokenizer import (
 
 SEED_ENV_VAR = "HANDOVER_IE_SEED"
 MODEL_KINDS = ("encoder", "crf")
+_TRAIN_LEAST = {"batch_size": 1, "epochs": 1, "seed": 0, "max_len": 3, "num_merges": 0,
+                "feature_cutoff": 1}
 
 DEFAULT_GRID_LEARNING_RATES = (5e-5, 3e-5, 2e-5)
 DEFAULT_GRID_BATCH_SIZES = (8, 16)
@@ -79,8 +81,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}")
-        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0), ("max_len", 3),
-                           ("num_merges", 0), ("feature_cutoff", 1)):
+        for key, least in _TRAIN_LEAST.items():
             if (value := getattr(self, key)) < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
         # a zero learning rate is allowed so a null-update run stays expressible
@@ -155,8 +156,8 @@ def load_train_config(path: str) -> tuple[TrainConfig, dict]:
             seed = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from None
-        if seed < 0:
-            raise ValueError(f"{SEED_ENV_VAR}: seed must be >= 0, got {seed}")
+        if seed < (least := _TRAIN_LEAST["seed"]):
+            raise ValueError(f"{SEED_ENV_VAR}: seed must be >= {least}, got {seed}")
         train_kw["seed"] = seed
     return TrainConfig(**train_kw), model_kw
 
