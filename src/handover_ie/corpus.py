@@ -109,9 +109,6 @@ class RecordSet:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate record ids in set")
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def relabel(self, labels: Iterable[Sequence[int]]) -> "RecordSet":
         """The same records in order, each with its new label ids: how every
         method's prediction is built from its input."""

@@ -324,8 +324,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def vjp(g):
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            _accum(x, _layer_norm_vjp(g, gain.data, xhat, inv))
+        _accum(x, _layer_norm_vjp(g, gain.data, xhat, inv))
 
     return _result(data, (x, gain, bias), vjp)
 

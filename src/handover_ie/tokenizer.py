@@ -41,10 +41,11 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class MergeTable:
-    """Ordered merge rules plus the derived subword vocabulary.
+    """Ordered merge rules plus the subword vocabulary.
 
-    Two fields are derived, private to each table and left out of
+    Three fields are derived, private to each table and left out of
     comparison (init=False, so dataclasses.replace rebuilds them):
+    ``vocab`` maps each piece to its token id, its position in ``pieces``;
     ``ranks`` maps each merge pair to its ascending list positions (a table
     load_table accepts may list one pair twice), which lets segment_word
     jump from rank r straight to the next rank whose pair a word holds;
@@ -54,13 +55,14 @@ class MergeTable:
 
     merges: tuple[tuple[str, str], ...]
     pieces: tuple[str, ...]          # piece string per token id
-    vocab: dict[str, int]            # piece string -> token id
     lowercase: bool = False
+    vocab: dict[str, int] = field(init=False, compare=False, repr=False)
     ranks: dict[tuple[str, str], list[int]] = field(init=False, compare=False, repr=False)
     segmentations: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vocab", {p: i for i, p in enumerate(self.pieces)})
         ranks: dict[tuple[str, str], list[int]] = {}
         for r, pair in enumerate(self.merges):
             ranks.setdefault(pair, []).append(r)
@@ -176,16 +178,12 @@ def train_bpe(
                 else:
                     del counts[p]
 
-    pieces: list[str] = list(SPECIALS)
-    vocab: dict[str, int] = {p: i for i, p in enumerate(pieces)}
+    pieces = list(SPECIALS)
     for sym in chars + [a + b for a, b in merges]:
-        for form in (sym, CONTINUATION + sym):
-            if form not in vocab:
-                vocab[form] = len(pieces)
-                pieces.append(form)
-    return MergeTable(
-        merges=tuple(merges), pieces=tuple(pieces), vocab=vocab, lowercase=lowercase
-    )
+        pieces += (sym, CONTINUATION + sym)
+    # each piece once, at its first appearance
+    return MergeTable(merges=tuple(merges), pieces=tuple(dict.fromkeys(pieces)),
+                      lowercase=lowercase)
 
 
 def segment_word(word: str, table: MergeTable) -> list[str]:
@@ -314,9 +312,7 @@ def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> Me
             if piece not in vocab:
                 raise ValueError(f"merges line {line_no}: {piece!r} is not a vocab piece")
         merges.append((parts[0], parts[1]))
-    return MergeTable(
-        merges=tuple(merges), pieces=tuple(vocab), vocab=vocab, lowercase=lowercase
-    )
+    return MergeTable(merges=tuple(merges), pieces=tuple(vocab), lowercase=lowercase)
 
 
 def save_table(table: MergeTable, directory: str | Path) -> None:

@@ -271,14 +271,11 @@ def reference_train_bpe(word_frequency, num_merges, lowercase=False) -> MergeTab
             for p in zip(new_seq, new_seq[1:]):
                 counts[p] += freq
     pieces = list(SPECIALS)
-    vocab = {p: i for i, p in enumerate(pieces)}
     for sym in chars + [a + b for a, b in merges]:
         for form in (sym, CONTINUATION + sym):
-            if form not in vocab:
-                vocab[form] = len(pieces)
+            if form not in pieces:
                 pieces.append(form)
-    return MergeTable(merges=tuple(merges), pieces=tuple(pieces), vocab=vocab,
-                      lowercase=lowercase)
+    return MergeTable(merges=tuple(merges), pieces=tuple(pieces), lowercase=lowercase)
 
 
 def reference_segment_word(word, table) -> list[str]:

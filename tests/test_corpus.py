@@ -46,7 +46,7 @@ def test_parse_empty_stream():
 
 def test_parse_two_record_fixture_matches_hand_transcription():
     rs, scheme = parse_records(TWO_RECORD_FIXTURE)
-    assert len(rs) == 2
+    assert len(rs.records) == 2
     a, b = rs.records
     assert a.id == "doc-a"
     assert a.words == ("Mary", "is", "stable")
@@ -61,7 +61,7 @@ def test_parse_two_record_fixture_matches_hand_transcription():
 
 def test_parse_accepts_file_object_and_missing_trailing_blank():
     rs, _ = parse_records(io.StringIO("w\tN.A.\nx\tN.A."))
-    assert len(rs) == 1
+    assert len(rs.records) == 1
     assert rs.records[0].words == ("w", "x")
     assert rs.records[0].id == "r0000"
 
@@ -398,7 +398,7 @@ def test_relabel_keeps_everything_but_the_labels():
 
 
 def test_synthetic_empty():
-    assert len(generate_synthetic(0, default_synthetic_scheme(), seed=3)) == 0
+    assert len(generate_synthetic(0, default_synthetic_scheme(), seed=3).records) == 0
 
 
 def test_synthetic_same_seed_identical_serialization():

@@ -101,6 +101,8 @@ def test_embed_range_errors():
     with pytest.raises(IndexError):
         embed([0, 10], model)
     with pytest.raises(IndexError):
+        embed([-1, 0], model)
+    with pytest.raises(IndexError):
         embed(list(range(9)) * 1, model)  # length 9 > max_positions 8
 
 
@@ -161,6 +163,8 @@ def test_encode_shape_error():
     model = tiny_model()
     with pytest.raises(T.ShapeError):
         encode(T.constant(np.zeros((3, 5))), model)
+    with pytest.raises(T.ShapeError):
+        classify(T.constant(np.zeros((3, 5))), model)
 
 
 def test_classify_zero_head_is_uniform():

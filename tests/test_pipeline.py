@@ -27,6 +27,7 @@ from handover_ie.corpus import (
 from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
 from handover_ie.tokenizer import train_bpe, word_frequencies
 
+import helpers
 from helpers import (
     ReferenceAdam,
     corruptions,
@@ -561,6 +562,32 @@ def test_grid_search_shares_one_crf_fit_across_epochs(tiny_setup, monkeypatch):
     calls = _count_calls(monkeypatch, "train_crf")
     assert pipeline.grid_search(grid, train, valid, scheme, None, None) == expected
     assert calls == [grid[0]]
+
+
+def test_default_grid_shares_one_run_per_learning_rate_and_batch_size(monkeypatch):
+    base = tiny_train_config(seed=7)
+    grid = pipeline.default_grid(base)
+    recipe = [(lr, bs, ep) for lr in (5e-5, 3e-5, 2e-5) for bs in (8, 16) for ep in (3, 4, 5)]
+    assert [(c.learning_rate, c.batch_size, c.epochs) for c in grid] == recipe
+    assert {replace(c, learning_rate=base.learning_rate, batch_size=base.batch_size,
+                    epochs=base.epochs) for c in grid} == {base}
+    calls = []
+
+    def stub(train, valid, scheme, config, model_config, table):
+        calls.append(config)
+        # a score per epoch that is not monotone, so reading the wrong rows shows
+        first = round(config.learning_rate * 1e6) + config.batch_size
+        return None, [{"val_macro_f1": first * (e + 1) % 17 / 17} for e in range(config.epochs)]
+
+    monkeypatch.setattr(pipeline, "train_model", stub)
+    monkeypatch.setattr(helpers, "train_model", stub)
+    result = pipeline.grid_search(grid, None, None, None, None, None)
+    assert [(c.learning_rate, c.batch_size, c.epochs) for c in calls] == [
+        (lr, bs, 5) for lr, bs, ep in recipe if ep == 5]
+    assert len({row["val_macro_f1"] for row in result[1]}) > 2
+    calls.clear()
+    assert loop_grid_search(grid, None, None, None, None, None) == result
+    assert calls == grid
 
 
 def test_fine_tune_epochs_are_a_prefix_of_a_longer_run(tiny_setup):

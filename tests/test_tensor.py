@@ -168,7 +168,7 @@ def test_grad_check_cross_entropy_softmax_matmul():
 PRIMITIVES = [
     "add", "mul", "scale", "matmul", "batched_matmul", "embedding",
     "softmax", "log_softmax", "layer_norm", "gelu", "dropout",
-    "reshape_transpose", "masked_nll",
+    "reshape_transpose", "masked_nll", "add_outer",
 ]
 
 
@@ -253,6 +253,11 @@ def _primitive_check(name: str, rng) -> float:
         labels = [0, IGNORE_INDEX, 2, 1, IGNORE_INDEX]
         return grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX),
                             [a])
+    if name == "add_outer":
+        # each operand broadcasts along its own size-1 axis
+        a, b = par((3, 1)), par((1, 4), pname="q")
+        out = _make_readout(12, rng)
+        return grad_check(lambda: out(T.add(a, b)), [a, b])
     raise AssertionError(name)
 
 

@@ -13,6 +13,7 @@ from handover_ie.tokenizer import (
     CLS,
     CONTINUATION,
     IGNORE_INDEX,
+    MergeTable,
     SEP,
     SPECIALS,
     AlignmentError,
@@ -115,6 +116,13 @@ def test_zero_merges_vocab_is_exactly_characters_plus_specials():
     expected = set(SPECIALS) | chars | {CONTINUATION + c for c in chars}
     assert set(table.vocab) == expected
     assert {p.removeprefix(CONTINUATION) for p in table.pieces if p not in SPECIALS} == chars
+
+
+def test_table_derives_its_vocab_from_its_pieces():
+    pieces = SPECIALS + ("a", "##a", "b", "##b", "ab", "##ab")
+    table = MergeTable(merges=(("a", "b"),), pieces=pieces)
+    assert table.vocab == {p: i for i, p in enumerate(pieces)}
+    assert replace(table, pieces=pieces[::-1]).vocab["##ab"] == 0
 
 
 def test_first_merge_is_e_s_with_count_nine():
@@ -551,6 +559,7 @@ def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
             assert (second / name).read_bytes() == (first / name).read_bytes()
     assert (back.merges, back.pieces, back.vocab, back.lowercase) == (
         table.merges, table.pieces, table.vocab, table.lowercase)
+    assert table.vocab == {p: i for i, p in enumerate(table.pieces)}
 
 
 @given(WORD_LISTS, st.integers(0, 30), st.sampled_from(("merges.txt", "vocab.txt")), st.data())
