@@ -5,13 +5,15 @@ current position (previous/current/next words and their conjunctions),
 each conjoined with the current label; a |Y| x |Y| block of weights scores
 label transitions. Notes are featurized from their words alone, once,
 into a [positions, templates] matrix of observation ids, so the unary
-scores are one gather and one sum over its rows. Inference is log-space
+scores are one gather and one sum over its rows. Inference is
 forward-backward and Viterbi, each run once over all notes of a call in a
-length-sorted packed layout; forward-backward holds it label-major, with
-the notes of a step innermost, and keeps the row layout for the two sums
-whose order that layout would change (see _packed_posteriors). Training
-is penalized maximum likelihood under a limited-memory quasi-Newton
-optimizer with a strong Wolfe line search, so runs are bit-reproducible.
+length-sorted packed layout. Forward-backward is Rabiner's scaled
+recursion in probability space, one small matrix product per step; for
+transition weights too far apart for it, it runs in log space (see
+_packed_posteriors). Training is penalized maximum likelihood under a
+limited-memory quasi-Newton optimizer with a strong Wolfe line search
+whose dot products add in one fixed order at any BLAS thread count, so
+runs are bit-reproducible.
 A fit lays its notes out once and reads their gold labels there
 (plan_fit): each objective call then scores in packed order, reads the
 gold path by gather and scatters the unary gradient with one bincount. A
@@ -171,6 +173,16 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return (m + np.log(np.add.reduce(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
+# the widest transition range, max T - min T, that _packed_posteriors runs
+# in probability space: exp(2 * 330) times the smallest normal float is
+# about 1e-21
+SCALED_MAX_RANGE = 330.0
+# the most rows one product of the scaled pair sum adds over: OpenBLAS was
+# seen to give other bits at 2 threads than at 1 for a sum over 768 rows at
+# 37 labels, and the same bits over 512
+PAIR_ROWS = 512
+
+
 class Packed(NamedTuple):
     """Notes in time-major packed order: step 0 of every note, then step 1
     of every note that has one, and so on. Notes are sorted by length,
@@ -210,6 +222,70 @@ def _packed_posteriors(
     note and step, and log Z in sorted-note order. Each recursion runs
     once over all notes, one step at a time; no array holds a pairwise
     marginal per position.
+
+    The recursion is Rabiner's scaled forward-backward, in probability
+    space and the packed row layout. With eu = exp(u - rowmax u) and
+    et = exp(T - max T), each step of the k running notes is one
+    [k, |Y|] @ [|Y|, |Y|] product and no exp:
+    alpha_t = (alpha_{t-1} @ et) * eu_t / s_t, where s_t is each row's
+    sum, so every alpha row sums to 1. Backward, beta is 1 at each note's
+    last row and beta_{t-1} = ((eu_t / s_t) * beta_t) @ et.T. A note's
+    log Z is the sum over its rows of log s + rowmax u, plus (length - 1)
+    max T. The node marginals are alpha * beta; the pair sum is the
+    product of every alpha row that has a successor with that successor's
+    (eu / s) * beta, PAIR_ROWS rows at a time, times et.
+
+    Such a step keeps every row sum at least exp(-R) and every beta
+    within exp(+-R), where R = max T - min T is the transition range, so a
+    value lost below the smallest normal float weighs at most about
+    exp(2R) times that float in any result. The recursion runs when R is
+    at most SCALED_MAX_RANGE and every result is finite; otherwise the
+    call runs the log-space recursion (_log_posteriors), so every score
+    that gives finite posteriors there gives them here.
+    """
+    t_max = np.maximum.reduce(transition, axis=None)
+    if not t_max - np.minimum.reduce(transition, axis=None) <= SCALED_MAX_RANGE:
+        return _log_posteriors(u, pk, transition)      # the wide-range path
+    top = np.maximum.reduce(u, axis=1)
+    first = pk.steps[0][1] if pk.steps else len(u)    # rows of step 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        et = np.exp(transition - t_max)
+        eu = np.exp(u - top[:, None])
+        alpha = eu.copy()
+        s = np.add.reduce(alpha, axis=1)     # step 0's sums; later rows are overwritten
+        alpha[:first] /= s[:first, None]
+        for prev, lo, hi in pk.steps:
+            block = alpha[lo:hi]
+            block *= alpha[prev:prev + hi - lo] @ et
+            np.add.reduce(block, axis=1, out=s[lo:hi])
+            block /= s[lo:hi, None]
+        eu /= s[:, None]
+        beta = np.ones_like(eu)
+        for prev, lo, hi in reversed(pk.steps):
+            w = eu[lo:hi]      # becomes (eu / s) * beta of the step's rows
+            w *= beta[lo:hi]
+            np.matmul(w, et.T, out=beta[prev:prev + hi - lo])
+        has_next = np.ones(len(u), dtype=bool)
+        has_next[pk.last] = False
+        before, after = alpha[has_next], eu[first:]    # each row with its successor
+        pair = np.zeros_like(et)
+        for i in range(0, len(after), PAIR_ROWS):
+            pair += before[i:i + PAIR_ROWS].T @ after[i:i + PAIR_ROWS]
+        pair *= et
+        alpha *= beta
+        log_z = (np.bincount(pk.note) - 1) * t_max
+        log_z += np.bincount(pk.note, weights=np.log(s) + top)
+    if not (np.isfinite(log_z).all() and np.isfinite(pair).all() and np.isfinite(alpha).all()):
+        return _log_posteriors(u, pk, transition)      # non-finite scores
+    return alpha, pair, log_z
+
+
+def _log_posteriors(
+    u: np.ndarray, pk: Packed, transition: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_packed_posteriors in log space: the wide-range path, for a
+    transition range past SCALED_MAX_RANGE or scores whose scaled results
+    are not finite.
 
     The recursion is held label-major: u, alpha and beta are [|Y|, rows],
     and a step's blocks are [|Y|, |Y|, k] with its k running notes
@@ -351,12 +427,19 @@ def nll_and_grad(
                              minlength=unary_w.size)
     grad = np.concatenate((grad_unary, (pair_sum - plan.gold_counts).reshape(-1)))
 
-    loss += 0.5 * l2_lambda * float(weights @ weights)
+    loss += 0.5 * l2_lambda * _dot(weights, weights)
     grad += l2_lambda * weights
     return loss, grad
 
 
 # --- limited-memory quasi-Newton optimizer -------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors, added in one fixed order: OpenBLAS splits a
+    long `a @ b` across its threads, so that gives other bits at another
+    thread count."""
+    return float(np.einsum("i,i->", a, b))
+
 
 def _wolfe_line_search(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -366,7 +449,7 @@ def _wolfe_line_search(
     direction: np.ndarray,
 ) -> tuple[float, float, np.ndarray] | None:
     """Strong Wolfe search along direction; returns (step, f, g) or None."""
-    d0 = float(g0 @ direction)
+    d0 = _dot(g0, direction)
     if d0 >= 0.0:
         return None
 
@@ -374,7 +457,7 @@ def _wolfe_line_search(
         f, g = fun(x + step * direction)
         if not np.isfinite(f):
             raise TrainingDivergence(f"non-finite loss {f} during line search")
-        return f, float(g @ direction), g
+        return f, _dot(g, direction), g
 
     def zoom(lo, f_lo, hi) -> tuple[float, float, np.ndarray] | None:
         for _ in range(WOLFE_MAX_STEPS):
@@ -429,12 +512,12 @@ def minimize_lbfgs(
         q = g.copy()
         alphas = []
         for s, yv, rho, _ in reversed(pairs):
-            a = rho * float(s @ q)
+            a = rho * _dot(s, q)
             alphas.append(a)
             q -= np.multiply(yv, a, out=scratch)
         q *= pairs[-1][3] if pairs else 1.0 / max(gnorm, 1.0)
         for a, (s, yv, rho, _) in zip(reversed(alphas), pairs):
-            b = rho * float(yv @ q)
+            b = rho * _dot(yv, q)
             q += np.multiply(s, a - b, out=scratch)
         direction = -q
         result = _wolfe_line_search(fun, x, f, g, direction)
@@ -448,9 +531,9 @@ def minimize_lbfgs(
         step, f_new, g_new = result
         s = step * direction
         yv = g_new - g
-        sy = float(s @ yv)
+        sy = _dot(s, yv)
         if sy > 1e-10:
-            pairs.append((s, yv, 1.0 / sy, sy / float(yv @ yv)))
+            pairs.append((s, yv, 1.0 / sy, sy / _dot(yv, yv)))
             if len(pairs) > LBFGS_MEMORY:
                 pairs.pop(0)
         x = x + s

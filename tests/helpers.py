@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 from handover_ie import tensor as T
 from handover_ie.corpus import WORD_BREAKS
 from handover_ie.crf import (
-    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _logsumexp, _packed_posteriors, _wolfe_line_search,
-    pack,
+    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _dot, _logsumexp, _packed_posteriors,
+    _wolfe_line_search, pack,
 )
 from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
@@ -371,12 +371,13 @@ def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
             for p in range(len(words))]
 
 
-def posteriors(unary, starts, transition):
-    """crf._packed_posteriors in flat order: node marginals [positions,
-    |Y|], pairwise marginals summed over every note and step [|Y|, |Y|],
-    and each note's log Z [notes], in input-note order."""
+def posteriors(unary, starts, transition, recursion=_packed_posteriors):
+    """crf._packed_posteriors, or another recursion over the packed layout,
+    in flat order: node marginals [positions, |Y|], pairwise marginals
+    summed over every note and step [|Y|, |Y|], and each note's log Z
+    [notes], in input-note order."""
     pk = pack(starts)
-    packed_node, pair, log_z = _packed_posteriors(unary[pk.perm], pk, transition)
+    packed_node, pair, log_z = recursion(unary[pk.perm], pk, transition)
     node = np.empty_like(unary)
     node[pk.perm] = packed_node
     by_note = np.empty_like(log_z)
@@ -450,10 +451,11 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
 
 
 def reference_posteriors(unary, starts, transition):
-    """Row-layout reference for posteriors, and the posteriors the
-    scatter objective calls: each step's blocks are [k, |Y|, |Y|], with the
-    labels innermost; node marginals and log Z are scattered back from the
-    packed layout to flat position and input-note order."""
+    """Log-space row-layout reference for posteriors, and the posteriors
+    the scatter objective calls: each step's blocks are [k, |Y|, |Y|], with
+    the labels innermost; node marginals and log Z are scattered back from
+    the packed layout to flat position and input-note order. It gives the
+    same bits as crf._log_posteriors."""
     pk = pack(starts)
     u = unary[pk.perm]
     alpha = u.copy()
@@ -477,7 +479,7 @@ def reference_posteriors(unary, starts, transition):
 
 
 def reference_nll_and_grad(model, records, weights, l2_lambda):
-    """Byte-for-byte reference for crf.nll_and_grad: the scatter objective,
+    """Log-space reference for crf.nll_and_grad: the scatter objective,
     which featurizes on every call into flat (observation, position)
     firings, scores and scatters the unary gradient with np.add.at, and
     runs reference_posteriors in flat order."""
@@ -519,7 +521,8 @@ def reference_nll_and_grad(model, records, weights, l2_lambda):
 def reference_minimize_lbfgs(fun, x0, max_iters, grad_tol):
     """Byte-for-byte reference for crf.minimize_lbfgs: the two-loop
     recursion that recomputes each pair's 1/(y.s) on every iteration and
-    the last pair's s.y/(y.y) scale, and allocates each vector update."""
+    the last pair's s.y/(y.y) scale, and allocates each vector update.
+    Its dot products are crf._dot's, whose order no thread count moves."""
     x = x0.astype(np.float64).copy()
     f, g = fun(x)
     if not np.isfinite(f):
@@ -533,17 +536,17 @@ def reference_minimize_lbfgs(fun, x0, max_iters, grad_tol):
         q = g.copy()
         alphas = []
         for s, yv in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / float(yv @ s)
-            a = rho * float(s @ q)
+            rho = 1.0 / _dot(yv, s)
+            a = rho * _dot(s, q)
             alphas.append((a, rho))
             q -= a * yv
         if y_hist:
             yv, s = y_hist[-1], s_hist[-1]
-            q *= float(s @ yv) / float(yv @ yv)
+            q *= _dot(s, yv) / _dot(yv, yv)
         else:
             q *= 1.0 / max(gnorm, 1.0)
         for (a, rho), s, yv in zip(reversed(alphas), s_hist, y_hist):
-            b = rho * float(yv @ q)
+            b = rho * _dot(yv, q)
             q += (a - b) * s
         direction = -q
         result = _wolfe_line_search(fun, x, f, g, direction)
@@ -557,7 +560,7 @@ def reference_minimize_lbfgs(fun, x0, max_iters, grad_tol):
         step, f_new, g_new = result
         s = step * direction
         yv = g_new - g
-        if float(s @ yv) > 1e-10:
+        if _dot(s, yv) > 1e-10:
             s_hist.append(s)
             y_hist.append(yv)
             if len(s_hist) > LBFGS_MEMORY:
