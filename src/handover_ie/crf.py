@@ -8,12 +8,12 @@ into a [positions, templates] matrix of observation ids, so the unary
 scores are one gather and one sum over its rows. Inference is
 forward-backward and Viterbi, each run once over all notes of a call in a
 length-sorted packed layout. Forward-backward is Rabiner's scaled
-recursion in probability space, one small matrix product per step; for
-transition weights too far apart for it, it runs in log space (see
-_packed_posteriors). Training is penalized maximum likelihood under a
-limited-memory quasi-Newton optimizer with a strong Wolfe line search
-whose dot products add in one fixed order at any BLAS thread count, so
-runs are bit-reproducible.
+recursion in probability space, one small matrix product per step; when
+the transition weights span more than SCALED_MAX_RANGE, it runs over the
+same rows in log space (see _packed_posteriors). Training is penalized
+maximum likelihood under a limited-memory quasi-Newton optimizer with a
+strong Wolfe line search whose dot products add in one fixed order at any
+BLAS thread count, so runs are bit-reproducible.
 A fit lays its notes out once and reads their gold labels there
 (plan_fit): each objective call then scores in packed order, reads the
 gold path by gather and scatters the unary gradient with one bincount. A
@@ -235,20 +235,19 @@ def _packed_posteriors(
     product of every alpha row that has a successor with that successor's
     (eu / s) * beta, PAIR_ROWS rows at a time, times et.
 
-    Such a step keeps every row sum at least exp(-R) and every beta
-    within exp(+-R), where R = max T - min T is the transition range, so a
+    With finite scores and R = max T - min T, the transition range, every
+    row sum lies in [exp(-R), |Y|] and every beta within exp(+-R), so a
     value lost below the smallest normal float weighs at most about
-    exp(2R) times that float in any result. The recursion runs when R is
-    at most SCALED_MAX_RANGE and every result is finite; otherwise the
-    call runs the log-space recursion (_log_posteriors), so every score
-    that gives finite posteriors there gives them here.
+    exp(2R) times that float in any result. A call whose R is past
+    SCALED_MAX_RANGE runs the log-space recursion (_log_posteriors)
+    instead. Non-finite scores give a non-finite log Z on either path.
     """
     t_max = np.maximum.reduce(transition, axis=None)
     if not t_max - np.minimum.reduce(transition, axis=None) <= SCALED_MAX_RANGE:
         return _log_posteriors(u, pk, transition)      # the wide-range path
     top = np.maximum.reduce(u, axis=1)
     first = pk.steps[0][1] if pk.steps else len(u)    # rows of step 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite scores pass through quietly
         et = np.exp(transition - t_max)
         eu = np.exp(u - top[:, None])
         alpha = eu.copy()
@@ -275,59 +274,32 @@ def _packed_posteriors(
         alpha *= beta
         log_z = (np.bincount(pk.note) - 1) * t_max
         log_z += np.bincount(pk.note, weights=np.log(s) + top)
-    if not (np.isfinite(log_z).all() and np.isfinite(pair).all() and np.isfinite(alpha).all()):
-        return _log_posteriors(u, pk, transition)      # non-finite scores
     return alpha, pair, log_z
 
 
 def _log_posteriors(
     u: np.ndarray, pk: Packed, transition: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_packed_posteriors in log space: the wide-range path, for a
-    transition range past SCALED_MAX_RANGE or scores whose scaled results
-    are not finite.
-
-    The recursion is held label-major: u, alpha and beta are [|Y|, rows],
-    and a step's blocks are [|Y|, |Y|, k] with its k running notes
-    innermost, so every elementwise op and every max runs over rows of k
-    values, not of |Y|. The forward sum over the previous label reduces
-    the outer axis, adding in the order a reduce over axis 1 of
-    [k, |Y|, |Y|] does. Two sums keep [k, |Y|, |Y|] rows, each over one
-    contiguous copy of the step's exp block: the backward sum over the next
-    label, because numpy adds a contiguous row of 8 or more values
-    pairwise, and the pair sum over notes, which stays inside the step so
-    that no block outlives it. So every result is the same bits as in the
-    row layout of the notes.
-    """
-    ut = u.T.copy()
-    alpha = ut.copy()
-    trans = transition[:, :, None]
+    """_packed_posteriors in log space, the wide-range path: the same
+    recursion over the same packed rows, with each step's sum over labels
+    a logsumexp over a [k, |Y|, |Y|] block of the k running notes."""
+    alpha = u.copy()
     for prev, lo, hi in pk.steps:
-        cand = alpha[:, prev:prev + hi - lo][:, None, :] + trans   # [previous, current, k]
-        m = np.maximum.reduce(cand, axis=0)
-        cand -= m
-        total = np.add.reduce(np.exp(cand, out=cand), axis=0)
-        alpha[:, lo:hi] += m + np.log(total, out=total)
-    log_z = _logsumexp(alpha[:, pk.last].T.copy(), axis=1)
-    beta = np.zeros_like(ut)      # zero at each note's last position
+        alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
+    log_z = _logsumexp(alpha[pk.last], axis=1)
+    beta = np.zeros_like(u)      # zero at each note's last position
     pair = np.zeros_like(transition)
     for prev, lo, hi in reversed(pk.steps):
         k = hi - lo
-        nxt = trans + ut[:, lo:hi]
-        nxt += beta[:, lo:hi]                         # [current, next, k]
-        m = np.maximum.reduce(nxt, axis=1)
-        nxt -= m[:, None, :]
-        rows = np.exp(nxt, out=nxt).transpose(2, 0, 1).copy()
-        total = np.add.reduce(rows, axis=2).T
-        beta[:, prev:prev + k] = m + np.log(total, out=total)
-        joint = alpha[:, prev:prev + k][:, None, :] + trans
-        joint += ut[:, lo:hi] + beta[:, lo:hi]
-        joint -= log_z[:k]
-        pair += np.add.reduce(np.exp(joint, out=joint).transpose(2, 0, 1).copy(), axis=0)
+        beta[prev:prev + k] = _logsumexp(
+            transition + u[lo:hi, None, :] + beta[lo:hi, None, :], axis=2)
+        joint = alpha[prev:prev + k, :, None] + transition
+        joint += (u[lo:hi] + beta[lo:hi])[:, None, :]
+        joint -= log_z[:k, None, None]
+        pair += np.add.reduce(np.exp(joint, out=joint), axis=0)
     alpha += beta
-    alpha -= log_z[pk.note]
-    node = alpha.T.copy()
-    return np.exp(node, out=node), pair, log_z
+    alpha -= log_z[pk.note][:, None]
+    return np.exp(alpha, out=alpha), pair, log_z
 
 
 def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:

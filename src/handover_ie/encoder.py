@@ -229,13 +229,14 @@ def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str)
 
     The mapping file has one `external<TAB>internal` pair per line, each
     internal name once; names not listed keep their current values. The
-    model changes only if every line is accepted. Returns the imported
-    internal names in file order.
+    model changes only if every line is accepted, and a leading UTF-8
+    byte-order mark is dropped. Returns the imported internal names in
+    file order.
     """
     entries = T.load_archive(archive_path)
     weights = {p.name: p.data for p in model.parameters()}
     imported: dict[str, int] = {}  # internal name -> its mapping line
-    with open(mapping_path, encoding="utf-8") as fh:
+    with open(mapping_path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

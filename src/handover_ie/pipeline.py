@@ -148,8 +148,9 @@ def build_model_config(model_kw: dict) -> ModelConfig:
 
 
 def load_train_config(path: str) -> tuple[TrainConfig, dict]:
-    """Read a config file; HANDOVER_IE_SEED overrides the configured seed."""
-    train_kw, model_kw = parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """Read a config file, dropping a leading UTF-8 byte-order mark;
+    HANDOVER_IE_SEED overrides the configured seed."""
+    train_kw, model_kw = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:

@@ -454,8 +454,10 @@ def reference_posteriors(unary, starts, transition):
     """Log-space row-layout reference for posteriors, and the posteriors
     the scatter objective calls: each step's blocks are [k, |Y|, |Y|], with
     the labels innermost; node marginals and log Z are scattered back from
-    the packed layout to flat position and input-note order. It gives the
-    same bits as crf._log_posteriors."""
+    the packed layout to flat position and input-note order. crf's
+    wide-range path, crf._log_posteriors, runs this recursion on rows
+    already in packed order, so through helpers.posteriors it gives the
+    same bits."""
     pk = pack(starts)
     u = unary[pk.perm]
     alpha = u.copy()

@@ -343,6 +343,8 @@ def test_posteriors_stay_finite_and_close_at_wide_score_ranges(
     assert log_space.called == (np.ptp(transition) > crf.SCALED_MAX_RANGE)
     for a, b in zip(got, reference_posteriors(unary, starts, transition)):
         assert_close(a, b)
+        # the log-space path is the reference recursion, bit for bit
+        assert not log_space.called or a.tobytes() == b.tobytes()
 
 
 @given(st.integers(1, 12), NOTE_LENGTHS, st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -580,6 +582,29 @@ def test_train_rejects_empty_set():
     model = CrfModel.build(make_set([[("x", 0)]]), scheme, 1)
     with pytest.raises(ValueError):
         train(model, RecordSet(split="train", records=()), 1.0, MAX_ITERS, GRAD_TOL)
+
+
+def test_real_fits_never_take_the_log_space_path():
+    # the log-space recursion is the slow, plain one: fits of the synthetic
+    # notes keep their transition range within SCALED_MAX_RANGE
+    scheme = default_synthetic_scheme()
+    rs = generate_synthetic(80, scheme, seed=31)
+    with mock.patch.object(crf, "_packed_posteriors", wraps=crf._packed_posteriors) as calls, \
+            mock.patch.object(crf, "_log_posteriors", wraps=crf._log_posteriors) as log_space:
+        train(CrfModel.build(rs, scheme, 1), rs, 1.0, 40, GRAD_TOL)
+    assert calls.call_count >= 40
+    assert not log_space.called
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_training_from_a_non_finite_weight_diverges_quietly(value):
+    # filterwarnings = error turns any numpy warning on the way into a failure
+    scheme = default_synthetic_scheme()
+    rs = generate_synthetic(6, scheme, seed=32)
+    model = CrfModel.build(rs, scheme, 1)
+    model.weights[0] = value      # unary slot (observation 0, label 0)
+    with pytest.raises(TrainingDivergence, match="non-finite initial loss"):
+        train(model, rs, 1.0, MAX_ITERS, GRAD_TOL)
 
 
 def test_lbfgs_diverging_objective_raises():

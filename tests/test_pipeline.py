@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
-from handover_ie.cli import build_parser, main as cli_main
+from handover_ie.cli import build_parser, main as cli_main, read_records, read_scheme
 from handover_ie.corpus import (
     LabelingError,
     LabelScheme,
@@ -186,6 +186,36 @@ def test_config_file_parsing_and_env_seed(tmp_path, monkeypatch):
     bad.write_text("unknown_key=3\n", encoding="utf-8")
     with pytest.raises(ValueError):
         pipeline.load_train_config(str(bad))
+
+
+def with_and_without_bom(tmp_path, name, text):
+    """Two UTF-8 files holding text, the second after a byte-order mark."""
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    return plain, marked
+
+
+@pytest.mark.parametrize("with_ids", [True, False], ids=["id-line-first", "word-line-first"])
+def test_a_records_file_reads_the_same_after_a_byte_order_mark(tmp_path, with_ids):
+    scheme = default_synthetic_scheme()
+    text = serialize_records(generate_synthetic(3, scheme, seed=40), scheme)
+    if not with_ids:
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("# id:"))
+    plain, marked = with_and_without_bom(tmp_path, "notes.tsv", text)
+    assert read_records(marked) == read_records(plain)
+
+
+def test_a_scheme_file_reads_the_same_after_a_byte_order_mark(tmp_path):
+    plain, marked = with_and_without_bom(tmp_path, "labels.txt",
+                                         dump_scheme(default_synthetic_scheme()))
+    assert read_scheme(marked) == read_scheme(plain)
+
+
+def test_a_config_file_reads_the_same_after_a_byte_order_mark(tmp_path):
+    plain, marked = with_and_without_bom(tmp_path, "c.cfg", "learning_rate=0.001\nepochs=2\n")
+    assert pipeline.load_train_config(str(marked)) == pipeline.load_train_config(str(plain))
 
 
 def test_zero_learning_rate_is_a_null_update(tiny_setup):
