@@ -18,17 +18,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from handover_ie.cli import read_scheme, run, write_out
-from handover_ie.corpus import RecordSet, convert_standoff, read_lines, serialize_records
-
-
-def read_text(path: Path) -> str:
-    """A UTF-8 file's characters after its byte-order mark, if any, with no
-    newline translation; a file that is not UTF-8 is a ValueError naming it."""
-    try:
-        with path.open(encoding="utf-8-sig", newline="") as f:
-            return f.read()
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
+from handover_ie.corpus import (
+    RecordSet, convert_standoff, read_lines, read_text, serialize_records)
 
 
 def read_spans(path: Path) -> list[tuple[int, int, str]]:

@@ -46,8 +46,10 @@ def main() -> int:
         kind="encoder", seed=args.seed, max_len=args.max_len,
         num_merges=args.num_merges, pretrained=args.pretrained or "",
     )
+    # BERT's fine-tuning recipe keeps dropout at 0.1
     model_kw = dict(num_layers=args.num_layers, hidden_size=args.hidden_size,
-                    num_heads=args.num_heads, ffn_size=args.ffn_size, max_positions=512)
+                    num_heads=args.num_heads, ffn_size=args.ffn_size, max_positions=512,
+                    dropout=0.1)
     leaderboard = pipeline.run_experiment(
         splits["train"], splits["validation"], splits["test"], scheme, base, model_kw,
         () if args.skip_grid else pipeline.default_grid(base), args.workdir,

@@ -23,16 +23,14 @@ EXIT_DIVERGENCE = 3
 DEFAULT_SHAPE = dict(num_layers=2, hidden_size=32, num_heads=2, ffn_size=64)
 
 
-# user files may open with a UTF-8 byte-order mark, which is not part of their text
 def read_records(path: str | Path, scheme=None):
-    with open(path, encoding="utf-8-sig") as fh:
-        return corpus.parse_records(fh, scheme=scheme)
+    return corpus.parse_records(corpus.read_text(path), scheme=scheme)
 
 
 def read_scheme(path: str | Path | None):
     if path is None:
         return None
-    return corpus.load_scheme(Path(path).read_text(encoding="utf-8-sig"))
+    return corpus.load_scheme(corpus.read_text(path))
 
 
 def write_out(text: str, out: str | Path | None) -> None:

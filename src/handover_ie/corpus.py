@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TextIO
@@ -131,6 +132,17 @@ def read_lines(stream: str | TextIO | Iterable[str]) -> Iterable[str]:
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline=None)
     return (line.rstrip("\n") for line in stream)
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The one reader of every file the program reads: a UTF-8 file's
+    characters after its byte-order mark, if any, with no newline
+    translation; a file that is not UTF-8 is a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def parse_records(

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LabelScheme, RecordSet
+from .corpus import LabelScheme, RecordSet, read_lines, read_text
 from .tensor import TrainingDivergence, load_archive, save_archive
 
 BOS = "__BOS__"
@@ -240,40 +240,40 @@ def _packed_posteriors(
     value lost below the smallest normal float weighs at most about
     exp(2R) times that float in any result. A call whose R is past
     SCALED_MAX_RANGE runs the log-space recursion (_log_posteriors)
-    instead. Non-finite scores give a non-finite log Z on either path.
+    instead. Non-finite scores give a non-finite log Z on either path;
+    nll_and_grad, the one caller, silences their numpy warnings.
     """
     t_max = np.maximum.reduce(transition, axis=None)
     if not t_max - np.minimum.reduce(transition, axis=None) <= SCALED_MAX_RANGE:
         return _log_posteriors(u, pk, transition)      # the wide-range path
     top = np.maximum.reduce(u, axis=1)
     first = pk.steps[0][1] if pk.steps else len(u)    # rows of step 0
-    with np.errstate(over="ignore", invalid="ignore"):   # non-finite scores pass through quietly
-        et = np.exp(transition - t_max)
-        eu = np.exp(u - top[:, None])
-        alpha = eu.copy()
-        s = np.add.reduce(alpha, axis=1)     # step 0's sums; later rows are overwritten
-        alpha[:first] /= s[:first, None]
-        for prev, lo, hi in pk.steps:
-            block = alpha[lo:hi]
-            block *= alpha[prev:prev + hi - lo] @ et
-            np.add.reduce(block, axis=1, out=s[lo:hi])
-            block /= s[lo:hi, None]
-        eu /= s[:, None]
-        beta = np.ones_like(eu)
-        for prev, lo, hi in reversed(pk.steps):
-            w = eu[lo:hi]      # becomes (eu / s) * beta of the step's rows
-            w *= beta[lo:hi]
-            np.matmul(w, et.T, out=beta[prev:prev + hi - lo])
-        has_next = np.ones(len(u), dtype=bool)
-        has_next[pk.last] = False
-        before, after = alpha[has_next], eu[first:]    # each row with its successor
-        pair = np.zeros_like(et)
-        for i in range(0, len(after), PAIR_ROWS):
-            pair += before[i:i + PAIR_ROWS].T @ after[i:i + PAIR_ROWS]
-        pair *= et
-        alpha *= beta
-        log_z = (np.bincount(pk.note) - 1) * t_max
-        log_z += np.bincount(pk.note, weights=np.log(s) + top)
+    et = np.exp(transition - t_max)
+    eu = np.exp(u - top[:, None])
+    alpha = eu.copy()
+    s = np.add.reduce(alpha, axis=1)     # step 0's sums; later rows are overwritten
+    alpha[:first] /= s[:first, None]
+    for prev, lo, hi in pk.steps:
+        block = alpha[lo:hi]
+        block *= alpha[prev:prev + hi - lo] @ et
+        np.add.reduce(block, axis=1, out=s[lo:hi])
+        block /= s[lo:hi, None]
+    eu /= s[:, None]
+    beta = np.ones_like(eu)
+    for prev, lo, hi in reversed(pk.steps):
+        w = eu[lo:hi]      # becomes (eu / s) * beta of the step's rows
+        w *= beta[lo:hi]
+        np.matmul(w, et.T, out=beta[prev:prev + hi - lo])
+    has_next = np.ones(len(u), dtype=bool)
+    has_next[pk.last] = False
+    before, after = alpha[has_next], eu[first:]    # each row with its successor
+    pair = np.zeros_like(et)
+    for i in range(0, len(after), PAIR_ROWS):
+        pair += before[i:i + PAIR_ROWS].T @ after[i:i + PAIR_ROWS]
+    pair *= et
+    alpha *= beta
+    log_z = (np.bincount(pk.note) - 1) * t_max
+    log_z += np.bincount(pk.note, weights=np.log(s) + top)
     return alpha, pair, log_z
 
 
@@ -387,20 +387,22 @@ def nll_and_grad(
     gradient = expected feature counts - empirical counts + lambda * w.
     """
     unary_w, trans_w = model.split(weights)
-    u = unary_scores(unary_w, plan.ids)
-    node, pair_sum, log_z = _packed_posteriors(u, plan.packed, trans_w)
-    # log Z summed in input-note order, the gold path in flat order
-    loss = float(log_z[plan.by_input].sum()) - float(
-        u.reshape(-1)[plan.gold_cells].sum() + trans_w.reshape(-1)[plan.gold_pairs].sum())
+    # overflowing weights give a non-finite loss, which L-BFGS raises as TrainingDivergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = unary_scores(unary_w, plan.ids)
+        node, pair_sum, log_z = _packed_posteriors(u, plan.packed, trans_w)
+        # log Z summed in input-note order, the gold path in flat order
+        loss = float(log_z[plan.by_input].sum()) - float(
+            u.reshape(-1)[plan.gold_cells].sum() + trans_w.reshape(-1)[plan.gold_pairs].sum())
 
-    node.reshape(-1)[plan.gold_cells] -= 1.0
-    # bincount adds into each slot in firing order, one term at a time
-    grad_unary = np.bincount(plan.slots, weights=node[plan.firing_rows].reshape(-1),
-                             minlength=unary_w.size)
-    grad = np.concatenate((grad_unary, (pair_sum - plan.gold_counts).reshape(-1)))
+        node.reshape(-1)[plan.gold_cells] -= 1.0
+        # bincount adds into each slot in firing order, one term at a time
+        grad_unary = np.bincount(plan.slots, weights=node[plan.firing_rows].reshape(-1),
+                                 minlength=unary_w.size)
+        grad = np.concatenate((grad_unary, (pair_sum - plan.gold_counts).reshape(-1)))
 
-    loss += 0.5 * l2_lambda * _dot(weights, weights)
-    grad += l2_lambda * weights
+        loss += 0.5 * l2_lambda * _dot(weights, weights)
+        grad += l2_lambda * weights
     return loss, grad
 
 
@@ -557,21 +559,18 @@ def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
 def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfModel:
     templates = {name: (ti, len(offs)) for ti, (name, offs) in enumerate(UNIGRAM_TEMPLATES)}
     index = FeatureIndex()
-    with open(features_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            template, *words = line.rstrip("\n").split("\t")
-            if template not in templates:
-                raise ValueError(f"features line {line_no}: unknown template {template!r}")
-            ti, width = templates[template]
-            if len(words) != width:
-                raise ValueError(
-                    f"features line {line_no}: {template} expects {width} word(s), "
-                    f"got {len(words)}"
-                )
-            key = (ti, tuple(words))
-            if key in index.obs:
-                raise ValueError(f"features line {line_no}: duplicate observation")
-            index.obs[key] = len(index.obs)
+    for line_no, line in enumerate(read_lines(read_text(features_path)), 1):
+        template, *words = line.split("\t")
+        if template not in templates:
+            raise ValueError(f"features line {line_no}: unknown template {template!r}")
+        ti, width = templates[template]
+        if len(words) != width:
+            raise ValueError(
+                f"features line {line_no}: {template} expects {width} word(s), got {len(words)}")
+        key = (ti, tuple(words))
+        if key in index.obs:
+            raise ValueError(f"features line {line_no}: duplicate observation")
+        index.obs[key] = len(index.obs)
     entries = load_archive(weights_path)
     if list(entries) != ["weights"]:
         raise ValueError(f"{weights_path}: expected one entry named 'weights', "

@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .corpus import read_lines, read_text
 from .tensor import Parameter, Tensor
 from .tokenizer import IGNORE_INDEX, TokenizedSequence
 
@@ -229,31 +230,28 @@ def import_pretrained(model: EncoderModel, archive_path: str, mapping_path: str)
 
     The mapping file has one `external<TAB>internal` pair per line, each
     internal name once; names not listed keep their current values. The
-    model changes only if every line is accepted, and a leading UTF-8
-    byte-order mark is dropped. Returns the imported internal names in
-    file order.
+    model changes only if every line is accepted. Returns the imported
+    internal names in file order.
     """
     entries = T.load_archive(archive_path)
     weights = {p.name: p.data for p in model.parameters()}
     imported: dict[str, int] = {}  # internal name -> its mapping line
-    with open(mapping_path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"mapping line {line_no}: expected external<TAB>internal")
-            ext, internal = parts
-            if ext not in entries:
-                raise CompatibilityError(f"mapping line {line_no}: {ext!r} not in archive")
-            if internal not in weights:
-                raise CompatibilityError(f"mapping line {line_no}: {internal!r} not in model")
-            if internal in imported:
-                raise CompatibilityError(f"mapping line {line_no}: {internal!r} is already "
-                                         f"mapped on line {imported[internal]}")
-            weights[internal] = entries[ext]
-            imported[internal] = line_no
+    for line_no, line in enumerate(read_lines(read_text(mapping_path)), 1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"mapping line {line_no}: expected external<TAB>internal")
+        ext, internal = parts
+        if ext not in entries:
+            raise CompatibilityError(f"mapping line {line_no}: {ext!r} not in archive")
+        if internal not in weights:
+            raise CompatibilityError(f"mapping line {line_no}: {internal!r} not in model")
+        if internal in imported:
+            raise CompatibilityError(f"mapping line {line_no}: {internal!r} is already "
+                                     f"mapped on line {imported[internal]}")
+        weights[internal] = entries[ext]
+        imported[internal] = line_no
     checked = EncoderModel(model.config, weights=weights)
     for p, new in zip(model.parameters(), checked.parameters()):
         p.data = new.data

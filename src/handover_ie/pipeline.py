@@ -29,6 +29,7 @@ from .corpus import (
     evaluated_classes,
     load_scheme,
     read_lines,
+    read_text,
     validate_against_scheme,
 )
 from .encoder import CompatibilityError, EncoderModel, ModelConfig
@@ -148,9 +149,8 @@ def build_model_config(model_kw: dict) -> ModelConfig:
 
 
 def load_train_config(path: str) -> tuple[TrainConfig, dict]:
-    """Read a config file, dropping a leading UTF-8 byte-order mark;
-    HANDOVER_IE_SEED overrides the configured seed."""
-    train_kw, model_kw = parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
+    """Read a config file; HANDOVER_IE_SEED overrides the configured seed."""
+    train_kw, model_kw = parse_config_text(read_text(path))
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -247,9 +247,9 @@ class Checkpoint:
     @classmethod
     def load(cls, directory: str | Path) -> "Checkpoint":
         d = Path(directory)
-        train_kw, model_kw = parse_config_text((d / "config.txt").read_text(encoding="utf-8"))
+        train_kw, model_kw = parse_config_text(read_text(d / "config.txt"))
         train_config = TrainConfig(**train_kw)
-        scheme = load_scheme((d / "labels.txt").read_text(encoding="utf-8"))
+        scheme = load_scheme(read_text(d / "labels.txt"))
         if train_config.kind == "encoder":
             model_config = build_model_config(model_kw)
             table = read_table(d, train_config.lowercase)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import WORD_BREAKS, read_lines
+from .corpus import WORD_BREAKS, read_lines, read_text
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 SPECIALS = (PAD, UNK, CLS, SEP)
@@ -326,8 +326,7 @@ def save_table(table: MergeTable, directory: str | Path) -> None:
 def read_table(directory: str | Path, lowercase: bool) -> MergeTable:
     """Read a tokenizer directory written by save_table."""
     d = Path(directory)
-    return load_table((d / "merges.txt").read_text(encoding="utf-8"),
-                      (d / "vocab.txt").read_text(encoding="utf-8"), lowercase=lowercase)
+    return load_table(read_text(d / "merges.txt"), read_text(d / "vocab.txt"), lowercase)
 
 
 def word_frequencies(word_lists: Iterable[Sequence[str]]) -> dict[str, int]:

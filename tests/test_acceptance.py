@@ -273,6 +273,8 @@ def test_criterion_8_documented_reproduction_path(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    config = (work / "encoder_checkpoint" / "config.txt").read_text(encoding="utf-8")
+    assert "\ndropout=0.1\n" in config
     for method in ("encoder", "crf", "random", "majority"):
         rep, _ = parse_report_json(
             (work / f"report_{method}.json").read_text(encoding="utf-8"))

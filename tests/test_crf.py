@@ -596,13 +596,17 @@ def test_real_fits_never_take_the_log_space_path():
     assert not log_space.called
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_training_from_a_non_finite_weight_diverges_quietly(value):
-    # filterwarnings = error turns any numpy warning on the way into a failure
+@pytest.mark.parametrize("slot, value", [
+    (0, math.inf), (0, -math.inf), (0, math.nan),
+    (-1, math.inf), (0, 1e308), (-1, 1e308),
+], ids=["inf", "-inf", "nan", "transition-inf", "unary-1e308", "transition-1e308"])
+def test_training_from_a_non_finite_weight_diverges_quietly(slot, value):
+    # filterwarnings = error turns any numpy warning on the way into a failure;
+    # slot 0 is a unary weight (observation 0, label 0), slot -1 a transition
     scheme = default_synthetic_scheme()
     rs = generate_synthetic(6, scheme, seed=32)
     model = CrfModel.build(rs, scheme, 1)
-    model.weights[0] = value      # unary slot (observation 0, label 0)
+    model.weights[slot] = value
     with pytest.raises(TrainingDivergence, match="non-finite initial loss"):
         train(model, rs, 1.0, MAX_ITERS, GRAD_TOL)
 

@@ -332,20 +332,6 @@ def test_import_pretrained_via_name_mapping(tmp_path):
         import_pretrained(target, str(arch), str(bad))
 
 
-def test_a_mapping_file_reads_the_same_after_a_byte_order_mark(tmp_path):
-    donor = tiny_model(seed=17)
-    arch = tmp_path / "external.tarch"
-    T.save_archive([("enc/tok_table", donor.token_emb.data)], str(arch))
-    imported = []
-    for prefix in ("", "\ufeff"):
-        mapping = tmp_path / "mapping.tsv"
-        mapping.write_text(prefix + "enc/tok_table\tembeddings.token\n", encoding="utf-8")
-        target = tiny_model(seed=99)
-        imported.append(import_pretrained(target, str(arch), str(mapping)))
-        assert np.array_equal(target.token_emb.data, donor.token_emb.data)
-    assert imported == [["embeddings.token"]] * 2
-
-
 @pytest.mark.parametrize("second_line", [
     "missing\tembeddings.segment",
     "enc/l0/q_w\tlayer9.attention.query.weight",

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from handover_ie import crf, encoder, evaluation, pipeline
 from handover_ie import tensor as T
-from handover_ie.cli import build_parser, main as cli_main, read_records, read_scheme
+from handover_ie.cli import build_parser, main as cli_main
 from handover_ie.corpus import (
     LabelingError,
     LabelScheme,
@@ -186,36 +188,6 @@ def test_config_file_parsing_and_env_seed(tmp_path, monkeypatch):
     bad.write_text("unknown_key=3\n", encoding="utf-8")
     with pytest.raises(ValueError):
         pipeline.load_train_config(str(bad))
-
-
-def with_and_without_bom(tmp_path, name, text):
-    """Two UTF-8 files holding text, the second after a byte-order mark."""
-    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
-    plain.write_text(text, encoding="utf-8")
-    marked.write_text("\ufeff" + text, encoding="utf-8")
-    return plain, marked
-
-
-@pytest.mark.parametrize("with_ids", [True, False], ids=["id-line-first", "word-line-first"])
-def test_a_records_file_reads_the_same_after_a_byte_order_mark(tmp_path, with_ids):
-    scheme = default_synthetic_scheme()
-    text = serialize_records(generate_synthetic(3, scheme, seed=40), scheme)
-    if not with_ids:
-        text = "".join(line for line in text.splitlines(keepends=True)
-                       if not line.startswith("# id:"))
-    plain, marked = with_and_without_bom(tmp_path, "notes.tsv", text)
-    assert read_records(marked) == read_records(plain)
-
-
-def test_a_scheme_file_reads_the_same_after_a_byte_order_mark(tmp_path):
-    plain, marked = with_and_without_bom(tmp_path, "labels.txt",
-                                         dump_scheme(default_synthetic_scheme()))
-    assert read_scheme(marked) == read_scheme(plain)
-
-
-def test_a_config_file_reads_the_same_after_a_byte_order_mark(tmp_path):
-    plain, marked = with_and_without_bom(tmp_path, "c.cfg", "learning_rate=0.001\nepochs=2\n")
-    assert pipeline.load_train_config(str(marked)) == pipeline.load_train_config(str(plain))
 
 
 def test_zero_learning_rate_is_a_null_update(tiny_setup):
@@ -1323,12 +1295,90 @@ def test_standoff_conversion_script_names_a_file_that_is_not_utf8(tmp_path):
                            f"position 5: invalid start byte\n")
 
 
-def test_standoff_conversion_script_counts_offsets_after_a_byte_order_mark(tmp_path):
-    # an editor-saved document starts with EF BB BF; the offsets count the text after it
-    proc = run_standoff_script(tmp_path, "0\t4\tname\n11\t18\tname\n",
-                               b"\xef\xbb\xbfMary rests quietly")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "# id: rec1\nMary\tname\nrests\tN.A.\nquietly\tname\n\n"
+def write_reader_inputs(d: Path) -> None:
+    """One input of every reader under d: records with and without id lines, a
+    scheme, a CRF config, a weight mapping with its archive and model config,
+    both golden checkpoints and a standoff document with its scheme."""
+    scheme = default_synthetic_scheme()
+    text = serialize_records(generate_synthetic(3, scheme, seed=40), scheme)
+    (d / "notes.tsv").write_text(text, encoding="utf-8")
+    (d / "notes-no-ids.tsv").write_text("".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("# id:")),
+        encoding="utf-8")
+    (d / "labels.txt").write_text(dump_scheme(scheme), encoding="utf-8")
+    (d / "crf.cfg").write_text("max_iters=5\n", encoding="utf-8")
+    config = ModelConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=16,
+                         vocab_size=12, max_positions=16, num_labels=3)
+    (d / "model.cfg").write_text(pipeline.dump_config(pipeline.TrainConfig(), config),
+                                 encoding="utf-8")
+    T.save_archive([("ext/embed", EncoderModel(config, seed=50).token_emb.data)],
+                   str(d / "ext.tarch"))
+    (d / "map.tsv").write_text("ext/embed\tembeddings.token\n", encoding="utf-8")
+    for checkpoint in ("encoder_checkpoint", "crf_checkpoint"):
+        shutil.copytree(GOLDEN_RUN / checkpoint, d / checkpoint)
+    (d / "docs").mkdir()
+    (d / "docs" / "rec1.txt").write_text("Mary rests quietly", encoding="utf-8")
+    (d / "docs" / "rec1.ann").write_text("0\t4\tname\n11\t18\tname\n", encoding="utf-8")
+    (d / "standoff-labels.txt").write_text("N.A.\nname\n", encoding="utf-8")
+
+
+def _baseline_argv(notes):
+    # its output holds every record id and word as read
+    return ["baseline", "--kind", "majority", "--input", notes, "--train", notes]
+
+
+_STANDOFF_ARGV = ["convert_standoff.py", "--input-dir", "docs", "--scheme", "standoff-labels.txt"]
+# each reader: the file it reads under write_reader_inputs' directory, and a
+# command that reads it, handover-ie arguments or a script and its arguments
+READER_CASES = {
+    "records-id-line-first": ("notes.tsv", _baseline_argv("notes.tsv")),
+    "records-word-line-first": ("notes-no-ids.tsv", _baseline_argv("notes-no-ids.tsv")),
+    "scheme": ("labels.txt", ["synth", "--n", "2", "--seed", "0", "--scheme", "labels.txt"]),
+    "config": ("crf.cfg", ["train", "--model", "crf", "--config", "crf.cfg",
+                           "--train", "notes.tsv", "--valid", "notes.tsv", "--out", "ck"]),
+    "mapping": ("map.tsv", ["import_pretrained.py", "--archive", "ext.tarch", "--mapping",
+                            "map.tsv", "--config", "model.cfg", "--out", "model.tarch"]),
+    **{f"{checkpoint}-{name}": (f"{checkpoint}/{name}",
+                                ["predict", "--checkpoint", checkpoint, "--input", "notes.tsv"])
+       for checkpoint, names in (
+           ("encoder_checkpoint", ("config.txt", "labels.txt", "merges.txt", "vocab.txt")),
+           ("crf_checkpoint", ("config.txt", "labels.txt", "crf_features.tsv")))
+       for name in names},
+    # the offsets count the text after a byte-order mark
+    "standoff-txt": ("docs/rec1.txt", _STANDOFF_ARGV),
+    "standoff-ann": ("docs/rec1.ann", _STANDOFF_ARGV),
+}
+
+
+def run_command(argv):
+    """Exit code, stdout and stderr of the script argv[0] names, or of
+    handover-ie in this process when argv[0] names no script."""
+    if argv[0].endswith(".py"):
+        proc = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_every_reader_drops_a_byte_order_mark_and_names_a_file_that_is_not_utf8(
+        tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_reader_inputs(tmp_path)
+    name, argv = READER_CASES[case]
+    target = tmp_path / name
+    text = target.read_bytes()
+    plain = run_command(argv)
+    assert plain[0] == 0, plain[2]
+    target.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run_command(argv) == plain
+    # the one error line is the message of corpus.read_text's ValueError
+    target.write_bytes(b"\xff" + text)
+    assert run_command(argv) == (2, "", f"error: {name}: 'utf-8' codec can't decode byte "
+                                        f"0xff in position 0: invalid start byte\n")
 
 
 def test_import_pretrained_script(tmp_path):
