@@ -1330,9 +1330,8 @@ def _baseline_argv(notes):
 _STANDOFF_ARGV = ["convert_standoff.py", "--input-dir", "docs", "--scheme", "standoff-labels.txt"]
 # each reader: the file it reads under write_reader_inputs' directory, and a
 # command that reads it, handover-ie arguments or a script and its arguments
+# (the records reader has its own test below)
 READER_CASES = {
-    "records-id-line-first": ("notes.tsv", _baseline_argv("notes.tsv")),
-    "records-word-line-first": ("notes-no-ids.tsv", _baseline_argv("notes-no-ids.tsv")),
     "scheme": ("labels.txt", ["synth", "--n", "2", "--seed", "0", "--scheme", "labels.txt"]),
     "config": ("crf.cfg", ["train", "--model", "crf", "--config", "crf.cfg",
                            "--train", "notes.tsv", "--valid", "notes.tsv", "--out", "ck"]),
@@ -1363,12 +1362,12 @@ def run_command(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", READER_CASES)
-def test_every_reader_drops_a_byte_order_mark_and_names_a_file_that_is_not_utf8(
-        tmp_path, monkeypatch, case):
+def check_reader(tmp_path, monkeypatch, name, argv):
+    """argv, run in tmp_path over write_reader_inputs, gives the same result
+    when the file at name starts with a byte-order mark, and one error line
+    naming that file when it is not UTF-8."""
     monkeypatch.chdir(tmp_path)
     write_reader_inputs(tmp_path)
-    name, argv = READER_CASES[case]
     target = tmp_path / name
     text = target.read_bytes()
     plain = run_command(argv)
@@ -1379,6 +1378,18 @@ def test_every_reader_drops_a_byte_order_mark_and_names_a_file_that_is_not_utf8(
     target.write_bytes(b"\xff" + text)
     assert run_command(argv) == (2, "", f"error: {name}: 'utf-8' codec can't decode byte "
                                         f"0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_every_reader_drops_a_byte_order_mark_and_names_a_file_that_is_not_utf8(
+        tmp_path, monkeypatch, case):
+    check_reader(tmp_path, monkeypatch, *READER_CASES[case])
+
+
+@pytest.mark.parametrize("name", ["notes.tsv", "notes-no-ids.tsv"],
+                         ids=["id-line-first", "word-line-first"])
+def test_a_records_file_reads_the_same_after_a_byte_order_mark(tmp_path, monkeypatch, name):
+    check_reader(tmp_path, monkeypatch, name, _baseline_argv(name))
 
 
 def test_import_pretrained_script(tmp_path):
