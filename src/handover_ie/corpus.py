@@ -11,7 +11,7 @@ import io
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np

@@ -8,6 +8,7 @@ shapes up to the standard base/large encoder sizes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
@@ -165,36 +166,55 @@ class EncoderModel:
         """Every Parameter in parameter-layout order."""
         return list(self._params)
 
-    def position_rows(self, seq_len: int) -> Tensor:
+    def position_rows(self, positions: np.ndarray) -> Tensor:
         if self.position_emb is not None:
-            return T.embedding_lookup(self.position_emb, np.arange(seq_len))
-        return T.constant(self._position_table[:seq_len])
+            return T.embedding_lookup(self.position_emb, positions)
+        return T.constant(self._position_table[positions])
 
 
-def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel) -> Tensor:
-    """Sum of token, segment-0, and position embeddings per position."""
+def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel,
+          lengths: Optional[Sequence[int]] = None) -> Tensor:
+    """Sum of token, segment-0, and position embeddings per position.
+
+    `ids` holds one window, or several stacked in order whose `lengths`
+    are given; positions restart at 0 in each window.
+    """
     raw = ids.token_ids if isinstance(ids, TokenizedSequence) else ids
     idx = np.asarray(raw, dtype=np.int64)
+    lengths = [idx.size] if lengths is None else lengths
     cfg = model.config
-    if idx.size > cfg.max_positions:
-        raise IndexError(f"sequence length {idx.size} exceeds max_positions {cfg.max_positions}")
+    if max(lengths) > cfg.max_positions:
+        raise IndexError(f"sequence length {max(lengths)} exceeds max_positions "
+                         f"{cfg.max_positions}")
     tok = T.embedding_lookup(model.token_emb, idx)
     seg = T.embedding_lookup(model.segment_emb, np.zeros(idx.size, dtype=np.int64))
-    return T.add(T.add(tok, seg), model.position_rows(idx.size))
+    positions = np.concatenate([np.arange(t) for t in lengths])
+    return T.add(T.add(tok, seg), model.position_rows(positions))
 
 
-def encode(x: Tensor, model: EncoderModel,
-           rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Apply all encoder layers to a [seq_len, H] input; dropout draws its
-    masks from rng and runs only when one is given."""
+def encode(x: Tensor, model: EncoderModel, rng: Optional[np.random.Generator] = None,
+           lengths: Optional[Sequence[int]] = None) -> Tensor:
+    """Apply all encoder layers to a [rows, H] input: one window, or several
+    stacked in order whose `lengths` are given.
+
+    Dropout draws its masks from rng and runs only when one is given: window
+    by window, and within a window layer by layer, attention before
+    feed-forward, as when each window runs alone.
+    """
     cfg = model.config
     h, a = cfg.hidden_size, cfg.num_heads
     if x.data.ndim != 2 or x.data.shape[1] != h:
         raise T.ShapeError(f"encode expects [seq_len, {h}], got {x.data.shape}")
-    drop = 0.0 if rng is None else cfg.dropout
-    for layer in model.layers:
-        x = T.attention_block(x, layer, a, drop, rng)
-        x = T.ffn_block(x, layer, drop, rng)
+    lengths = [len(x.data)] if lengths is None else lengths
+    masks = [None] * (2 * cfg.num_layers)
+    if rng is not None and cfg.dropout > 0.0:
+        per_window = [[T.dropout_mask(x.data[stop - t:stop], cfg.dropout, rng)
+                       for _ in range(2 * cfg.num_layers)]
+                      for t, stop in zip(lengths, itertools.accumulate(lengths))]
+        masks = [np.concatenate(sublayer) for sublayer in zip(*per_window)]
+    for layer, attention_mask, ffn_mask in zip(model.layers, masks[::2], masks[1::2]):
+        x = T.attention_block(x, layer, a, lengths, attention_mask)
+        x = T.ffn_block(x, layer, ffn_mask)
     return x
 
 
@@ -203,15 +223,20 @@ def classify(hidden: Tensor, model: EncoderModel) -> Tensor:
     return T.log_softmax_rows(T.add(T.matmul(hidden, model.cls_w), model.cls_b))
 
 
-def token_loss(log_probs: Tensor, aligned_labels: Sequence[int]) -> Tensor:
-    """Mean gold negative log-probability over positions not labelled
-    IGNORE_INDEX."""
-    return T.masked_nll(log_probs, aligned_labels, IGNORE_INDEX)
+def token_loss(log_probs: Tensor, aligned_labels: Sequence[int],
+               lengths: Sequence[int]) -> Tensor:
+    """Sum over windows of each window's mean gold negative log-probability
+    over its positions not labelled IGNORE_INDEX; the windows' labels are
+    stacked in order, and `lengths` gives each window's count."""
+    return T.masked_nll(log_probs, aligned_labels, IGNORE_INDEX, lengths)
 
 
-def run_token_classifier(model: EncoderModel, seq: TokenizedSequence,
+def run_token_classifier(model: EncoderModel, windows: Sequence[TokenizedSequence],
                          rng: Optional[np.random.Generator] = None) -> Tensor:
-    return classify(encode(embed(seq, model), model, rng=rng), model)
+    """Label log-probabilities for the windows stacked row by row."""
+    lengths = [len(w.token_ids) for w in windows]
+    ids = [i for w in windows for i in w.token_ids]
+    return classify(encode(embed(ids, model, lengths), model, rng, lengths), model)
 
 
 # --- checkpoint io ------------------------------------------------------------

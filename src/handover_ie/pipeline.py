@@ -57,6 +57,11 @@ MODEL_KINDS = ("encoder", "crf")
 _TRAIN_LEAST = {"batch_size": 1, "epochs": 1, "seed": 0, "max_len": 3, "num_merges": 0,
                 "feature_cutoff": 1}
 
+# the most rows x ffn_size elements one packed training group holds: a group's
+# activations grow with its rows, and at the 12x768 base shape a 128-token
+# window (393,216) stays a group of one
+PACK_ELEMENTS = 1 << 16
+
 DEFAULT_GRID_LEARNING_RATES = (5e-5, 3e-5, 2e-5)
 DEFAULT_GRID_BATCH_SIZES = (8, 16)
 DEFAULT_GRID_EPOCHS = (3, 4, 5)
@@ -349,7 +354,7 @@ def _predict_encoder(model: EncoderModel, records: RecordSet,
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
-            top = enc.run_token_classifier(model, seq).data.argmax(axis=1).tolist()
+            top = enc.run_token_classifier(model, [seq]).data.argmax(axis=1).tolist()
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
                 dist = min(w - lo, hi - 1 - w)
@@ -363,6 +368,39 @@ def validation_macro_f1(pred: RecordSet, gold: RecordSet, scheme: LabelScheme,
                         evaluated: frozenset[int]) -> float:
     counts = confusion_counts(gold, pred, scheme)
     return build_report(counts, scheme, evaluated).macro_f1
+
+
+def _pack_groups(lengths: Sequence[int], ffn_size: int) -> list[range]:
+    """Cut a batch's windows, in order, into consecutive groups of at most
+    PACK_ELEMENTS rows x ffn_size; a window over the limit is a group of one."""
+    groups: list[range] = []
+    first = rows = 0
+    for i, t in enumerate(lengths):
+        if i > first and (rows + t) * ffn_size > PACK_ELEMENTS:
+            groups.append(range(first, i))
+            first, rows = i, 0
+        rows += t
+    return groups + [range(first, len(lengths))]
+
+
+def _batch_gradient(model: EncoderModel, batch: Sequence[tuple[TokenizedSequence, list[int]]],
+                    rng: np.random.Generator) -> float:
+    """Add the gradient of the batch's mean window loss into every parameter's
+    grad, one recorded forward and one backward per packed group; return the
+    sum of the window losses. A group whose loss is not finite ends the
+    batch before its backward, and its loss is returned."""
+    total = 0.0
+    for group in _pack_groups([len(seq.token_ids) for seq, _ in batch],
+                              model.config.ffn_size):
+        with T.recording():
+            log_probs = enc.run_token_classifier(model, [batch[i][0] for i in group], rng=rng)
+            loss = enc.token_loss(log_probs, [lab for i in group for lab in batch[i][1]],
+                                  [len(batch[i][1]) for i in group])
+            total += float(loss.data)
+            if not math.isfinite(total):
+                return total
+            T.backward(loss, seed=1.0 / len(batch))
+    return total
 
 
 def _check_kind(config: TrainConfig, kind: str) -> None:
@@ -408,19 +446,12 @@ def fine_tune(
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
             optimizer.zero_grad()
-            for j in batch:
-                seq, labels = examples[j]
-                with T.recording():
-                    log_probs = enc.run_token_classifier(model, seq, rng=rng)
-                    loss = enc.token_loss(log_probs, labels)
-                    if not np.isfinite(loss.data):
-                        raise T.TrainingDivergence(
-                            f"non-finite loss at epoch {epoch}, batch start {start}"
-                        )
-                    epoch_loss += float(loss.data)
-                    T.backward(loss, seed=1.0 / len(batch))
+            loss = _batch_gradient(model, [examples[j] for j in
+                                          order[start:start + config.batch_size]], rng)
+            if not math.isfinite(loss):
+                raise T.TrainingDivergence(f"non-finite loss at epoch {epoch}, batch start {start}")
+            epoch_loss += loss
             optimizer.step()
         val_pred = _predict_encoder(model, valid, valid_windows)
         val_f1 = validation_macro_f1(val_pred, valid, scheme, evaluated)

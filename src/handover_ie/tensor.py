@@ -4,22 +4,25 @@ Inside ``recording()`` every differentiable primitive whose inputs need a
 gradient appends its result and vector-Jacobian closure to one tape, in
 creation order; outside it nothing is recorded. Each encoder sub-layer,
 ``attention_block`` and ``ffn_block``, is one such node with a
-hand-written closure. So a recorded window of a 2-layer encoder with
-learned positions puts 13 nodes on the tape: five for the embedding sum,
-two per layer, and four for the classifier and its loss. ``backward`` on
-a scalar on that tape pops the tape newest first, which reaches every
-node after all of its consumers, and so fills exact gradients for all
-reachable leaves. The sweep consumes the tape: a graph is swept at most
-once, and it is freed as it is swept. A tensor's ``grad`` is None until
-backward first reaches it, and ``zero_grad`` sets it back to None. The
-exception is a parameter under ``pipeline.Adam``: its ``grad`` is bound as
-a zeroed view of the optimizer's flat gradient buffer, backward adds into
-that view, and ``fine_tune`` drops the views when it ends.
+hand-written closure, over one window or several stacked row by row. So
+a recorded forward of a 2-layer encoder with learned positions puts 13
+nodes on the tape, whether it holds one window or a packed group of
+them: five for the embedding sum, two per layer, and four for the
+classifier and its loss. ``backward`` on a scalar on that tape pops the
+tape newest first, which reaches every node after all of its consumers,
+and so fills exact gradients for all reachable leaves. The sweep consumes
+the tape: a graph is swept at most once, and it is freed as it is swept.
+A tensor's ``grad`` is None until backward first reaches it, and
+``zero_grad`` sets it back to None. The exception is a parameter under
+``pipeline.Adam``: its ``grad`` is bound as a zeroed view of the
+optimizer's flat gradient buffer, backward adds into that view, and
+``fine_tune`` drops the views when it ends.
 float64 is the default precision; float32 is accepted and preserved.
 Also home to the bit-exact tensor archive used for checkpoints.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -366,40 +369,55 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _result(x.data.transpose(axes), (x,), vjp)
 
 
-def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int) -> Tensor:
-    """Mean negative log-probability of gold labels over non-ignored rows."""
+def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int,
+               lengths: Sequence[int]) -> Tensor:
+    """Sum over windows of each window's mean negative log-probability of
+    its gold labels over its non-ignored rows.
+
+    The windows' rows are stacked in order in `log_probs` and `labels`, and
+    `lengths` gives each window's row count. Each row's gradient is the
+    seed over its window's count, as when each window is its own loss.
+    """
     labs = np.asarray(labels, dtype=np.int64)
-    if log_probs.data.ndim != 2 or labs.shape != (log_probs.data.shape[0],):
+    if log_probs.data.ndim != 2 or labs.shape != (log_probs.data.shape[0],) \
+            or sum(lengths) != labs.size:
         raise _shape_error("masked_nll", log_probs.data, labs)
     rows = np.nonzero(labs != ignore_index)[0]
-    if rows.size == 0:
+    # window w's kept rows are rows[ends[w]:ends[w + 1]]
+    ends = np.searchsorted(rows, np.cumsum([0, *lengths]))
+    counts = np.diff(ends)
+    if rows.size == 0 or not counts.all():
         raise ValueError("all positions ignored; loss undefined")
     gold = labs[rows]
     if gold.min() < 0 or gold.max() >= log_probs.data.shape[1]:
         raise IndexError(f"label id out of range [0, {log_probs.data.shape[1]})")
-    data = np.asarray(-log_probs.data[rows, gold].mean())
+    picked = log_probs.data[rows, gold]
+    ends = ends.tolist()
+    data = np.asarray(sum(-picked[start:stop].mean() for start, stop in zip(ends, ends[1:])))
 
     def vjp(g):
         gl = np.zeros_like(log_probs.data)
-        gl[rows, gold] = -float(g) / rows.size
+        gl[rows, gold] = np.repeat(-float(g) / counts, counts)
         _accum(log_probs, gl)
 
     return _result(data, (log_probs,), vjp)
 
 
 # --- encoder blocks -------------------------------------------------------------
-# Each block is one encoder sub-layer, recorded as one tape node. Its forward
-# runs the same numpy operations, in the same order and on the same views, as
-# the chain of primitives it stands for, so its output and its dropout draws
-# are bit-equal to that chain's; its vjp fills every parameter's gradient and
+# Each block is one encoder sub-layer, recorded as one tape node. Its input
+# is one or more windows stacked row by row with no padding, [sum of
+# lengths, H]. Every operation but the attention core works row by row and
+# runs once over all rows, so each parameter gradient is one reduction over
+# them; the attention core runs once per window. Over one window a block
+# runs the same numpy operations, in the same order and on the same views,
+# as the chain of primitives it stands for, so its output and gradients are
+# bit-equal to that chain's; its vjp fills every parameter's gradient and
 # the input's in one call.
 
 def _residual_norm(x: np.ndarray, out: np.ndarray, gain: Tensor, bias: Tensor,
-                   rate: float, rng: np.random.Generator | None):
-    """layer_norm(x + dropout(out)), with what _residual_norm_vjp reads."""
-    mask = None
-    if rate > 0.0:
-        mask = dropout_mask(out, rate, rng)
+                   mask: np.ndarray | None):
+    """layer_norm(x + out * mask), with what _residual_norm_vjp reads."""
+    if mask is not None:
         out = out * mask
     y, xhat, inv = _layer_norm(x + out, gain.data, bias.data)
     return y, (mask, xhat, inv)
@@ -415,50 +433,59 @@ def _residual_norm_vjp(g: np.ndarray, gain: Tensor, bias: Tensor, saved):
     return g_res, g_res if mask is None else g_res * mask
 
 
-def attention_block(x: Tensor, layer, num_heads: int, rate: float,
-                    rng: np.random.Generator | None) -> Tensor:
-    """layer_norm(x + dropout(self_attention(x))) for a [seq_len, H] input.
+def attention_block(x: Tensor, layer, num_heads: int, lengths: Sequence[int],
+                    mask: np.ndarray | None) -> Tensor:
+    """layer_norm(x + self_attention(x) * mask) for windows of the given
+    lengths stacked in x; each row attends only within its window.
 
     `layer` holds the query, key, value and output projections (wq, bq,
-    wk, bk, wv, bv, wo, bo) and the norm's ln1_g and ln1_b. Dropout draws
-    its mask from rng only when rate > 0.
+    wk, bk, wv, bv, wo, bo) and the norm's ln1_g and ln1_b. `mask` is the
+    dropout mask, shaped like x, or None for no dropout.
     """
-    t, h = x.data.shape
+    n, h = x.data.shape
+    if sum(lengths) != n:
+        raise ShapeError(f"attention_block: window lengths sum to {sum(lengths)}, "
+                         f"input has {n} rows")
     dh = h // num_heads
     xd = x.data
     projections = ((layer.wq, layer.bq), (layer.wk, layer.bk), (layer.wv, layer.bv))
+    windows = [slice(stop - t, stop) for t, stop in zip(lengths, itertools.accumulate(lengths))]
 
     def heads(y):
-        return y.reshape(t, num_heads, dh).transpose(1, 0, 2)
-
-    def merge(y):
-        # C order, as the chain's gradient buffers: a sum over the rows of a
-        # strided view adds in another order
-        return np.ascontiguousarray(y.transpose(1, 0, 2).reshape(t, h))
+        # a view: [rows, H] as [num_heads, rows, H / num_heads]
+        return y.reshape(len(y), num_heads, dh).transpose(1, 0, 2)
 
     q, k, v = (heads(xd @ w.data + b.data) for w, b in projections)
     c = 1.0 / math.sqrt(dh)
-    attn = _softmax((q @ k.transpose(0, 2, 1)) * c)
-    ctx = merge(attn @ v)
+    attn = [_softmax((q[:, s] @ k[:, s].transpose(0, 2, 1)) * c) for s in windows]
+    # the context and the projection gradients are C-ordered [rows, H], as
+    # the chain's gradient buffers: a sum over the rows of a strided view
+    # adds in another order
+    ctx = np.empty((n, h), v.dtype)
+    ctx_heads = heads(ctx)
+    for s, a in zip(windows, attn):
+        ctx_heads[:, s] = a @ v[:, s]
     y, tail = _residual_norm(xd, ctx @ layer.wo.data + layer.bo.data,
-                             layer.ln1_g, layer.ln1_b, rate, rng)
+                             layer.ln1_g, layer.ln1_b, mask)
 
     def vjp(g):
         g_res, g_out = _residual_norm_vjp(g, layer.ln1_g, layer.ln1_b, tail)
         _accum(layer.bo, _sum(g_out, axis=0))
         _accum(layer.wo, ctx.T @ g_out)
         g_ctx = heads(g_out @ layer.wo.data.T)
-        g_scores = _softmax_vjp(g_ctx @ v.swapaxes(-1, -2), attn) * c
-        g_heads = (g_scores @ k,
-                   (q.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2),
-                   attn.swapaxes(-1, -2) @ g_ctx)
+        g_proj = [np.empty((n, h), g_ctx.dtype) for _ in projections]
+        g_q, g_k, g_v = map(heads, g_proj)
+        for s, a in zip(windows, attn):
+            g_scores = _softmax_vjp(g_ctx[:, s] @ v[:, s].swapaxes(-1, -2), a) * c
+            g_q[:, s] = g_scores @ k[:, s]
+            g_k[:, s] = (q[:, s].swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
+            g_v[:, s] = a.swapaxes(-1, -2) @ g_ctx[:, s]
         g_x = g_res
         # value, key, query: the order the primitive chain's sweep added them in
-        for (w, b), g_head in zip(projections[::-1], g_heads[::-1]):
-            g_proj = merge(g_head)
-            _accum(b, _sum(g_proj, axis=0))
-            _accum(w, xd.T @ g_proj)
-            g_x = g_x + g_proj @ w.data.T
+        for (w, b), g_p in zip(projections[::-1], g_proj[::-1]):
+            _accum(b, _sum(g_p, axis=0))
+            _accum(w, xd.T @ g_p)
+            g_x = g_x + g_p @ w.data.T
         _accum(x, g_x)
 
     params = (*(p for pair in projections for p in pair), layer.wo, layer.bo,
@@ -466,15 +493,15 @@ def attention_block(x: Tensor, layer, num_heads: int, rate: float,
     return _result(y, (x, *params), vjp)
 
 
-def ffn_block(x: Tensor, layer, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """layer_norm(x + dropout(gelu(x @ w1 + b1) @ w2 + b2)) for a [seq_len, H]
-    input; the norm is ln2_g, ln2_b. Dropout draws its mask from rng only
-    when rate > 0."""
+def ffn_block(x: Tensor, layer, mask: np.ndarray | None) -> Tensor:
+    """layer_norm(x + (gelu(x @ w1 + b1) @ w2 + b2) * mask) for a [rows, H]
+    input; the norm is ln2_g, ln2_b. `mask` is the dropout mask, shaped
+    like x, or None for no dropout."""
     xd = x.data
     pre = xd @ layer.w1.data + layer.b1.data
     inner, cdf = _gelu(pre)
     y, tail = _residual_norm(xd, inner @ layer.w2.data + layer.b2.data,
-                             layer.ln2_g, layer.ln2_b, rate, rng)
+                             layer.ln2_g, layer.ln2_b, mask)
 
     def vjp(g):
         g_res, g_out = _residual_norm_vjp(g, layer.ln2_g, layer.ln2_b, tail)

@@ -19,7 +19,8 @@ from handover_ie.encoder import parameter_layout
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
 from handover_ie.tokenizer import (
-    CLS, CONTINUATION, SEP, SPECIALS, MergeTable, TokenizedSequence, _merge_seq, segment_word,
+    CLS, CONTINUATION, IGNORE_INDEX, SEP, SPECIALS, MergeTable, TokenizedSequence, _merge_seq,
+    segment_word,
 )
 
 
@@ -100,6 +101,26 @@ def reference_encode(x, model, rng=None):
         x = reference_attention_block(x, layer, cfg.num_heads, drop, rng)
         x = reference_ffn_block(x, layer, drop, rng)
     return x
+
+
+def reference_batch_gradient(model, batch, rng):
+    """fine_tune's step before packing, on the primitive chain: one recorded
+    forward and one backward per window, in batch order, each seeded with
+    1 / len(batch). Adds into the parameters' grads and returns the window
+    losses."""
+    losses = []
+    for seq, labels in batch:
+        ids = np.asarray(seq.token_ids, dtype=np.int64)
+        with T.recording():
+            x = T.add(T.add(T.embedding_lookup(model.token_emb, ids),
+                            T.embedding_lookup(model.segment_emb, np.zeros_like(ids))),
+                      model.position_rows(np.arange(ids.size)))
+            hidden = reference_encode(x, model, rng)
+            log_probs = T.log_softmax_rows(T.add(T.matmul(hidden, model.cls_w), model.cls_b))
+            loss = T.masked_nll(log_probs, labels, IGNORE_INDEX, [len(labels)])
+            losses.append(float(loss.data))
+            T.backward(loss, seed=1.0 / len(batch))
+    return losses
 
 
 def reference_softmax(x):

@@ -88,7 +88,7 @@ def test_criterion_3_gradient_suites():
         labels = rng.integers(0, cfg.num_labels, n).tolist()
 
         def loss_fn():
-            return token_loss(classify(encode(embed(ids, model), model), model), labels)
+            return token_loss(classify(encode(embed(ids, model), model), model), labels, [n])
 
         worst_encoder = max(
             worst_encoder,
@@ -270,7 +270,7 @@ def test_criterion_8_documented_reproduction_path(tmp_path):
          "--data-dir", str(data), "--workdir", str(work), "--skip-grid",
          "--num-layers", "1", "--hidden-size", "16", "--num-heads", "2",
          "--ffn-size", "32", "--num-merges", "30", "--max-len", "64"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     config = (work / "encoder_checkpoint" / "config.txt").read_text(encoding="utf-8")

@@ -19,7 +19,8 @@ def _child(source: str, *args: str, cwd=None):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + source, *args],
-                          capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120,
+                          env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -86,7 +87,7 @@ for dtype in (np.float64, np.float32):
         for attr, name, _ in LAYER_LAYOUT})
     x = T.Tensor(rng.normal(0.0, 3.0, size=(6, 8)).astype(dtype))
     for _ in range(2 if sys.argv[1] == "warm" else 1):
-        out = T.ffn_block(x, layer, 0.0, None).data
+        out = T.ffn_block(x, layer, None).data
     digests[str(out.dtype)] = hashlib.sha256(out.tobytes()).hexdigest()
 print(json.dumps(digests))
 """

@@ -195,7 +195,7 @@ def test_classify_argmax_matches_logits_argmax():
 def test_token_loss_uniform_predictions():
     n_labels = 5
     lp = T.constant(np.full((4, n_labels), -math.log(n_labels)))
-    loss = token_loss(lp, [0, 3, -100, 2])
+    loss = token_loss(lp, [0, 3, -100, 2], [4])
     assert abs(float(loss.data) - math.log(n_labels)) < 1e-12
 
 
@@ -204,13 +204,13 @@ def test_token_loss_perfect_predictions():
     gold = [2, 0, 1]
     for i, g in enumerate(gold):
         lp[i, g] = 0.0
-    assert float(token_loss(T.constant(lp), gold).data) == 0.0
+    assert float(token_loss(T.constant(lp), gold, [3]).data) == 0.0
 
 
 def test_token_loss_all_ignored_rejected():
     lp = T.constant(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        token_loss(lp, [-100, -100])
+        token_loss(lp, [-100, -100], [2])
 
 
 def test_param_count_matches_base_and_large_shapes():
@@ -237,7 +237,7 @@ def test_full_model_grad_check_tiny_config():
     labels = rng.integers(0, 3, 6).tolist()
 
     def loss_fn():
-        return token_loss(classify(encode(embed(ids, model), model), model), labels)
+        return token_loss(classify(encode(embed(ids, model), model), model), labels, [6])
 
     err = grad_check(probed(loss_fn, model.parameters(), rng), model.parameters(),
                        epsilon=1e-5)
@@ -389,20 +389,27 @@ def test_no_graph_outlives_its_sweep(monkeypatch):
 
     monkeypatch.setattr(T, "_softmax", keep_a_weakref)
     with T.recording():
-        loss = token_loss(classify(encode(embed([1, 2, 3], model), model), model), [0, 2, 1])
+        loss = token_loss(classify(encode(embed([1, 2, 3], model), model), model), [0, 2, 1],
+                          [3])
         assert weights[0]() is not None
         T.backward(loss)
         # the sweep freed the first layer's attention weights; the loss is still held
         assert weights[0]() is None and loss.grad is not None
 
 
+def _mask(x, rate, rng):
+    return T.dropout_mask(x.data, rate, rng) if rate > 0.0 else None
+
+
 # each block, the chain of primitives it fuses, called alike, and the layer
 # parameters it reads
 BLOCKS = {
-    "attention": (lambda x, layer, rate, rng: T.attention_block(x, layer, 2, rate, rng),
+    "attention": (lambda x, layer, rate, rng: T.attention_block(
+                      x, layer, 2, [len(x.data)], _mask(x, rate, rng)),
                   lambda x, layer, rate, rng: reference_attention_block(x, layer, 2, rate, rng),
                   ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")),
-    "ffn": (T.ffn_block, reference_ffn_block, ("w1", "b1", "w2", "b2", "ln2_g", "ln2_b")),
+    "ffn": (lambda x, layer, rate, rng: T.ffn_block(x, layer, _mask(x, rate, rng)),
+            reference_ffn_block, ("w1", "b1", "w2", "b2", "ln2_g", "ln2_b")),
 }
 
 
@@ -447,7 +454,7 @@ def test_encoder_gradients_are_bit_equal_to_the_primitive_chain(dtype, dropout):
         T.zero_grad(model.parameters())
         with T.recording():
             hidden = encode_fn(embed(ids, model), model, np.random.default_rng(28))
-            T.backward(token_loss(classify(hidden, model), labels))
+            T.backward(token_loss(classify(hidden, model), labels, [20]))
         return hidden.data, [p.grad for p in model.parameters()]
 
     (fused, fused_grads), (chain, chain_grads) = grads(encode), grads(reference_encode)
@@ -477,15 +484,54 @@ def test_block_grad_checks_with_a_fixed_dropout_mask(block):
     assert grad_check(probed(loss_fn, params, rng), params) < 1e-6
 
 
+def test_packed_attention_grad_checks_window_by_window():
+    rng = np.random.default_rng(33)
+    model = tiny_model(seed=33)
+    randomize(model.parameters(), rng)
+    x = T.Parameter(rng.normal(0.0, 1.0, (6, 4)), "x")
+    layer = model.layers[0]
+    params = [x] + [getattr(layer, name) for name in BLOCKS["attention"][2]]
+    mask = T.dropout_mask(x.data, 0.4, np.random.default_rng(34))
+    readout = T.constant(rng.normal(0.0, 1.0, (24, 1)))
+
+    def loss_fn():
+        out = T.attention_block(x, layer, 2, [2, 1, 3], mask)
+        return T.reshape(T.matmul(T.reshape(out, (1, 24)), readout), ())
+
+    assert grad_check(probed(loss_fn, params, rng), params) < 1e-6
+    # a row attends only within its window: the middle window alone is a
+    # one-row window, whose attention weight is one
+    alone = T.attention_block(T.constant(x.data[2:3]), layer, 2, [1], mask[2:3])
+    packed = T.attention_block(T.constant(x.data), layer, 2, [2, 1, 3], mask)
+    assert np.abs(packed.data[2:3] - alone.data).max() < 1e-12
+
+
+def test_attention_block_rejects_lengths_that_miss_rows():
+    model = tiny_model(seed=35)
+    with pytest.raises(T.ShapeError, match="sum to 4, input has 5 rows"):
+        T.attention_block(T.constant(np.zeros((5, 4))), model.layers[0], 2, [3, 1], None)
+
+
+def test_packed_positions_restart_in_each_window():
+    model = tiny_model(seed=36)
+    windows = [[4, 0, 9], [9], [1, 2]]
+    packed = embed([i for w in windows for i in w], model, [3, 1, 2]).data
+    alone = np.concatenate([embed(w, model).data for w in windows])
+    assert packed.tobytes() == alone.tobytes()
+    with pytest.raises(IndexError, match="length 9 exceeds"):
+        embed(list(range(10)), model, [1, 9])
+
+
 def test_a_recorded_window_puts_two_nodes_per_layer_on_the_tape():
     model = tiny_model(seed=31, num_layers=2, dropout=0.2)
-    ids = [1, 2, 3]
+    ids, lengths = [1, 2, 3, 4, 5, 6], [3, 1, 2]
     with T.recording():
-        x = embed(ids, model)
+        x = embed(ids, model, lengths)
         assert len(T._tape) == 5        # three lookups, two adds
-        hidden = encode(x, model, rng=np.random.default_rng(32))
+        hidden = encode(x, model, np.random.default_rng(32), lengths)
         assert len(T._tape) == 5 + 2 * 2
-        token_loss(classify(hidden, model), [0, 2, 1])
+        token_loss(classify(hidden, model), [0, 2, 1, 1, 2, 0], lengths)
         assert len(T._tape) == 5 + 2 * 2 + 4    # matmul, add, log-softmax, loss
-    bare = classify(encode(embed(ids, model), model, rng=np.random.default_rng(32)), model)
+    bare = classify(encode(embed(ids, model, lengths), model, np.random.default_rng(32),
+                           lengths), model)
     assert T._tape is None and not bare.requires_grad

@@ -27,7 +27,7 @@ from handover_ie.corpus import (
     serialize_records,
 )
 from handover_ie.encoder import CompatibilityError, EncoderModel, ModelConfig
-from handover_ie.tokenizer import train_bpe, word_frequencies
+from handover_ie.tokenizer import IGNORE_INDEX, TokenizedSequence, train_bpe, word_frequencies
 
 import helpers
 from helpers import (
@@ -473,9 +473,162 @@ def test_divergent_settings_raise(tiny_setup):
     scheme, train, valid, table, model_config = tiny_setup
     config = tiny_train_config(learning_rate=1e8, epochs=30, weight_decay=1e8)
     from handover_ie.tensor import TrainingDivergence
-    with pytest.raises(TrainingDivergence):
+    with pytest.raises(TrainingDivergence,
+                       match=r"^non-finite loss at epoch \d+, batch start \d+$"):
         with np.errstate(all="ignore"):
             pipeline.fine_tune(train, valid, scheme, table, config, model_config)
+
+
+def _window(ids):
+    """A TokenizedSequence holding the given ids, one word per position."""
+    n = len(ids)
+    return TokenizedSequence(tuple(ids), ("x",) * n, tuple(range(n)), {i: i for i in range(n)},
+                             (0, n), (0, n))
+
+
+def _run_step(step, model_config, lengths, monkeypatch):
+    """One batch step on a fresh seeded model: the packed pipeline._batch_gradient
+    or the per-window oracle. Returns the step's result, every parameter
+    gradient, the dropout masks drawn (in draw order), the masks the blocks
+    applied, the log-probabilities the loss read and the number of backward
+    sweeps."""
+    data = np.random.default_rng(41)
+    batch = []
+    for t in lengths:
+        labels = data.integers(0, model_config.num_labels, t).tolist()
+        if t > 2:
+            labels[0] = labels[-1] = IGNORE_INDEX
+        batch.append((_window(data.integers(0, model_config.vocab_size, t).tolist()), labels))
+    model = EncoderModel(model_config, seed=42)
+    helpers.randomize(model.parameters(), np.random.default_rng(43), scale=0.3)
+    seen = {"drawn": [], "applied": [], "log_probs": [], "sweeps": 0}
+    dropout_mask, residual_norm = T.dropout_mask, T._residual_norm
+    token_loss, backward = encoder.token_loss, T.backward
+
+    def drawing(*args):
+        seen["drawn"].append(dropout_mask(*args))
+        return seen["drawn"][-1]
+
+    def applying(x, out, gain, bias, mask):
+        seen["applied"].append(mask)
+        return residual_norm(x, out, gain, bias, mask)
+
+    def reading(log_probs, labels, lengths):
+        seen["log_probs"].append((log_probs.data.copy(), labels, lengths))
+        return token_loss(log_probs, labels, lengths)
+
+    def sweeping(*args, **kwargs):
+        seen["sweeps"] += 1
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(T, "dropout_mask", drawing)
+    monkeypatch.setattr(T, "_residual_norm", applying)
+    monkeypatch.setattr(encoder, "token_loss", reading)
+    monkeypatch.setattr(T, "backward", sweeping)
+    try:
+        result = step(model, batch, np.random.default_rng(44))
+    finally:
+        monkeypatch.undo()
+    return result, [p.grad for p in model.parameters()], seen
+
+
+def _step_config(dropout, **shape):
+    return ModelConfig(**{**dict(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
+                                 vocab_size=40, max_positions=12, num_labels=4), **shape},
+                       dropout=dropout)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_a_group_of_one_window_is_bit_equal_to_the_per_window_step(dropout, monkeypatch):
+    config = _step_config(dropout)
+    packed, packed_grads, seen = _run_step(pipeline._batch_gradient, config, [12], monkeypatch)
+    losses, oracle_grads, oracle = _run_step(helpers.reference_batch_gradient, config, [12],
+                                             monkeypatch)
+    assert packed == losses[0]
+    for name, a, b in zip(dict(encoder.parameter_layout(config)), packed_grads, oracle_grads):
+        assert a.tobytes() == b.tobytes(), name
+    assert len(seen["drawn"]) == (4 if dropout else 0)
+    for a, b in zip(seen["drawn"], oracle["drawn"], strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+# the bound on a packed step against the per-window oracle: a packed product
+# or column sum adds in another order than the per-window ones, which moved
+# gradients of size 0.01-1 by at most 2.2e-16 when this bound was set
+PACKED_STEP_TOL = 1e-12
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_a_packed_step_matches_the_per_window_step(dropout, monkeypatch):
+    # ragged windows, 1-row and max_len-row ones among them, packed as one group
+    config = _step_config(dropout)
+    lengths = [3, 1, 12, 7, 1, 12, 5]
+    assert sum(lengths) * config.ffn_size <= pipeline.PACK_ELEMENTS
+    packed, packed_grads, seen = _run_step(pipeline._batch_gradient, config, lengths,
+                                           monkeypatch)
+    losses, oracle_grads, oracle = _run_step(helpers.reference_batch_gradient, config, lengths,
+                                             monkeypatch)
+    assert seen["sweeps"] == 1 and oracle["sweeps"] == len(lengths)
+    # the same draws in the same order: window by window, and within a window
+    # layer 1 attention, layer 1 FFN, layer 2 attention, layer 2 FFN
+    sublayers = 2 * config.num_layers
+    assert len(seen["drawn"]) == (sublayers * len(lengths) if dropout else 0)
+    for a, b in zip(seen["drawn"], oracle["drawn"], strict=True):
+        assert a.tobytes() == b.tobytes()
+    # each block applies its windows' masks stacked in window order
+    assert len(seen["applied"]) == sublayers
+    for i, mask in enumerate(seen["applied"]):
+        if dropout:
+            stacked = np.concatenate(seen["drawn"][i::sublayers])
+            assert mask.tobytes() == stacked.tobytes()
+        else:
+            assert mask is None
+    # per-window losses, read from the packed log-probabilities
+    ((log_probs, labels, group_lengths),) = seen["log_probs"]
+    assert group_lengths == lengths
+    start = 0
+    for t, loss in zip(lengths, losses, strict=True):
+        lab = np.asarray(labels[start:start + t])
+        rows = np.nonzero(lab != IGNORE_INDEX)[0]
+        window = log_probs[start:start + t]
+        assert abs(-window[rows, lab[rows]].mean() - loss) <= PACKED_STEP_TOL
+        start += t
+    assert abs(packed - sum(losses)) <= PACKED_STEP_TOL
+    for name, a, b in zip(dict(encoder.parameter_layout(config)), packed_grads, oracle_grads):
+        assert np.abs(a - b).max() <= PACKED_STEP_TOL, name
+
+
+def test_a_shape_over_the_pack_limit_is_bit_equal_to_the_per_window_step(monkeypatch):
+    # 17 rows x FFN 4096 = 69,632 elements, over the limit: one window per group
+    config = _step_config(0.2, num_layers=1, hidden_size=8, ffn_size=4096, max_positions=17)
+    lengths = [17, 17, 17]
+    assert 17 * config.ffn_size > pipeline.PACK_ELEMENTS
+    packed, packed_grads, seen = _run_step(pipeline._batch_gradient, config, lengths,
+                                           monkeypatch)
+    losses, oracle_grads, oracle = _run_step(helpers.reference_batch_gradient, config, lengths,
+                                             monkeypatch)
+    assert seen["sweeps"] == len(lengths)
+    assert packed == sum(losses)
+    for name, a, b in zip(dict(encoder.parameter_layout(config)), packed_grads, oracle_grads):
+        assert a.tobytes() == b.tobytes(), name
+    for a, b in zip(seen["drawn"], oracle["drawn"], strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lengths,ffn_size,groups", [
+    ([30] * 8, 64, [8]),
+    ([17, 17], 4096, [1, 1]),
+    ([16], 4096, [1]),
+    ([8, 8, 1], 4096, [2, 1]),
+    ([1, 20, 1], 4096, [1, 1, 1]),
+    ([128] * 3, 3072, [1, 1, 1]),
+], ids=["grid-tiny", "over", "at-limit", "cut", "alone", "base"])
+def test_pack_groups_are_consecutive_and_within_the_limit(lengths, ffn_size, groups):
+    cut = pipeline._pack_groups(lengths, ffn_size)
+    assert [len(g) for g in cut] == groups
+    assert [i for g in cut for i in g] == list(range(len(lengths)))
+    for g in cut:
+        assert len(g) == 1 or sum(lengths[i] for i in g) * ffn_size <= pipeline.PACK_ELEMENTS
 
 
 def test_grid_search_single_element(tiny_setup):
@@ -638,8 +791,9 @@ def test_window_votes_resolve_to_farthest_from_boundary(tiny_setup, monkeypatch)
     calls = {"n": 0}
     n_labels = len(scheme.labels)
 
-    def fake_classifier(model, seq, rng=None):
+    def fake_classifier(model, windows, rng=None):
         # every position predicts the index of the window being scored
+        (seq,) = windows
         window = calls["n"]
         calls["n"] += 1
         lp = np.full((len(seq.token_ids), n_labels), -10.0)
@@ -794,7 +948,7 @@ def test_run_experiment_writes_every_method(tiny_setup, tmp_path, with_grid):
     assert names == EXPERIMENT_FILES | ({"grid_leaderboard.json"} if with_grid else set())
     assert pipeline.Checkpoint.load(tmp_path / "encoder_checkpoint").kind == "encoder"
     assert pipeline.Checkpoint.load(tmp_path / "crf_checkpoint").kind == "crf"
-    assert json.loads((tmp_path / "leaderboard.json").read_text()) == rows
+    assert json.loads((tmp_path / "leaderboard.json").read_text(encoding="utf-8")) == rows
     assert sorted(row["method"] for row in rows) == sorted(METHODS)
     f1s = [row["macro_f1"] for row in rows]
     assert f1s == sorted(f1s, reverse=True)
@@ -864,7 +1018,7 @@ def test_cli_full_flow(tmp_path, capsys):
             "--train", str(paths["train"]), "--scheme", str(tmp_path / "labels.txt"),
             "--format", "json", "--out", str(tmp_path / f"report_{model}.json"),
         ]) == 0
-        report = json.loads((tmp_path / f"report_{model}.json").read_text())
+        report = json.loads((tmp_path / f"report_{model}.json").read_text(encoding="utf-8"))
         assert 0.0 <= report["macro_f1"] <= 1.0
 
     # a weights archive cut off inside an entry is a validation error, not a crash
@@ -1187,18 +1341,18 @@ def test_end_to_end_synthetic_experiment_script(tmp_path):
         [sys.executable, str(REPO / "scripts" / "run_synthetic_experiment.py"),
          "--workdir", str(work), "--n-train", "12", "--n-valid", "4", "--n-test", "6",
          "--epochs", "4", "--num-merges", "30", "--hidden-size", "16"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert {p.name for p in work.iterdir()} == EXPERIMENT_FILES | {
         "train.tsv", "validation.tsv", "test.tsv", "labels.txt"}
-    leaderboard = json.loads((work / "leaderboard.json").read_text())
+    leaderboard = json.loads((work / "leaderboard.json").read_text(encoding="utf-8"))
     assert {row["method"] for row in leaderboard} == {"encoder", "crf", "random", "majority"}
     for row in leaderboard:
         assert 0.0 <= row["macro_f1"] <= 1.0
-    report = json.loads((work / "report_encoder.json").read_text())
+    report = json.loads((work / "report_encoder.json").read_text(encoding="utf-8"))
     assert set(report["evaluated"]) == set(json.loads(
-        (work / "report_crf.json").read_text())["evaluated"])
+        (work / "report_crf.json").read_text(encoding="utf-8"))["evaluated"])
 
 
 def test_standoff_conversion_script(tmp_path):
@@ -1212,7 +1366,7 @@ def test_standoff_conversion_script(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "convert_standoff.py"),
          "--input-dir", str(docs), "--scheme", str(scheme_path), "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8") == (
@@ -1233,7 +1387,7 @@ def test_standoff_conversion_script_splits_annotations_at_line_breaks_only(tmp_p
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "convert_standoff.py"),
          "--input-dir", str(docs), "--scheme", str(scheme_path), "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8") == (
@@ -1253,7 +1407,7 @@ def run_standoff_script(tmp_path, ann_text, text="Mary rests quietly"):
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / "convert_standoff.py"),
          "--input-dir", str(docs), "--scheme", str(scheme_path)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
 
 
@@ -1354,7 +1508,7 @@ def run_command(argv):
     handover-ie in this process when argv[0] names no script."""
     if argv[0].endswith(".py"):
         proc = subprocess.run([sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, encoding="utf-8", timeout=60)
         return proc.returncode, proc.stdout, proc.stderr
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -1410,7 +1564,7 @@ def test_import_pretrained_script(tmp_path):
         [sys.executable, str(REPO / "scripts" / "import_pretrained.py"),
          "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
          "--config", str(cfg_path), "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
         env={k: v for k, v in os.environ.items() if k != pipeline.SEED_ENV_VAR},
     )
     assert proc.returncode == 0, proc.stderr
@@ -1425,7 +1579,7 @@ def test_import_pretrained_script(tmp_path):
         [sys.executable, str(REPO / "scripts" / "import_pretrained.py"),
          "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
          "--config", str(cfg_path), "--out", str(tmp_path / "other.tarch")],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: config lacks model key(s): ffn_size\n"
@@ -1440,7 +1594,7 @@ def test_import_pretrained_script(tmp_path):
         [sys.executable, str(REPO / "scripts" / "import_pretrained.py"),
          "--archive", str(tmp_path / "ext.tarch"), "--mapping", str(tmp_path / "map.tsv"),
          "--config", str(cfg_path), "--out", str(tmp_path / "twice.tarch")],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr == ("error: mapping line 2: 'embeddings.token' is already mapped on "
@@ -1453,7 +1607,7 @@ def test_rejected_synthetic_experiment_leaves_no_work_directory(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_synthetic_experiment.py"),
          "--workdir", str(work), "--n-train", "-1"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: n_records must be >= 0\n"
@@ -1470,7 +1624,7 @@ def test_rejected_synthetic_experiment_leaves_no_work_directory(tmp_path):
 def test_every_script_exits_2_with_one_error_line_on_bad_input(tmp_path, script, args):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *(a.format(tmp=tmp_path) for a in args)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

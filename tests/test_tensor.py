@@ -116,7 +116,10 @@ def test_embedding_range_check():
 def test_masked_nll_requires_unignored_position():
     lp = T.constant(np.log(np.full((2, 3), 1 / 3)))
     with pytest.raises(ValueError):
-        T.masked_nll(lp, [IGNORE_INDEX, IGNORE_INDEX], IGNORE_INDEX)
+        T.masked_nll(lp, [IGNORE_INDEX, IGNORE_INDEX], IGNORE_INDEX, [2])
+    # each window's mean needs a row of its own
+    with pytest.raises(ValueError):
+        T.masked_nll(lp, [0, IGNORE_INDEX], IGNORE_INDEX, [1, 1])
 
 
 def test_grad_check_epsilon_validation():
@@ -160,7 +163,7 @@ def test_grad_check_cross_entropy_softmax_matmul():
     labels = [1, 4, 0, 2]
 
     def f():
-        return T.masked_nll(T.log_softmax_rows(T.matmul(a, b)), labels, IGNORE_INDEX)
+        return T.masked_nll(T.log_softmax_rows(T.matmul(a, b)), labels, IGNORE_INDEX, [4])
 
     assert grad_check(f, [a, b], epsilon=1e-5) < 1e-6
 
@@ -251,8 +254,9 @@ def _primitive_check(name: str, rng) -> float:
     if name == "masked_nll":
         a = par((5, 3))
         labels = [0, IGNORE_INDEX, 2, 1, IGNORE_INDEX]
-        return grad_check(lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX),
-                            [a])
+        # two windows, each the mean over its own unignored rows
+        return grad_check(
+            lambda: T.masked_nll(T.log_softmax_rows(a), labels, IGNORE_INDEX, [2, 3]), [a])
     if name == "add_outer":
         # each operand broadcasts along its own size-1 axis
         a, b = par((3, 1)), par((1, 4), pname="q")
@@ -286,7 +290,7 @@ F32_OPS = {
     "reshape": lambda x, rng: T.reshape(x, (12,)),
     "transpose": lambda x, rng: T.transpose(x, (1, 0)),
     "masked_nll": lambda x, rng: T.masked_nll(T.log_softmax_rows(x), [0, IGNORE_INDEX, 3],
-                                              IGNORE_INDEX),
+                                              IGNORE_INDEX, [3]),
 }
 
 
@@ -509,7 +513,7 @@ def _graph():
     a = T.Parameter(rng.normal(0, 1, (3, 4)), "a")
     b = T.Parameter(rng.normal(0, 1, (4, 2)), "b")
     return a, b, lambda: T.masked_nll(T.log_softmax_rows(T.matmul(T.gelu(a), b)),
-                                      [0, 1, IGNORE_INDEX], IGNORE_INDEX)
+                                      [0, 1, IGNORE_INDEX], IGNORE_INDEX, [3])
 
 
 def test_unrecorded_forward_records_nothing():
