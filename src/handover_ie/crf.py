@@ -543,11 +543,12 @@ def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list
 def dump_features(model: CrfModel) -> str:
     """One ``template<TAB>word...`` row per observation; row i is observation i.
 
-    The weights archive holds the weight vector in the CrfModel.split layout.
+    The index assigns each observation the next id as it inserts it, so its
+    insertion order is id order. The weights archive holds the weight vector
+    in the CrfModel.split layout.
     """
     names = [name for name, _ in UNIGRAM_TEMPLATES]
-    rows = sorted(model.index.obs.items(), key=lambda kv: kv[1])
-    return "".join("\t".join((names[ti], *words)) + "\n" for (ti, words), _ in rows)
+    return "".join("\t".join((names[ti], *words)) + "\n" for ti, words in model.index.obs)
 
 
 def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:

@@ -169,7 +169,7 @@ class EncoderModel:
     def position_rows(self, positions: np.ndarray) -> Tensor:
         if self.position_emb is not None:
             return T.embedding_lookup(self.position_emb, positions)
-        return T.constant(self._position_table[positions])
+        return Tensor(self._position_table[positions])
 
 
 def embed(ids: TokenizedSequence | Sequence[int], model: EncoderModel,

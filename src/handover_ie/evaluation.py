@@ -23,11 +23,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import LabelScheme, RecordSet
-from .tokenizer import AlignmentError
 
 MAIN_CATEGORIES = ("PATIENT INTRODUCTION", "MY SHIFT", "APPOINTMENTS", "MEDICATION",
                    "FUTURE CARE")
 NA_CATEGORY = "N.A."
+
+
+class AlignmentError(ValueError):
+    """Predicted records do not line up with the gold records they label."""
 
 
 def _normalize_category(name: str) -> str:

@@ -432,7 +432,7 @@ def fine_tune(
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay)
     # every record is encoded here once; the epochs reuse its windows
-    examples = [(seq, align_labels(seq, rec.labels[slice(*seq.word_span)]))
+    examples = [(seq, align_labels(seq, rec.labels))
                 for rec in train.records
                 for seq in encode_words(rec.words, table, config.max_len)]
     valid_windows = [encode_words(rec.words, table, config.max_len) for rec in valid.records]

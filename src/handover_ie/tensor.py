@@ -1,17 +1,18 @@
 """Dense tensors with exact reverse-mode gradients for a fixed primitive set.
 
-Inside ``recording()`` every differentiable primitive whose inputs need a
-gradient appends its result and vector-Jacobian closure to one tape, in
-creation order; outside it nothing is recorded. Each encoder sub-layer,
-``attention_block`` and ``ffn_block``, is one such node with a
-hand-written closure, over one window or several stacked row by row. So
-a recorded forward of a 2-layer encoder with learned positions puts 13
-nodes on the tape, whether it holds one window or a packed group of
-them: five for the embedding sum, two per layer, and four for the
-classifier and its loss. ``backward`` on a scalar on that tape pops the
-tape newest first, which reaches every node after all of its consumers,
-and so fills exact gradients for all reachable leaves. The sweep consumes
-the tape: a graph is swept at most once, and it is freed as it is swept.
+Inside ``recording()`` every differentiable primitive appends its result
+and vector-Jacobian closure to one tape, in creation order; outside it
+nothing is recorded. Each encoder sub-layer, ``attention_block`` and
+``ffn_block``, is one such node with a hand-written closure, over one
+window or several stacked row by row. So a recorded forward of a 2-layer
+encoder with learned positions puts 13 nodes on the tape, whether it
+holds one window or a packed group of them: five for the embedding sum,
+two per layer, and four for the classifier and its loss. ``backward`` on
+a scalar on that tape pops the tape newest first, which reaches every
+node after all of its consumers, and so fills exact gradients for all
+reachable leaves; a constant input gets one too, which nothing reads.
+The sweep consumes the tape: a graph is swept at most once, and it is
+freed as it is swept.
 A tensor's ``grad`` is None until backward first reaches it, and
 ``zero_grad`` sets it back to None. The exception is a parameter under
 ``pipeline.Adam``: its ``grad`` is bound as a zeroed view of the
@@ -50,7 +51,7 @@ def _shape_error(op: str, a, b) -> ShapeError:
 class Tensor:
     """A dense array node in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         arr = np.asarray(data)
@@ -58,11 +59,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = False
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -76,7 +72,6 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str):
         super().__init__(data)
-        self.requires_grad = True
         self.name = name
 
 
@@ -98,10 +93,9 @@ def recording() -> Iterator[None]:
         _tape = saved
 
 
-def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+def _result(data: np.ndarray, vjp) -> Tensor:
     out = Tensor(data)
-    if _tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    if _tape is not None:
         _tape.append((out, vjp))
     return out
 
@@ -115,10 +109,9 @@ def _accum(t: Tensor, g: np.ndarray, rows: np.ndarray | None = None) -> None:
     changes the last bits of the weights a training run ends with. A
     parameter whose gradient is bound to a zeroed view (``pipeline.Adam``)
     allocates nothing: each contribution, the first too, adds into the
-    view, and 0.0 + g == g.
+    view, and 0.0 + g == g. Every input of a recorded node receives its
+    contribution, a constant input too, though nothing reads its gradient.
     """
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = np.empty_like(t.data)
         if rows is None:
@@ -228,10 +221,6 @@ def _gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 # --- primitives ---------------------------------------------------------------
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
@@ -242,7 +231,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _result(data, (a, b), vjp)
+    return _result(data, vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -255,14 +244,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _result(data, (a, b), vjp)
+    return _result(data, vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def vjp(g):
         _accum(a, g * c)
 
-    return _result(a.data * c, (a,), vjp)
+    return _result(a.data * c, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -276,7 +265,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data.swapaxes(-1, -2))
         _accum(b, a.data.swapaxes(-1, -2) @ g)
 
-    return _result(data, (a, b), vjp)
+    return _result(data, vjp)
 
 
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -293,7 +282,7 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     def vjp(g):
         _accum(table, g, idx)
 
-    return _result(data, (table,), vjp)
+    return _result(data, vjp)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -303,7 +292,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, _softmax_vjp(g, y))
 
-    return _result(y, (x,), vjp)
+    return _result(y, vjp)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -314,7 +303,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, g - np.exp(y) * _sum(g, axis=-1, keepdims=True))
 
-    return _result(y, (x,), vjp)
+    return _result(y, vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -329,7 +318,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, _unbroadcast(g, bias.data.shape))
         _accum(x, _layer_norm_vjp(g, gain.data, xhat, inv))
 
-    return _result(data, (x, gain, bias), vjp)
+    return _result(data, vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -339,7 +328,7 @@ def gelu(x: Tensor) -> Tensor:
     def vjp(g):
         _accum(x, _gelu_vjp(g, x.data, cdf))
 
-    return _result(data, (x,), vjp)
+    return _result(data, vjp)
 
 
 def dropout_mask(like: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -357,7 +346,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def vjp(g):
         _accum(x, g.reshape(old))
 
-    return _result(data, (x,), vjp)
+    return _result(data, vjp)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -366,7 +355,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     def vjp(g):
         _accum(x, g.transpose(inverse))
 
-    return _result(x.data.transpose(axes), (x,), vjp)
+    return _result(x.data.transpose(axes), vjp)
 
 
 def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int,
@@ -400,7 +389,7 @@ def masked_nll(log_probs: Tensor, labels: Sequence[int], ignore_index: int,
         gl[rows, gold] = np.repeat(-float(g) / counts, counts)
         _accum(log_probs, gl)
 
-    return _result(data, (log_probs,), vjp)
+    return _result(data, vjp)
 
 
 # --- encoder blocks -------------------------------------------------------------
@@ -488,9 +477,7 @@ def attention_block(x: Tensor, layer, num_heads: int, lengths: Sequence[int],
             g_x = g_x + g_p @ w.data.T
         _accum(x, g_x)
 
-    params = (*(p for pair in projections for p in pair), layer.wo, layer.bo,
-              layer.ln1_g, layer.ln1_b)
-    return _result(y, (x, *params), vjp)
+    return _result(y, vjp)
 
 
 def ffn_block(x: Tensor, layer, mask: np.ndarray | None) -> Tensor:
@@ -512,8 +499,7 @@ def ffn_block(x: Tensor, layer, mask: np.ndarray | None) -> Tensor:
         _accum(layer.w1, xd.T @ g_pre)
         _accum(x, g_res + g_pre @ layer.w1.data.T)
 
-    params = (layer.w1, layer.b1, layer.w2, layer.b2, layer.ln2_g, layer.ln2_b)
-    return _result(y, (x, *params), vjp)
+    return _result(y, vjp)
 
 
 # --- tensor archive --------------------------------------------------------------

@@ -35,10 +35,6 @@ CONTINUATION = "##"
 IGNORE_INDEX = -100
 
 
-class AlignmentError(ValueError):
-    """Labels do not line up word-for-word with the words they label."""
-
-
 @dataclass(frozen=True, slots=True)
 class MergeTable:
     """Ordered merge rules plus the subword vocabulary.
@@ -265,16 +261,14 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[Tokeni
     return out
 
 
-def align_labels(seq: TokenizedSequence, word_labels: Sequence[int]) -> list[int]:
+def align_labels(seq: TokenizedSequence, note_labels: Sequence[int]) -> list[int]:
     """Per-position labels: every subtoken of a word carries the word's
     label; specials receive IGNORE_INDEX and are excluded from the loss.
 
-    word_labels holds one label per word of seq.word_span.
+    note_labels holds one label per word of the window's whole note, read
+    by the absolute word index of each position.
     """
-    lo, hi = seq.word_span
-    if len(word_labels) != hi - lo:
-        raise AlignmentError(f"{len(word_labels)} word labels for {hi - lo} words in sequence")
-    return [IGNORE_INDEX if w is None else word_labels[w - lo] for w in seq.word_index_of]
+    return [IGNORE_INDEX if w is None else note_labels[w] for w in seq.word_index_of]
 
 
 # --- file formats ------------------------------------------------------------

@@ -40,8 +40,8 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
         out = f()
         if not np.all(np.isfinite(out.data)):
             raise ValueError("function value is not finite")
-        # an unrecorded value depends on no parameter
-        if out.requires_grad:
+        # a value no primitive made, such as a bare constant, is not on the tape
+        if any(node is out for node, _ in T._tape):
             T.backward(out)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
@@ -64,7 +64,7 @@ def grad_check(f, params, epsilon: float = 1e-5) -> float:
 
 
 def _reference_dropout(y, rate, rng):
-    return T.mul(y, T.constant(T.dropout_mask(y.data, rate, rng))) if rate > 0.0 else y
+    return T.mul(y, T.Tensor(T.dropout_mask(y.data, rate, rng))) if rate > 0.0 else y
 
 
 def reference_attention_block(x, layer, num_heads, rate, rng):
@@ -218,7 +218,7 @@ def probed(loss_fn, params, rng):
     unchanged.
     """
     probes = [
-        T.constant(rng.uniform(0.05, 0.2, p.data.shape) * rng.choice([-1.0, 1.0], p.data.shape))
+        T.Tensor(rng.uniform(0.05, 0.2, p.data.shape) * rng.choice([-1.0, 1.0], p.data.shape))
         for p in params
     ]
 

@@ -3,8 +3,9 @@
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so each
 count runs the same fits in a process of its own, and the test compares
 what the two processes wrote byte for byte: a CRF checkpoint (L-BFGS dot
-products over more than 10,000 weights), an encoder checkpoint, and the
-CRF posteriors at a shape where OpenBLAS splits a product across threads.
+products over more than 10,000 weights), an encoder checkpoint, the CRF
+posteriors at a shape where OpenBLAS splits a product across threads, and
+one encoder training step at the width of the paper's encoder.
 """
 from __future__ import annotations
 
@@ -16,12 +17,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = r"""
+import hashlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from handover_ie import crf, pipeline
+from handover_ie import crf, encoder, pipeline, tensor as T
 from handover_ie.corpus import default_synthetic_scheme, generate_synthetic
 
 out = Path(sys.argv[1])
@@ -50,6 +53,26 @@ pk = crf.pack(starts)
 unary = rng.normal(0.0, 3.0, (int(starts[-1]), 37))
 node, pair, log_z = crf._packed_posteriors(unary[pk.perm], pk, rng.normal(0.0, 3.0, (37, 37)))
 (out / "posteriors.bin").write_bytes(node.tobytes() + pair.tobytes() + log_z.tobytes())
+
+# one recorded step and one Adam step at the width of the paper's encoder:
+# 2 layers of 768, 12 heads, FFN 3072, one 128-token window at dropout 0.1
+config = encoder.ModelConfig(num_layers=2, hidden_size=768, num_heads=12, ffn_size=3072,
+                             vocab_size=200, max_positions=128, num_labels=37, dropout=0.1)
+model = encoder.EncoderModel(config, seed=7)
+optimizer = pipeline.Adam(model.parameters(), lr=3e-5, weight_decay=0.01)
+rng = np.random.default_rng(8)
+window = SimpleNamespace(token_ids=rng.integers(0, config.vocab_size, 128).tolist())
+labels = rng.integers(0, config.num_labels, 128).tolist()
+with T.recording():
+    log_probs = encoder.run_token_classifier(model, [window], rng)
+    T.backward(encoder.token_loss(log_probs, labels, [128]))
+optimizer.step()
+(out / "wide-log-probs.bin").write_bytes(log_probs.data.tobytes())
+# the store's digest: its four buffers hold about 460 MB
+store = hashlib.sha256()
+for buffer in (optimizer.data, optimizer.grad, optimizer.m, optimizer.v):
+    store.update(buffer.tobytes())
+(out / "wide-adam.sha256").write_text(store.hexdigest(), encoding="utf-8")
 """
 
 
@@ -69,7 +92,7 @@ def test_outputs_are_byte_equal_at_one_and_two_blas_threads(tmp_path):
                        timeout=300)
         written.append(files(out))
     one, two = written
-    assert {"crf/crf_weights.tarch", "posteriors.bin"} <= set(one)
+    assert {"crf/crf_weights.tarch", "posteriors.bin", "wide-adam.sha256"} <= set(one)
     assert sorted(one) == sorted(two)
     for name in one:
         assert one[name] == two[name], name

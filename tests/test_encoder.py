@@ -162,22 +162,22 @@ def test_encode_permutation_equivariant_without_positions():
 def test_encode_shape_error():
     model = tiny_model()
     with pytest.raises(T.ShapeError):
-        encode(T.constant(np.zeros((3, 5))), model)
+        encode(T.Tensor(np.zeros((3, 5))), model)
     with pytest.raises(T.ShapeError):
-        classify(T.constant(np.zeros((3, 5))), model)
+        classify(T.Tensor(np.zeros((3, 5))), model)
 
 
 def test_classify_zero_head_is_uniform():
     model = tiny_model(seed=7)
     model.cls_w.data[...] = 0.0
     model.cls_b.data[...] = 0.0
-    out = classify(T.constant(np.random.default_rng(0).normal(0, 1, (4, 4))), model)
+    out = classify(T.Tensor(np.random.default_rng(0).normal(0, 1, (4, 4))), model)
     assert np.allclose(out.data, -math.log(3), atol=1e-12)
 
 
 def test_classify_rows_are_normalized_log_probs():
     model = tiny_model(seed=8)
-    hidden = T.constant(np.random.default_rng(1).normal(0, 2, (6, 4)))
+    hidden = T.Tensor(np.random.default_rng(1).normal(0, 2, (6, 4)))
     out = classify(hidden, model).data
     assert np.abs(np.exp(out).sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -186,7 +186,7 @@ def test_classify_argmax_matches_logits_argmax():
     rng = np.random.default_rng(2)
     model = tiny_model(seed=9)
     randomize(model.parameters(), rng)
-    hidden = T.constant(rng.normal(0, 1, (8, 4)))
+    hidden = T.Tensor(rng.normal(0, 1, (8, 4)))
     logits = hidden.data @ model.cls_w.data + model.cls_b.data
     log_probs = classify(hidden, model).data
     assert np.array_equal(log_probs.argmax(axis=-1), logits.argmax(axis=-1))
@@ -194,7 +194,7 @@ def test_classify_argmax_matches_logits_argmax():
 
 def test_token_loss_uniform_predictions():
     n_labels = 5
-    lp = T.constant(np.full((4, n_labels), -math.log(n_labels)))
+    lp = T.Tensor(np.full((4, n_labels), -math.log(n_labels)))
     loss = token_loss(lp, [0, 3, -100, 2], [4])
     assert abs(float(loss.data) - math.log(n_labels)) < 1e-12
 
@@ -204,11 +204,11 @@ def test_token_loss_perfect_predictions():
     gold = [2, 0, 1]
     for i, g in enumerate(gold):
         lp[i, g] = 0.0
-    assert float(token_loss(T.constant(lp), gold, [3]).data) == 0.0
+    assert float(token_loss(T.Tensor(lp), gold, [3]).data) == 0.0
 
 
 def test_token_loss_all_ignored_rejected():
-    lp = T.constant(np.zeros((2, 3)))
+    lp = T.Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         token_loss(lp, [-100, -100], [2])
 
@@ -246,7 +246,7 @@ def test_full_model_grad_check_tiny_config():
 
 def test_encode_stays_finite_for_large_inputs():
     model = tiny_model(seed=13, num_layers=2)
-    x = T.constant(np.full((5, 4), 100.0) * np.array([[1], [-1], [1], [-1], [1]]))
+    x = T.Tensor(np.full((5, 4), 100.0) * np.array([[1], [-1], [1], [-1], [1]]))
     out = encode(x, model)
     assert np.all(np.isfinite(out.data))
 
@@ -362,8 +362,9 @@ def test_recorded_and_unrecorded_forwards_are_bit_equal(dtype):
     ids = [1, 7, 3, 3, 0, 9]
     with T.recording():
         recorded = classify(encode(embed(ids, model), model), model)
+        assert T._tape[-1][0] is recorded
+    assert T._tape is None
     bare = classify(encode(embed(ids, model), model), model)
-    assert recorded.requires_grad and not bare.requires_grad
     assert bare.data.dtype == dtype
     assert bare.data.tobytes() == recorded.data.tobytes()
 
@@ -426,7 +427,7 @@ def test_block_forward_is_bit_equal_to_its_primitive_chain(block, dtype, rate):
     model = tiny_model(seed=21, hidden_size=32, ffn_size=64, max_positions=20)
     randomize(model.parameters(), np.random.default_rng(22), scale=0.3)
     _cast(model, dtype)
-    x = T.constant(np.random.default_rng(23).normal(0.0, 1.0, (20, 32)).astype(dtype))
+    x = T.Tensor(np.random.default_rng(23).normal(0.0, 1.0, (20, 32)).astype(dtype))
     fused_rng, chain_rng = np.random.default_rng(24), np.random.default_rng(24)
     fused, chain, _ = BLOCKS[block]
     out = fused(x, model.layers[0], rate, fused_rng)
@@ -474,7 +475,7 @@ def test_block_grad_checks_with_a_fixed_dropout_mask(block):
     params = [x] + [getattr(layer, name) for name in names]
     mask = T.dropout_mask(x.data, 0.4, np.random.default_rng(30))
     assert 0 < np.count_nonzero(mask) < mask.size
-    readout = T.constant(rng.normal(0.0, 1.0, (12, 1)))
+    readout = T.Tensor(rng.normal(0.0, 1.0, (12, 1)))
 
     def loss_fn():
         # a fresh generator per call, so every evaluation drops the same units
@@ -492,7 +493,7 @@ def test_packed_attention_grad_checks_window_by_window():
     layer = model.layers[0]
     params = [x] + [getattr(layer, name) for name in BLOCKS["attention"][2]]
     mask = T.dropout_mask(x.data, 0.4, np.random.default_rng(34))
-    readout = T.constant(rng.normal(0.0, 1.0, (24, 1)))
+    readout = T.Tensor(rng.normal(0.0, 1.0, (24, 1)))
 
     def loss_fn():
         out = T.attention_block(x, layer, 2, [2, 1, 3], mask)
@@ -501,15 +502,15 @@ def test_packed_attention_grad_checks_window_by_window():
     assert grad_check(probed(loss_fn, params, rng), params) < 1e-6
     # a row attends only within its window: the middle window alone is a
     # one-row window, whose attention weight is one
-    alone = T.attention_block(T.constant(x.data[2:3]), layer, 2, [1], mask[2:3])
-    packed = T.attention_block(T.constant(x.data), layer, 2, [2, 1, 3], mask)
+    alone = T.attention_block(T.Tensor(x.data[2:3]), layer, 2, [1], mask[2:3])
+    packed = T.attention_block(T.Tensor(x.data), layer, 2, [2, 1, 3], mask)
     assert np.abs(packed.data[2:3] - alone.data).max() < 1e-12
 
 
 def test_attention_block_rejects_lengths_that_miss_rows():
     model = tiny_model(seed=35)
     with pytest.raises(T.ShapeError, match="sum to 4, input has 5 rows"):
-        T.attention_block(T.constant(np.zeros((5, 4))), model.layers[0], 2, [3, 1], None)
+        T.attention_block(T.Tensor(np.zeros((5, 4))), model.layers[0], 2, [3, 1], None)
 
 
 def test_packed_positions_restart_in_each_window():
@@ -534,4 +535,4 @@ def test_a_recorded_window_puts_two_nodes_per_layer_on_the_tape():
         assert len(T._tape) == 5 + 2 * 2 + 4    # matmul, add, log-softmax, loss
     bare = classify(encode(embed(ids, model, lengths), model, np.random.default_rng(32),
                            lengths), model)
-    assert T._tape is None and not bare.requires_grad
+    assert T._tape is None and bare.data.shape == (6, model.config.num_labels)

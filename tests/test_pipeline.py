@@ -538,9 +538,17 @@ def _step_config(dropout, **shape):
                        dropout=dropout)
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-def test_a_group_of_one_window_is_bit_equal_to_the_per_window_step(dropout, monkeypatch):
-    config = _step_config(dropout)
+# under sinusoidal positions the constant position rows are on the tape and
+# receive a gradient that nothing reads; no parameter's gradient moves
+@pytest.mark.parametrize("dropout, position_mode", [
+    pytest.param(0.0, "learned", id="0.0"),
+    pytest.param(0.2, "learned", id="0.2"),
+    pytest.param(0.0, "sinusoidal", id="0.0-sinusoidal"),
+    pytest.param(0.2, "sinusoidal", id="0.2-sinusoidal"),
+])
+def test_a_group_of_one_window_is_bit_equal_to_the_per_window_step(dropout, position_mode,
+                                                                   monkeypatch):
+    config = _step_config(dropout, position_mode=position_mode)
     packed, packed_grads, seen = _run_step(pipeline._batch_gradient, config, [12], monkeypatch)
     losses, oracle_grads, oracle = _run_step(helpers.reference_batch_gradient, config, [12],
                                              monkeypatch)
@@ -799,7 +807,7 @@ def test_window_votes_resolve_to_farthest_from_boundary(tiny_setup, monkeypatch)
         lp = np.full((len(seq.token_ids), n_labels), -10.0)
         lp[:, window % n_labels] = -0.1
         from handover_ie import tensor as T
-        return T.constant(lp)
+        return T.Tensor(lp)
 
     monkeypatch.setattr(enc_mod, "run_token_classifier", fake_classifier)
     pred = pipeline.predict(ckpt, record_set)

@@ -25,19 +25,19 @@ def rows(min_cols=2, max_cols=6):
 
 def test_softmax_constant_row_is_uniform():
     for k in (1, 2, 5, 9):
-        out = T.softmax_rows(T.constant(np.full((1, k), 3.25))).data
+        out = T.softmax_rows(T.Tensor(np.full((1, k), 3.25))).data
         assert np.allclose(out, 1.0 / k, atol=1e-12)
 
 
 def test_softmax_closed_form():
-    out = T.softmax_rows(T.constant(np.array([[0.0, math.log(2.0)]]))).data
+    out = T.softmax_rows(T.Tensor(np.array([[0.0, math.log(2.0)]]))).data
     assert np.allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
 
 
 @given(rows())
 @settings(max_examples=80)
 def test_softmax_rows_sum_to_one(data):
-    out = T.softmax_rows(T.constant(np.array(data))).data
+    out = T.softmax_rows(T.Tensor(np.array(data))).data
     assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-9
 
 
@@ -45,16 +45,16 @@ def test_softmax_rows_sum_to_one(data):
 @settings(max_examples=80)
 def test_softmax_shift_invariance(data, c):
     x = np.array(data)
-    a = T.softmax_rows(T.constant(x)).data
-    b = T.softmax_rows(T.constant(x + c)).data
+    a = T.softmax_rows(T.Tensor(x)).data
+    b = T.softmax_rows(T.Tensor(x + c)).data
     assert np.abs(a - b).max() < 1e-9
 
 
 def test_layer_norm_standardizes_rows():
     rng = np.random.default_rng(0)
-    x = T.constant(rng.normal(3.0, 2.0, (5, 16)))
-    gain = T.constant(np.ones(16))
-    bias = T.constant(np.zeros(16))
+    x = T.Tensor(rng.normal(3.0, 2.0, (5, 16)))
+    gain = T.Tensor(np.ones(16))
+    bias = T.Tensor(np.zeros(16))
     out = T.layer_norm(x, gain, bias).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-6
@@ -92,19 +92,19 @@ def test_kernels_are_bit_equal_to_numpys_reduction_wrappers(shape, dtype, offset
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(1)
     x = rng.normal(0, 3, (4, 7))
-    a = T.log_softmax_rows(T.constant(x)).data
-    b = np.log(T.softmax_rows(T.constant(x)).data)
+    a = T.log_softmax_rows(T.Tensor(x)).data
+    b = np.log(T.softmax_rows(T.Tensor(x)).data)
     assert np.abs(a - b).max() < 1e-12
 
 
 def test_shape_errors_name_both_shapes():
     with pytest.raises(T.ShapeError) as err:
-        T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((4, 2))))
+        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
     with pytest.raises(T.ShapeError):
-        T.add(T.constant(np.zeros((2, 3))), T.constant(np.zeros((4,))))
+        T.add(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4,))))
     with pytest.raises(T.ShapeError):
-        T.layer_norm(T.constant(np.zeros((2, 3))), T.constant(np.zeros(4)), T.constant(np.zeros(3)))
+        T.layer_norm(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(4)), T.Tensor(np.zeros(3)))
 
 
 def test_embedding_range_check():
@@ -114,7 +114,7 @@ def test_embedding_range_check():
 
 
 def test_masked_nll_requires_unignored_position():
-    lp = T.constant(np.log(np.full((2, 3), 1 / 3)))
+    lp = T.Tensor(np.log(np.full((2, 3), 1 / 3)))
     with pytest.raises(ValueError):
         T.masked_nll(lp, [IGNORE_INDEX, IGNORE_INDEX], IGNORE_INDEX, [2])
     # each window's mean needs a row of its own
@@ -142,7 +142,7 @@ def test_grad_check_rejects_nonfinite_value():
 
 def test_grad_check_linear_is_machine_precision():
     rng = np.random.default_rng(2)
-    c = T.constant(rng.normal(0, 1, (1, 6)))
+    c = T.Tensor(rng.normal(0, 1, (1, 6)))
     p = T.Parameter(rng.normal(0, 1, (6, 1)), "p")
     err = grad_check(lambda: T.reshape(T.matmul(c, p), ()), [p])
     assert err < 1e-9
@@ -150,8 +150,8 @@ def test_grad_check_linear_is_machine_precision():
 
 def test_grad_check_constant_function_is_zero():
     p = T.Parameter(np.ones(4), "p")
-    c = T.constant(np.array(2.5))
-    err = grad_check(lambda: T.add(c, T.constant(np.array(0.0))), [p])
+    c = T.Tensor(np.array(2.5))
+    err = grad_check(lambda: T.add(c, T.Tensor(np.array(0.0))), [p])
     assert err == 0.0
     assert p.grad is None
 
@@ -186,7 +186,7 @@ def test_every_primitive_grad_checks_below_1e6(primitive):
 
 def _make_readout(size: int, rng):
     # drawn once: grad_check re-evaluates f, which must stay deterministic
-    w = T.constant(rng.normal(0, 1, (size, 1)))
+    w = T.Tensor(rng.normal(0, 1, (size, 1)))
 
     def readout(x: T.Tensor) -> T.Tensor:
         return T.reshape(T.matmul(T.reshape(x, (1, x.data.size)), w), ())
@@ -242,7 +242,7 @@ def _primitive_check(name: str, rng) -> float:
         return grad_check(lambda: out(T.gelu(a)), [a])
     if name == "dropout":
         a = par((4, 5))
-        mask = T.constant(T.dropout_mask(a.data, 0.4, rng))
+        mask = T.Tensor(T.dropout_mask(a.data, 0.4, rng))
         out = _make_readout(20, rng)
         return grad_check(lambda: out(T.mul(a, mask)), [a])
     if name == "reshape_transpose":
@@ -284,9 +284,9 @@ F32_OPS = {
     "softmax_rows": lambda x, rng: T.softmax_rows(x),
     "log_softmax_rows": lambda x, rng: T.log_softmax_rows(x),
     "layer_norm": lambda x, rng: T.layer_norm(
-        x, T.constant(np.ones(4, np.float32)), T.constant(np.zeros(4, np.float32))),
+        x, T.Tensor(np.ones(4, np.float32)), T.Tensor(np.zeros(4, np.float32))),
     "gelu": lambda x, rng: T.gelu(x),
-    "dropout": lambda x, rng: T.mul(x, T.constant(T.dropout_mask(x.data, 0.3, rng))),
+    "dropout": lambda x, rng: T.mul(x, T.Tensor(T.dropout_mask(x.data, 0.3, rng))),
     "reshape": lambda x, rng: T.reshape(x, (12,)),
     "transpose": lambda x, rng: T.transpose(x, (1, 0)),
     "masked_nll": lambda x, rng: T.masked_nll(T.log_softmax_rows(x), [0, IGNORE_INDEX, 3],
@@ -301,7 +301,7 @@ def test_primitives_keep_float32(name):
     with T.recording():
         out = F32_OPS[name](x, rng)
         assert out.data.dtype == np.float32
-        ones = T.constant(np.ones((out.data.size, 1), np.float32))
+        ones = T.Tensor(np.ones((out.data.size, 1), np.float32))
         T.backward(T.matmul(T.reshape(out, (1, -1)), ones))
     assert x.grad.dtype == np.float32
 
@@ -409,8 +409,8 @@ def test_parameter_gradient_shape_invariant():
     p = T.Parameter(np.zeros((3, 2), np.float32), "w")
     assert p.name == "w"
     with T.recording():
-        T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 3), np.float32)),
-                                      T.matmul(p, T.constant(np.ones((2, 1), np.float32)))),
+        T.backward(T.reshape(T.matmul(T.Tensor(np.ones((1, 3), np.float32)),
+                                      T.matmul(p, T.Tensor(np.ones((2, 1), np.float32)))),
                              ()))
     assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype
 
@@ -441,7 +441,7 @@ def test_grad_exists_only_after_backward_reaches_the_tensor():
 
     def forward():
         hidden = T.scale(a, 3.0)
-        return hidden, T.reshape(T.matmul(hidden, T.constant(np.array([[0.5], [2.0]]))), ())
+        return hidden, T.reshape(T.matmul(hidden, T.Tensor(np.array([[0.5], [2.0]]))), ())
 
     def sweep():
         with T.recording():
@@ -467,7 +467,7 @@ def test_a_graph_is_swept_once():
     a = T.Parameter(np.array([[1.0, -2.0]]), "a")
     with T.recording():
         hidden = T.scale(a, 3.0)
-        loss = T.reshape(T.matmul(hidden, T.constant(np.array([[0.5], [2.0]]))), ())
+        loss = T.reshape(T.matmul(hidden, T.Tensor(np.array([[0.5], [2.0]]))), ())
         T.backward(loss)
         once = [a.grad.copy(), hidden.grad.copy()]
         # a second sweep would add the intermediate gradients again
@@ -481,14 +481,14 @@ def test_a_graph_is_swept_once():
 
 def test_backward_rejects_a_root_that_was_not_recorded():
     a = T.Parameter(np.array([[1.0, -2.0]]), "a")
-    unrecorded = T.reshape(T.matmul(a, T.constant(np.ones((2, 1)))), ())
+    unrecorded = T.reshape(T.matmul(a, T.Tensor(np.ones((2, 1)))), ())
     with pytest.raises(ValueError, match="not on the tape"):
         T.backward(unrecorded)
     with T.recording(), pytest.raises(ValueError, match="not on the tape"):
         T.backward(unrecorded)
     # a root recorded in an earlier block is not on this block's tape
     with T.recording():
-        earlier = T.reshape(T.matmul(a, T.constant(np.ones((2, 1)))), ())
+        earlier = T.reshape(T.matmul(a, T.Tensor(np.ones((2, 1)))), ())
     with T.recording(), pytest.raises(ValueError, match="not on the tape"):
         T.backward(earlier)
     assert a.grad is None
@@ -500,9 +500,9 @@ def test_gradient_takes_the_layout_of_its_tensor():
     with T.recording():
         flipped = T.transpose(p, (1, 0))
         assert not flipped.data.flags.c_contiguous
-        out = T.matmul(flipped, T.constant(np.ones((3, 2))))
-        T.backward(T.reshape(T.matmul(T.constant(np.ones((1, 4))),
-                                      T.matmul(out, T.constant(np.ones((2, 1))))), ()))
+        out = T.matmul(flipped, T.Tensor(np.ones((3, 2))))
+        T.backward(T.reshape(T.matmul(T.Tensor(np.ones((1, 4))),
+                                      T.matmul(out, T.Tensor(np.ones((2, 1))))), ()))
     assert flipped.grad.strides == flipped.data.strides
     assert p.grad.strides == p.data.strides
     assert np.array_equal(p.grad, np.full((3, 4), 2.0))
@@ -520,15 +520,12 @@ def test_unrecorded_forward_records_nothing():
     a, b, f = _graph()
     with T.recording():
         recorded = f()
+        # gelu, matmul, log-softmax, loss
+        assert [node for node, _ in T._tape][-1] is recorded and len(T._tape) == 4
+    assert T._tape is None
     loss = f()
-    assert recorded.requires_grad and not loss.requires_grad
+    assert T._tape is None
     assert loss.data.tobytes() == recorded.data.tobytes()
-    # constants alone record nothing inside a block either
-    with T.recording():
-        constant = T.reshape(T.add(T.constant(np.ones(2)), T.constant(np.ones(2))), (1, 2))
-        assert not constant.requires_grad
-        with pytest.raises(ValueError):
-            T.backward(T.reshape(T.matmul(constant, T.constant(np.ones((2, 1)))), ()))
     with T.recording(), pytest.raises(ValueError):
         T.backward(loss)
     assert a.grad is None and b.grad is None
@@ -544,17 +541,18 @@ def test_recording_restores_the_outer_state_after_an_exception():
         with T.recording():
             f()
             raise RuntimeError("inside")
-    assert not T.scale(a, 2.0).requires_grad
+    assert T._tape is None
     with T.recording():
         loss = f()
+        tape = T._tape
         with pytest.raises(RuntimeError, match="inside"):
             with T.recording():
                 inner = T.scale(a, 2.0)
                 raise RuntimeError("inside")
         # the inner block recorded onto the outer tape and left it in place
-        assert inner.requires_grad and T.scale(a, 2.0).requires_grad
+        assert T._tape is tape and len(tape) == 5 and tape[-1][0] is inner
         T.backward(loss)
-    assert not T.scale(a, 2.0).requires_grad
+    assert T._tape is None
     assert np.array_equal(a.grad, want[0]) and np.array_equal(b.grad, want[1])
     assert want[0].any() and want[1].any()
 
