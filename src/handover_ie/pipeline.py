@@ -57,8 +57,10 @@ MODEL_KINDS = ("encoder", "crf")
 _TRAIN_LEAST = {"batch_size": 1, "epochs": 1, "seed": 0, "max_len": 3, "num_merges": 0,
                 "feature_cutoff": 1}
 
-# the most rows x ffn_size elements one packed training group holds: a group's
-# activations grow with its rows, and at the 12x768 base shape a 128-token
+# the most rows x ffn_size elements one packed group holds, in training and in
+# inference alike: a group's activations grow with its rows, and an unrecorded
+# group keeps no tape but still holds each layer's [rows, ffn_size] activation
+# at once, so the same limit bounds it; at the 12x768 base shape a 128-token
 # window (393,216) stays a group of one
 PACK_ELEMENTS = 1 << 16
 
@@ -348,13 +350,26 @@ class Adam:
 
 def _predict_encoder(model: EncoderModel, records: RecordSet,
                      windows: list[list[TokenizedSequence]]) -> RecordSet:
-    """Label each record from its windows; a word seen by several windows
-    takes its label from the one where it sits farthest from an edge."""
+    """Label each record from its windows. The windows of all records, in
+    order, run as the packed groups of _pack_groups, one unrecorded forward
+    each; a word seen by several windows takes its label from the one where
+    it sits farthest from an edge."""
+    flat = [seq for seqs in windows for seq in seqs]
+    lengths = [len(seq.token_ids) for seq in flat]
+    tops: list[list[int]] = []   # per window, the argmax label of each position
+    for group in _pack_groups(lengths, model.config.ffn_size):
+        log_probs = enc.run_token_classifier(model, flat[group.start:group.stop])
+        top = log_probs.data.argmax(axis=1).tolist()
+        start = 0
+        for t in lengths[group.start:group.stop]:
+            tops.append(top[start:start + t])
+            start += t
+    window_tops = iter(tops)
     labels = []
     for rec, seqs in zip(records.records, windows):
         best: dict[int, tuple[int, int]] = {}   # word -> (distance, label)
         for seq in seqs:
-            top = enc.run_token_classifier(model, [seq]).data.argmax(axis=1).tolist()
+            top = next(window_tops)
             lo, hi = seq.word_span
             for w, pos in seq.first_subtoken_of.items():
                 dist = min(w - lo, hi - 1 - w)
@@ -371,8 +386,9 @@ def validation_macro_f1(pred: RecordSet, gold: RecordSet, scheme: LabelScheme,
 
 
 def _pack_groups(lengths: Sequence[int], ffn_size: int) -> list[range]:
-    """Cut a batch's windows, in order, into consecutive groups of at most
-    PACK_ELEMENTS rows x ffn_size; a window over the limit is a group of one."""
+    """Cut windows, in order, into consecutive groups of at most PACK_ELEMENTS
+    rows x ffn_size; a window over the limit is a group of one, and no
+    windows make no group."""
     groups: list[range] = []
     first = rows = 0
     for i, t in enumerate(lengths):
@@ -380,7 +396,9 @@ def _pack_groups(lengths: Sequence[int], ffn_size: int) -> list[range]:
             groups.append(range(first, i))
             first, rows = i, 0
         rows += t
-    return groups + [range(first, len(lengths))]
+    if lengths:
+        groups.append(range(first, len(lengths)))
+    return groups
 
 
 def _batch_gradient(model: EncoderModel, batch: Sequence[tuple[TokenizedSequence, list[int]]],

@@ -15,7 +15,7 @@ from handover_ie.crf import (
     BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _dot, _logsumexp, _packed_posteriors,
     _wolfe_line_search, pack,
 )
-from handover_ie.encoder import parameter_layout
+from handover_ie.encoder import parameter_layout, run_token_classifier
 from handover_ie.evaluation import ClassCounts, EvalReport
 from handover_ie.pipeline import train_model
 from handover_ie.tokenizer import (
@@ -121,6 +121,24 @@ def reference_batch_gradient(model, batch, rng):
             losses.append(float(loss.data))
             T.backward(loss, seed=1.0 / len(batch))
     return losses
+
+
+def reference_predict_encoder(model, records, windows):
+    """pipeline._predict_encoder before packing: one unrecorded forward per
+    window, then the same vote, where a word seen by several windows takes
+    its label from the one where it sits farthest from an edge."""
+    labels = []
+    for rec, seqs in zip(records.records, windows):
+        best = {}   # word -> (distance, label)
+        for seq in seqs:
+            top = run_token_classifier(model, [seq]).data.argmax(axis=1).tolist()
+            lo, hi = seq.word_span
+            for w, pos in seq.first_subtoken_of.items():
+                dist = min(w - lo, hi - 1 - w)
+                if w not in best or dist > best[w][0]:
+                    best[w] = (dist, top[pos])
+        labels.append([best[w][1] for w in range(len(rec.words))])
+    return records.relabel(labels)
 
 
 def reference_softmax(x):

@@ -630,13 +630,112 @@ def test_a_shape_over_the_pack_limit_is_bit_equal_to_the_per_window_step(monkeyp
     ([8, 8, 1], 4096, [2, 1]),
     ([1, 20, 1], 4096, [1, 1, 1]),
     ([128] * 3, 3072, [1, 1, 1]),
-], ids=["grid-tiny", "over", "at-limit", "cut", "alone", "base"])
+    ([], 64, []),
+], ids=["grid-tiny", "over", "at-limit", "cut", "alone", "base", "empty"])
 def test_pack_groups_are_consecutive_and_within_the_limit(lengths, ffn_size, groups):
     cut = pipeline._pack_groups(lengths, ffn_size)
     assert [len(g) for g in cut] == groups
     assert [i for g in cut for i in g] == list(range(len(lengths)))
     for g in cut:
         assert len(g) == 1 or sum(lengths[i] for i in g) * ffn_size <= pipeline.PACK_ELEMENTS
+
+
+# the bound on a packed inference forward against one window alone: a packed
+# product adds in another order, which moved log-probabilities by at most
+# 1.3e-15 over 60 random shapes when this bound was set
+PACKED_PREDICT_TOL = 1e-12
+
+
+# 9 rows x FFN 32: windows of 10 rows are over it, and a 5-row and a 3-row
+# window pack together
+@pytest.mark.parametrize("pack_elements", [None, 9 * 32], ids=["default", "cut"])
+def test_packed_prediction_matches_the_one_window_oracle(pack_elements, monkeypatch):
+    from handover_ie.corpus import Record
+    from handover_ie.tokenizer import encode as encode_words
+
+    scheme = default_synthetic_scheme()
+    notes = generate_synthetic(8, scheme, seed=41).records
+    # ragged notes of 1 to 3 windows at max_len 10, cut to (note, words)
+    records = RecordSet(split="test", records=tuple(
+        Record(id=notes[i].id, words=notes[i].words[:n], labels=notes[i].labels[:n])
+        for i, n in ((0, 16), (1, 3), (5, 1), (2, 18), (3, 9), (4, 13), (6, 15), (7, 8))))
+    table = train_bpe(word_frequencies(r.words for r in notes), 200)
+    config = ModelConfig(num_layers=2, hidden_size=16, num_heads=2, ffn_size=32,
+                         vocab_size=len(table.pieces), max_positions=10,
+                         num_labels=len(scheme.labels))
+    model = EncoderModel(config, seed=7)
+    windows = [encode_words(r.words, table, 10) for r in records.records]
+    assert {len(seqs) for seqs in windows} == {1, 2, 3}
+    flat = [seq for seqs in windows for seq in seqs]
+    lengths = [len(seq.token_ids) for seq in flat]
+
+    oracle_rows = [encoder.run_token_classifier(model, [seq]).data for seq in flat]
+    oracle = helpers.reference_predict_encoder(model, records, windows)
+    if pack_elements is not None:
+        monkeypatch.setattr(pipeline, "PACK_ELEMENTS", pack_elements)
+    groups = pipeline._pack_groups(lengths, config.ffn_size)
+    if pack_elements is None:
+        assert len(groups) == 1
+    else:
+        assert len(groups) > 2 and any(len(g) > 1 for g in groups)
+        assert any(t * config.ffn_size > pack_elements for t in lengths)
+    seen = []
+    run = encoder.run_token_classifier
+
+    def recorded(model, group, rng=None):
+        log_probs = run(model, group, rng)
+        seen.append((list(group), log_probs.data))
+        return log_probs
+
+    monkeypatch.setattr(encoder, "run_token_classifier", recorded)
+    pred = pipeline._predict_encoder(model, records, windows)
+
+    # (a) one forward per group, whose rows are the oracle's windows stacked
+    assert [len(g) for g, _ in seen] == [len(g) for g in groups]
+    assert [seq for g, _ in seen for seq in g] == flat
+    packed_rows = np.concatenate([rows for _, rows in seen])
+    assert np.abs(packed_rows - np.concatenate(oracle_rows)).max() <= PACKED_PREDICT_TOL
+    # (b) the oracle's labels wherever every window a word sits in is decided
+    # by more than the bound
+    def margin(rows, pos):
+        top_two = np.sort(rows[pos])[-2:]
+        return top_two[1] - top_two[0]
+
+    starts = np.cumsum([0] + [len(seqs) for seqs in windows])
+    checked = 0
+    for k, (rec, want, got) in enumerate(zip(records.records, oracle.records, pred.records)):
+        note_rows = oracle_rows[starts[k]:starts[k + 1]]
+        for w in range(len(rec.words)):
+            if all(margin(rows, seq.first_subtoken_of[w]) > PACKED_PREDICT_TOL
+                   for seq, rows in zip(windows[k], note_rows) if w in seq.first_subtoken_of):
+                assert got.labels[w] == want.labels[w], (rec.id, w)
+                checked += 1
+    assert checked > 0.9 * sum(len(r.words) for r in records.records)
+
+
+def test_validation_runs_one_forward_per_packed_group(tiny_setup, monkeypatch):
+    from handover_ie.tokenizer import encode as encode_words
+
+    scheme, train, valid, table, model_config = tiny_setup
+    config = tiny_train_config(epochs=1)
+    n_train = sum(len(encode_words(r.words, table, config.max_len)) for r in train.records)
+    valid_lengths = [len(seq.token_ids) for r in valid.records
+                     for seq in encode_words(r.words, table, config.max_len)]
+    # every training batch fits one group, so it runs one forward
+    assert config.batch_size * config.max_len * model_config.ffn_size <= pipeline.PACK_ELEMENTS
+    valid_groups = len(pipeline._pack_groups(valid_lengths, model_config.ffn_size))
+    assert valid_groups < len(valid_lengths)
+    calls = {"recorded": 0, "unrecorded": 0}
+    run = encoder.run_token_classifier
+
+    def counted(model, windows, rng=None):
+        calls["unrecorded" if rng is None else "recorded"] += 1
+        return run(model, windows, rng)
+
+    monkeypatch.setattr(encoder, "run_token_classifier", counted)
+    pipeline.fine_tune(train, valid, scheme, table, config, model_config)
+    assert calls == {"recorded": -(-n_train // config.batch_size),
+                     "unrecorded": valid_groups}
 
 
 def test_grid_search_single_element(tiny_setup):
@@ -796,21 +895,23 @@ def test_window_votes_resolve_to_farthest_from_boundary(tiny_setup, monkeypatch)
     seqs = encode_words(words, table, max_len=8)
     assert len(seqs) >= 2
 
-    calls = {"n": 0}
+    scored = {"windows": 0}
     n_labels = len(scheme.labels)
 
     def fake_classifier(model, windows, rng=None):
-        # every position predicts the index of the window being scored
-        (seq,) = windows
-        window = calls["n"]
-        calls["n"] += 1
-        lp = np.full((len(seq.token_ids), n_labels), -10.0)
-        lp[:, window % n_labels] = -0.1
-        from handover_ie import tensor as T
+        # every row of a stacked window predicts that window's index among
+        # all the windows scored so far
+        lp = np.full((sum(len(w.token_ids) for w in windows), n_labels), -10.0)
+        start = 0
+        for w in windows:
+            lp[start:start + len(w.token_ids), scored["windows"] % n_labels] = -0.1
+            start += len(w.token_ids)
+            scored["windows"] += 1
         return T.Tensor(lp)
 
     monkeypatch.setattr(enc_mod, "run_token_classifier", fake_classifier)
     pred = pipeline.predict(ckpt, record_set)
+    assert scored["windows"] == len(seqs)
     chosen = pred.records[0].labels
 
     # independent statement of the rule: the winning window maximizes the
