@@ -4,10 +4,12 @@ Unary features are indicator functions over word windows around the
 current position (previous/current/next words and their conjunctions),
 each conjoined with the current label; a |Y| x |Y| block of weights scores
 label transitions. Notes are featurized from their words alone, once,
-into a [positions, templates] matrix of observation ids, so the unary
-scores are one gather and one sum over its rows. Inference is
-forward-backward and Viterbi, each run once over all notes of a call in a
-length-sorted packed layout. Forward-backward is Rabiner's scaled
+through one surface-to-id table per template, into a [positions,
+templates] matrix of observation ids, so the unary scores are one gather
+and one sum over its rows. Inference is forward-backward and Viterbi, each
+run once over all notes of a call in a length-sorted packed layout; a
+Viterbi call of one note decodes it in its own row order, with the same
+arithmetic and labels. Forward-backward is Rabiner's scaled
 recursion in probability space, one small matrix product per step; when
 the transition weights span more than SCALED_MAX_RANGE, it runs over the
 same rows in log space (see _packed_posteriors). Training is penalized
@@ -23,6 +25,7 @@ order, plus a weights archive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -70,40 +73,62 @@ class Featurized(NamedTuple):
 
 
 class FeatureIndex:
-    """Maps (template, surface) observations seen in training to dense ids."""
+    """Maps (template, surface) observations seen in training to dense ids.
 
-    def __init__(self):
-        self.obs: dict[tuple[int, tuple[str, ...]], int] = {}
+    Built once from its distinct observations in id order and never changed
+    after: ``obs`` maps each observation to its id, and ``tables[ti]`` maps
+    each surface of template ti to the same id, so transform looks a
+    surface up by itself rather than building a (template, surface) key.
+    """
+
+    def __init__(self, observations: Iterable[tuple[int, tuple[str, ...]]] = ()):
+        keys = list(observations)
+        self.obs: dict[tuple[int, tuple[str, ...]], int] = dict(zip(keys, range(len(keys))))
+        if len(self.obs) != len(keys):
+            raise ValueError("duplicate observation")
+        self.tables: tuple[dict[tuple[str, ...], int], ...] = tuple({} for _ in UNIGRAM_TEMPLATES)
+        for (ti, surface), obs_id in self.obs.items():
+            self.tables[ti][surface] = obs_id
 
     @property
     def num_obs(self) -> int:
         return len(self.obs)
 
-    def fit(self, record_words: Iterable[Sequence[str]], min_count: int) -> "FeatureIndex":
+    @classmethod
+    def fit(cls, record_words: Iterable[Sequence[str]], min_count: int) -> "FeatureIndex":
         """Index observations seen at least min_count times (1 = keep all);
         ids follow the order in which observations reach min_count."""
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
         seen: dict[tuple[int, tuple[str, ...]], int] = {}
+        keys = []
         for words in record_words:
             padded = (BOS, *words, EOS)
             for p in range(len(words)):
                 for ti, a, b in TEMPLATE_SLICES:
                     key = (ti, padded[p + a:p + b])
                     seen[key] = count = seen.get(key, 0) + 1
-                    if count >= min_count and key not in self.obs:
-                        self.obs[key] = len(self.obs)
-        return self
+                    if count == min_count:
+                        keys.append(key)
+        return cls(keys)
 
     def transform(self, notes: Iterable[Sequence[str]]) -> Featurized:
-        """Featurize notes given as words; an unseen surface gets the pad id."""
+        """Featurize notes given as words; an unseen surface gets the pad id.
+
+        Template ti's surfaces at every position of a note are the zip of
+        the padded words shifted by each of its offsets; each template's
+        column is looked up in its own table, then the columns interleave
+        position-major."""
         ids, starts = [], [0]
-        get, pad = self.obs.get, self.num_obs
+        pad = repeat(self.num_obs)
         for words in notes:
+            n = len(words)
             padded = (BOS, *words, EOS)
-            ids.extend(get((ti, padded[p + a:p + b]), pad)
-                       for p in range(len(words)) for ti, a, b in TEMPLATE_SLICES)
-            starts.append(starts[-1] + len(words))
+            shifted = (padded[:n], padded[1:n + 1], padded[2:])
+            columns = [map(table.get, zip(*shifted[a:b]), pad)
+                       for table, (_, a, b) in zip(self.tables, TEMPLATE_SLICES)]
+            ids.extend(chain.from_iterable(zip(*columns)))
+            starts.append(starts[-1] + n)
         return Featurized(np.array(ids, dtype=np.int64).reshape(-1, len(TEMPLATE_SLICES)),
                           np.array(starts, dtype=np.int64))
 
@@ -141,7 +166,7 @@ class CrfModel:
     @classmethod
     def build(cls, train: RecordSet, scheme: LabelScheme, feature_cutoff: int) -> "CrfModel":
         """Index the observations of the training words, zero weights."""
-        index = FeatureIndex().fit((r.words for r in train.records), feature_cutoff)
+        index = FeatureIndex.fit((r.words for r in train.records), feature_cutoff)
         n = weight_count(index.num_obs, len(scheme.labels))
         return cls(num_labels=len(scheme.labels), index=index, weights=np.zeros(n))
 
@@ -302,15 +327,41 @@ def _log_posteriors(
     return np.exp(alpha, out=alpha), pair, log_z
 
 
+def _viterbi_note(unary: np.ndarray, transition: np.ndarray) -> list[int]:
+    """viterbi of one note in its own row order, with no packed layout: the
+    same additions, maxima and first-index argmaxes as the packed
+    recursion, one [|Y|, |Y|] block per step."""
+    score = unary.copy()      # filled in place, step by step
+    back = np.empty(score.shape, dtype=np.int64)     # row 0 is never read
+    for t in range(1, len(score)):
+        cand = score[t - 1, :, None] + transition
+        cand.argmax(axis=0, out=back[t])
+        row = score[t]
+        row += np.maximum.reduce(cand, axis=0)
+    pointers = back.tolist()
+    best = int(score[-1].argmax())
+    path = [best]
+    for t in range(len(score) - 1, 0, -1):
+        best = pointers[t][best]
+        path.append(best)
+    path.reverse()
+    return path
+
+
 def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:
-    """Highest-scoring path of each note, all notes decoded in one pass;
-    ties resolve to the lower label id at each step."""
+    """Highest-scoring path of each note; ties resolve to the lower label id
+    at each step. A call of one note with words decodes it in its own row
+    order (_viterbi_note): packing one note would only sort, gather and
+    scatter its rows back. Any other call decodes all notes in one pass over
+    the packed layout, which gives each note the same labels."""
+    if len(starts) == 2 and starts[1] > starts[0]:
+        return [_viterbi_note(unary[starts[0]:starts[1]], transition)]
     pk = pack(starts)
     score = unary[pk.perm]   # filled in place, step by step: each row's best path score
     back = np.empty(score.shape, dtype=np.int64)
-    # one step is a handful of numpy calls on tiny arrays, which is all a
-    # one-note call does: out=, the bare ufunc reduce and adding into a
-    # bound block skip a copy, a Python wrapper and a slice write-back each
+    # one step is a handful of numpy calls on tiny arrays when a call holds
+    # few notes: out=, the bare ufunc reduce and adding into a bound block
+    # skip a copy, a Python wrapper and a slice write-back each
     for prev, lo, hi in pk.steps:
         cand = score[prev:prev + hi - lo, :, None] + transition
         cand.argmax(axis=1, out=back[lo:hi])       # argmax returns the first (lowest) id
@@ -318,7 +369,8 @@ def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> li
         block += np.maximum.reduce(cand, axis=1)
     # Chase the back-pointers one scalar at a time: a row at step t points
     # into the row of the same note at step t - 1, one block earlier. A
-    # vector op per step would cost ten scalar steps on a one-note call.
+    # vector op per step costs about ten scalar steps, and a step of a call
+    # of few notes holds few rows.
     rows, y = back.shape
     pointers = back.ravel().tolist()      # row r, label j at r * |Y| + j
     path = [0] * rows
@@ -534,7 +586,8 @@ def train(
 
 
 def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list[int]]:
-    """Viterbi label ids of each note, all notes decoded at once."""
+    """Viterbi label ids of each note, all notes decoded in one viterbi
+    call; a note gets the same labels alone as among others."""
     return viterbi(*model.scores(notes))
 
 
@@ -559,7 +612,7 @@ def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
 
 def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfModel:
     templates = {name: (ti, len(offs)) for ti, (name, offs) in enumerate(UNIGRAM_TEMPLATES)}
-    index = FeatureIndex()
+    keys: dict[tuple[int, tuple[str, ...]], None] = {}    # insertion-ordered, so id order
     for line_no, line in enumerate(read_lines(read_text(features_path)), 1):
         template, *words = line.split("\t")
         if template not in templates:
@@ -569,9 +622,10 @@ def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfM
             raise ValueError(
                 f"features line {line_no}: {template} expects {width} word(s), got {len(words)}")
         key = (ti, tuple(words))
-        if key in index.obs:
+        if key in keys:
             raise ValueError(f"features line {line_no}: duplicate observation")
-        index.obs[key] = len(index.obs)
+        keys[key] = None
+    index = FeatureIndex(keys)
     entries = load_archive(weights_path)
     if list(entries) != ["weights"]:
         raise ValueError(f"{weights_path}: expected one entry named 'weights', "

@@ -410,6 +410,35 @@ def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
             for p in range(len(words))]
 
 
+def reference_fit_order(notes, min_count) -> dict[tuple[int, tuple[str, ...]], int]:
+    """Reference for FeatureIndex.fit's obs: every firing of
+    extract_features counted in firing order, each observation numbered
+    when its count reaches min_count."""
+    seen, want = Counter(), {}
+    for note in notes:
+        for firings in extract_features(note):
+            for key in firings:
+                seen[key] += 1
+                if seen[key] == min_count:
+                    want[key] = len(want)
+    return want
+
+
+def reference_transform(index, notes) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position reference for FeatureIndex.transform, as (ids, starts):
+    each (template, surface) key is built and looked up in index.obs, one
+    position and template at a time; an unseen key gets the pad id."""
+    ids, starts = [], [0]
+    get, pad = index.obs.get, index.num_obs
+    for words in notes:
+        padded = (BOS, *words, EOS)
+        ids.extend(get((ti, padded[p + a:p + b]), pad)
+                   for p in range(len(words)) for ti, a, b in TEMPLATE_SLICES)
+        starts.append(starts[-1] + len(words))
+    return (np.array(ids, dtype=np.int64).reshape(-1, len(TEMPLATE_SLICES)),
+            np.array(starts, dtype=np.int64))
+
+
 def posteriors(unary, starts, transition, recursion=_packed_posteriors):
     """crf._packed_posteriors, or another recursion over the packed layout,
     in flat order: node marginals [positions, |Y|], pairwise marginals

@@ -147,8 +147,23 @@ def test_criterion_4_crf_bruteforce_equivalence():
             assert abs(path_score(note, trans, got_paths[i]) - best) < 1e-9
             assert tuple(got_paths[i]) == tie_path
         assert np.abs(got_pair - pair_sum).max() < 1e-8
+    # a call of one note decodes without the packed layout; integer-valued
+    # scores tie often, so the lower-label-id rule decides those paths
+    for trial in range(100):
+        rng = np.random.default_rng(4000 + trial)
+        t_len, y = 1 + trial % 5, int(rng.integers(2, 5))
+        if trial % 2:
+            note = rng.integers(-2, 3, (t_len, y)).astype(float)
+            trans = rng.integers(-2, 3, (y, y)).astype(float)
+        else:
+            note, trans = rng.normal(0, 2, (t_len, y)), rng.normal(0, 2, (y, y))
+        (got_path,) = viterbi(note, np.array([0, t_len]), trans)
+        _, _, _, best, tie_path = crf_brute_force(note, trans)
+        assert abs(path_score(note, trans, got_path) - best) < 1e-9
+        assert tuple(got_path) == tie_path
     report(4, "log-partition, marginals, and Viterbi equal exhaustive enumeration "
-              "on 110 random calls of 2-4 notes each (T<=5, |Y|<=4)", t0, budget=60.0)
+              "on 110 random calls of 2-4 notes each and Viterbi on 100 one-note calls "
+              "(T<=5, |Y|<=4)", t0, budget=60.0)
 
 
 def test_criterion_5_bpe_oracle():

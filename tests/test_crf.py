@@ -31,6 +31,7 @@ from handover_ie.crf import (
     load_crf,
     train,
     viterbi,
+    weight_count,
     _wolfe_line_search,
 )
 from handover_ie.pipeline import TrainConfig
@@ -48,7 +49,9 @@ from helpers import (
     posteriors,
     reference_minimize_lbfgs,
     reference_nll_and_grad,
+    reference_fit_order,
     reference_posteriors,
+    reference_transform,
 )
 
 # the L-BFGS budget and tolerance train_crf uses by default
@@ -151,6 +154,45 @@ def test_transform_flattens_notes_in_order():
     assert feats.starts.tolist() == [0, 2, 3]
 
 
+def test_an_index_is_built_from_distinct_observations():
+    index = FeatureIndex([(1, ("a",)), (3, ("a", "b")), (1, ("b",))])
+    assert list(index.obs.items()) == [((1, ("a",)), 0), ((3, ("a", "b")), 1), ((1, ("b",)), 2)]
+    assert index.transform([["a", "b"]]).ids.tolist() == [[3, 0, 3, 3, 3, 3], [3, 2, 3, 1, 3, 3]]
+    with pytest.raises(ValueError, match="duplicate observation"):
+        FeatureIndex([(1, ("a",)), (1, ("a",))])
+
+
+# words of the notes an index is fitted on: few, so that surfaces repeat and
+# reach min_count 2, with a "|" and the padding sentinels as literal words;
+# the notes it featurizes also hold words it never saw, and may be empty
+FIT_WORDS = ("a", "b", "c", "a|b", BOS, EOS)
+FIT_NOTES = st.lists(st.lists(st.sampled_from(FIT_WORDS), min_size=1, max_size=8),
+                     min_size=1, max_size=6)
+NEW_NOTES = st.lists(st.lists(st.sampled_from(FIT_WORDS + ("z", "q|z")), max_size=8),
+                     min_size=1, max_size=6)
+
+
+@given(FIT_NOTES, NEW_NOTES, st.integers(1, 2))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_transform_matches_the_per_position_lookup(fit_on, notes, min_count):
+    index = FeatureIndex.fit(fit_on, min_count)
+    want = list(reference_fit_order(fit_on, min_count).items())
+    assert list(index.obs.items()) == want
+    model = CrfModel(num_labels=2, index=index, weights=np.zeros(weight_count(index.num_obs, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        features, weights = Path(tmp, "features.tsv"), Path(tmp, "weights.tarch")
+        save_crf(model, str(features), str(weights))
+        loaded = load_crf(str(features), str(weights), LabelScheme(labels=("N.A.", "a")))
+    assert list(loaded.index.obs.items()) == want
+    one_word_notes = [[word] for note in notes for word in note]
+    for featurizer in (index, loaded.index):
+        for batch in (notes, one_word_notes, fit_on):
+            got = featurizer.transform(batch)
+            want_ids, want_starts = reference_transform(featurizer, batch)
+            assert got.ids.dtype == want_ids.dtype and np.array_equal(got.ids, want_ids)
+            assert np.array_equal(got.starts, want_starts)
+
+
 def test_plan_fit_gold_cells_hold_each_records_labels():
     # the shorter notes come first, so packing reorders the rows
     rs = make_set([[("a", 1), ("b", 0)], [("c", 2)], [("d", 0), ("e", 1), ("f", 2)]])
@@ -175,14 +217,8 @@ def test_feature_cutoff_prunes_rare_observations():
     # numbers observations in the order they reach min_count
     notes = [r.words for r in generate_synthetic(20, default_synthetic_scheme(), seed=29).records]
     for min_count in (1, 2):
-        seen, want = {}, {}
-        for note in notes + words:
-            for key in itertools.chain.from_iterable(extract_features(note)):
-                seen[key] = seen.get(key, 0) + 1
-                if seen[key] == min_count:
-                    want[key] = len(want)
         got = FeatureIndex().fit(notes + words, min_count).obs
-        assert list(got.items()) == list(want.items())
+        assert list(got.items()) == list(reference_fit_order(notes + words, min_count).items())
 
 
 def test_zero_weights_log_partition_and_marginals():
@@ -365,6 +401,47 @@ def test_viterbi_matches_the_per_note_reference(y, lengths, integer, seed):
     assert len(paths) == len(lengths)
     for i, path in enumerate(paths):
         assert path == loop_viterbi(unary[starts[i]:starts[i + 1]], transition)
+
+
+def scores_of(rng, kind, shape):
+    """Random scores: integer-valued ones from five values, which tie at
+    nearly every step and label, normal ones, or normal ones with about one
+    entry in ten at -inf."""
+    if kind == "integer":
+        return rng.integers(-2, 3, shape).astype(float)
+    scores = rng.normal(0.0, 3.0, shape)
+    if kind == "with -inf":
+        scores[rng.random(shape) < 0.1] = -np.inf
+    return scores
+
+
+@given(st.integers(2, 37), st.integers(1, 300), st.sampled_from(("integer", "normal", "with -inf")),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_lone_note_decodes_as_among_packed_notes(y, length, kind, seed):
+    # between a shorter and a longer companion, packing moves the note's
+    # rows: the one-note path must give the packed path's labels
+    rng = np.random.default_rng(seed)
+    lengths = (int(rng.integers(1, length + 1)), length, length + int(rng.integers(1, 20)))
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    unary = scores_of(rng, kind, (int(starts[-1]), y))
+    transition = scores_of(rng, kind, (y, y))
+    with mock.patch.object(crf, "pack", wraps=crf.pack) as packed:
+        alone = viterbi(unary[starts[1]:starts[2]], np.array([0, length]), transition)
+        assert not packed.called
+        among = viterbi(unary, starts, transition)
+        assert packed.called
+    assert alone == [among[1]]
+
+
+def test_only_an_empty_one_note_call_reaches_pack():
+    transition = np.zeros((3, 3))
+    with mock.patch.object(crf, "pack", wraps=crf.pack) as packed:
+        assert viterbi(np.zeros((4, 3)), np.array([0, 4]), transition) == [[0] * 4]
+        assert not packed.called
+        with pytest.raises(ValueError, match="note 0 has no words"):
+            viterbi(np.zeros((0, 3)), np.array([0, 0]), transition)
+        assert packed.call_count == 1
 
 
 @pytest.mark.parametrize("starts, empty", [([0, 0, 3], 0), ([0, 3, 3], 1), ([0, 0], 0),
