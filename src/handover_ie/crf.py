@@ -6,10 +6,9 @@ each conjoined with the current label; a |Y| x |Y| block of weights scores
 label transitions. Notes are featurized from their words alone, once,
 through one surface-to-id table per template, into a [positions,
 templates] matrix of observation ids, so the unary scores are one gather
-and one sum over its rows. Inference is forward-backward and Viterbi, each
-run once over all notes of a call in a length-sorted packed layout; a
-Viterbi call of one note decodes it in its own row order, with the same
-arithmetic and labels. Forward-backward is Rabiner's scaled
+and one sum over its rows. Forward-backward runs once over all notes of a
+call in a length-sorted packed layout; Viterbi decodes each note alone,
+in its own row order. Forward-backward is Rabiner's scaled
 recursion in probability space, one small matrix product per step; when
 the transition weights span more than SCALED_MAX_RANGE, it runs over the
 same rows in log space (see _packed_posteriors). Training is penalized
@@ -81,7 +80,7 @@ class FeatureIndex:
     surface up by itself rather than building a (template, surface) key.
     """
 
-    def __init__(self, observations: Iterable[tuple[int, tuple[str, ...]]] = ()):
+    def __init__(self, observations: Iterable[tuple[int, tuple[str, ...]]]):
         keys = list(observations)
         self.obs: dict[tuple[int, tuple[str, ...]], int] = dict(zip(keys, range(len(keys))))
         if len(self.obs) != len(keys):
@@ -223,14 +222,21 @@ class Packed(NamedTuple):
     order: np.ndarray     # input index of each sorted note
 
 
+def _require_words(bounds: list[int]) -> None:
+    """ValueError naming the first note, of notes spanning flat rows
+    bounds[i]:bounds[i + 1], that has no rows."""
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a == b:
+            raise ValueError(f"note {i} has no words")
+
+
 def pack(starts: np.ndarray) -> Packed:
     """Packed layout of notes spanning flat rows starts[i]:starts[i + 1];
     a note with no rows is a ValueError."""
+    _require_words(starts.tolist())
     lengths = starts[1:] - starts[:-1]
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
-    if lengths.size and lengths[-1] == 0:   # empty notes sort last, in input order
-        raise ValueError(f"note {int(order[lengths.argmin()])} has no words")
     running = np.arange(lengths[0] if lengths.size else 0)[:, None] < lengths   # [steps, notes]
     step, note = running.nonzero()
     offsets = [0, *np.bincount(step).cumsum().tolist()]   # block bounds, one per step
@@ -327,15 +333,27 @@ def _log_posteriors(
     return np.exp(alpha, out=alpha), pair, log_z
 
 
+def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:
+    """Highest-scoring path of each note; ties resolve to the lower label id
+    at each step. Each note is decoded alone, in its own row order, so it
+    gets the same labels alone as among others; a note with no words is a
+    ValueError."""
+    bounds = starts.tolist()
+    _require_words(bounds)
+    return [_viterbi_note(unary[a:b], transition) for a, b in zip(bounds, bounds[1:])]
+
+
 def _viterbi_note(unary: np.ndarray, transition: np.ndarray) -> list[int]:
-    """viterbi of one note in its own row order, with no packed layout: the
-    same additions, maxima and first-index argmaxes as the packed
-    recursion, one [|Y|, |Y|] block per step."""
-    score = unary.copy()      # filled in place, step by step
+    """Viterbi path of one note's [words, |Y|] unary rows: one [|Y|, |Y|]
+    block per step, and the back-pointers chased one scalar at a time."""
+    score = unary.copy()      # filled in place, step by step: each row's best path score
     back = np.empty(score.shape, dtype=np.int64)     # row 0 is never read
+    # a step is a handful of numpy calls on tiny arrays: out=, the bare
+    # ufunc reduce and adding into a bound row skip a copy, a Python
+    # wrapper and a slice write-back each
     for t in range(1, len(score)):
         cand = score[t - 1, :, None] + transition
-        cand.argmax(axis=0, out=back[t])
+        cand.argmax(axis=0, out=back[t])       # argmax returns the first (lowest) id
         row = score[t]
         row += np.maximum.reduce(cand, axis=0)
     pointers = back.tolist()
@@ -346,44 +364,6 @@ def _viterbi_note(unary: np.ndarray, transition: np.ndarray) -> list[int]:
         path.append(best)
     path.reverse()
     return path
-
-
-def viterbi(unary: np.ndarray, starts: np.ndarray, transition: np.ndarray) -> list[list[int]]:
-    """Highest-scoring path of each note; ties resolve to the lower label id
-    at each step. A call of one note with words decodes it in its own row
-    order (_viterbi_note): packing one note would only sort, gather and
-    scatter its rows back. Any other call decodes all notes in one pass over
-    the packed layout, which gives each note the same labels."""
-    if len(starts) == 2 and starts[1] > starts[0]:
-        return [_viterbi_note(unary[starts[0]:starts[1]], transition)]
-    pk = pack(starts)
-    score = unary[pk.perm]   # filled in place, step by step: each row's best path score
-    back = np.empty(score.shape, dtype=np.int64)
-    # one step is a handful of numpy calls on tiny arrays when a call holds
-    # few notes: out=, the bare ufunc reduce and adding into a bound block
-    # skip a copy, a Python wrapper and a slice write-back each
-    for prev, lo, hi in pk.steps:
-        cand = score[prev:prev + hi - lo, :, None] + transition
-        cand.argmax(axis=1, out=back[lo:hi])       # argmax returns the first (lowest) id
-        block = score[lo:hi]
-        block += np.maximum.reduce(cand, axis=1)
-    # Chase the back-pointers one scalar at a time: a row at step t points
-    # into the row of the same note at step t - 1, one block earlier. A
-    # vector op per step costs about ten scalar steps, and a step of a call
-    # of few notes holds few rows.
-    rows, y = back.shape
-    pointers = back.ravel().tolist()      # row r, label j at r * |Y| + j
-    path = [0] * rows
-    for r, best in zip(pk.last.tolist(), score[pk.last].argmax(axis=1).tolist()):
-        path[r] = best
-    for prev, lo, hi in reversed(pk.steps):
-        for r in range(lo, hi):
-            path[r - lo + prev] = pointers[r * y + path[r]]
-    labels = [0] * rows
-    for r, flat in enumerate(pk.perm.tolist()):
-        labels[flat] = path[r]
-    bounds = starts.tolist()
-    return [labels[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class FitPlan(NamedTuple):
@@ -586,8 +566,8 @@ def train(
 
 
 def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list[int]]:
-    """Viterbi label ids of each note, all notes decoded in one viterbi
-    call; a note gets the same labels alone as among others."""
+    """Viterbi label ids of each note; a note gets the same labels alone as
+    among others."""
     return viterbi(*model.scores(notes))
 
 

@@ -147,8 +147,8 @@ def test_criterion_4_crf_bruteforce_equivalence():
             assert abs(path_score(note, trans, got_paths[i]) - best) < 1e-9
             assert tuple(got_paths[i]) == tie_path
         assert np.abs(got_pair - pair_sum).max() < 1e-8
-    # a call of one note decodes without the packed layout; integer-valued
-    # scores tie often, so the lower-label-id rule decides those paths
+    # one-note calls, half with integer-valued scores, which tie often, so
+    # the lower-label-id rule decides those paths
     for trial in range(100):
         rng = np.random.default_rng(4000 + trial)
         t_len, y = 1 + trial % 5, int(rng.integers(2, 5))

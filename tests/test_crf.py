@@ -131,22 +131,22 @@ def test_extract_features_middle_position_conjunctions():
 
 def test_feature_ids_stable_across_rebuilds():
     words = [["a", "b"], ["b", "c", "a"]]
-    one = FeatureIndex().fit(words, 1)
-    two = FeatureIndex().fit(words, 1)
+    one = FeatureIndex.fit(words, 1)
+    two = FeatureIndex.fit(words, 1)
     assert one.obs == two.obs
     a, b = (index.transform([["a", "b"]]) for index in (one, two))
     assert np.array_equal(a.ids, b.ids)
 
 
 def test_unseen_surfaces_are_dropped():
-    index = FeatureIndex().fit([["a", "b"]], 1)
+    index = FeatureIndex.fit([["a", "b"]], 1)
     feats = index.transform([["z", "q"]])
     firing_counts = (feats.ids != index.num_obs).sum(axis=1)
     assert firing_counts.tolist() == [1, 1]      # only w[-1] = BOS and w[+1] = EOS are indexed
 
 
 def test_transform_flattens_notes_in_order():
-    index = FeatureIndex().fit([["a", "b"], ["c"]], 1)
+    index = FeatureIndex.fit([["a", "b"], ["c"]], 1)
     feats = index.transform([["a", "b"], ["c"]])
     expected_ids = [[index.obs.get(key, index.num_obs) for key in firings]
                     for words in (["a", "b"], ["c"]) for firings in extract_features(words)]
@@ -205,19 +205,19 @@ def test_plan_fit_gold_cells_hold_each_records_labels():
 
 def test_feature_cutoff_prunes_rare_observations():
     words = [["a", "b"], ["a", "b"], ["c"]]
-    keep_all = FeatureIndex().fit(words, 1)
-    pruned = FeatureIndex().fit(words, min_count=2)
+    keep_all = FeatureIndex.fit(words, 1)
+    pruned = FeatureIndex.fit(words, min_count=2)
     assert pruned.num_obs < keep_all.num_obs
     # the twice-seen unigram survives, the once-seen word does not
     assert (1, ("a",)) in pruned.obs
     assert (1, ("c",)) not in pruned.obs
     with pytest.raises(ValueError):
-        FeatureIndex().fit(words, min_count=0)
+        FeatureIndex.fit(words, min_count=0)
     # fit slices the same firings as the reference extract_features, and
     # numbers observations in the order they reach min_count
     notes = [r.words for r in generate_synthetic(20, default_synthetic_scheme(), seed=29).records]
     for min_count in (1, 2):
-        got = FeatureIndex().fit(notes + words, min_count).obs
+        got = FeatureIndex.fit(notes + words, min_count).obs
         assert list(got.items()) == list(reference_fit_order(notes + words, min_count).items())
 
 
@@ -383,26 +383,6 @@ def test_posteriors_stay_finite_and_close_at_wide_score_ranges(
         assert not log_space.called or a.tobytes() == b.tobytes()
 
 
-@given(st.integers(1, 12), NOTE_LENGTHS, st.booleans(), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_viterbi_matches_the_per_note_reference(y, lengths, integer, seed):
-    # integer-valued scores from a few values tie at nearly every step and
-    # label, so the lowest-id rule is exercised everywhere
-    rng = np.random.default_rng(seed)
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    shape = (int(starts[-1]), y)
-    if integer:
-        unary = rng.integers(-2, 3, shape).astype(float)
-        transition = rng.integers(-2, 3, (y, y)).astype(float)
-    else:
-        unary = rng.normal(0.0, 3.0, shape)
-        transition = rng.normal(0.0, 3.0, (y, y))
-    paths = viterbi(unary, starts, transition)
-    assert len(paths) == len(lengths)
-    for i, path in enumerate(paths):
-        assert path == loop_viterbi(unary[starts[i]:starts[i + 1]], transition)
-
-
 def scores_of(rng, kind, shape):
     """Random scores: integer-valued ones from five values, which tie at
     nearly every step and label, normal ones, or normal ones with about one
@@ -415,33 +395,20 @@ def scores_of(rng, kind, shape):
     return scores
 
 
-@given(st.integers(2, 37), st.integers(1, 300), st.sampled_from(("integer", "normal", "with -inf")),
+@given(st.integers(1, 12), NOTE_LENGTHS, st.sampled_from(("integer", "normal", "with -inf")),
        st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_a_lone_note_decodes_as_among_packed_notes(y, length, kind, seed):
-    # between a shorter and a longer companion, packing moves the note's
-    # rows: the one-note path must give the packed path's labels
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_viterbi_matches_the_per_note_reference(y, lengths, kind, seed):
+    # integer-valued scores tie at nearly every step and label, so the
+    # lowest-id rule is exercised everywhere
     rng = np.random.default_rng(seed)
-    lengths = (int(rng.integers(1, length + 1)), length, length + int(rng.integers(1, 20)))
     starts = np.concatenate(([0], np.cumsum(lengths)))
     unary = scores_of(rng, kind, (int(starts[-1]), y))
     transition = scores_of(rng, kind, (y, y))
-    with mock.patch.object(crf, "pack", wraps=crf.pack) as packed:
-        alone = viterbi(unary[starts[1]:starts[2]], np.array([0, length]), transition)
-        assert not packed.called
-        among = viterbi(unary, starts, transition)
-        assert packed.called
-    assert alone == [among[1]]
-
-
-def test_only_an_empty_one_note_call_reaches_pack():
-    transition = np.zeros((3, 3))
-    with mock.patch.object(crf, "pack", wraps=crf.pack) as packed:
-        assert viterbi(np.zeros((4, 3)), np.array([0, 4]), transition) == [[0] * 4]
-        assert not packed.called
-        with pytest.raises(ValueError, match="note 0 has no words"):
-            viterbi(np.zeros((0, 3)), np.array([0, 0]), transition)
-        assert packed.call_count == 1
+    paths = viterbi(unary, starts, transition)
+    assert len(paths) == len(lengths)
+    for i, path in enumerate(paths):
+        assert path == loop_viterbi(unary[starts[i]:starts[i + 1]], transition)
 
 
 @pytest.mark.parametrize("starts, empty", [([0, 0, 3], 0), ([0, 3, 3], 1), ([0, 0], 0),
