@@ -75,19 +75,17 @@ class FeatureIndex:
     """Maps (template, surface) observations seen in training to dense ids.
 
     Built once from its distinct observations in id order and never changed
-    after: ``obs`` maps each observation to its id, and ``tables[ti]`` maps
-    each surface of template ti to the same id, so transform looks a
-    surface up by itself rather than building a (template, surface) key.
+    after: ``obs`` holds them in id order, and ``tables[ti]`` maps each
+    surface of template ti to its id, so transform looks a surface up by
+    itself rather than building a (template, surface) key.
     """
 
     def __init__(self, observations: Iterable[tuple[int, tuple[str, ...]]]):
-        keys = list(observations)
-        self.obs: dict[tuple[int, tuple[str, ...]], int] = dict(zip(keys, range(len(keys))))
-        if len(self.obs) != len(keys):
-            raise ValueError("duplicate observation")
+        self.obs: tuple[tuple[int, tuple[str, ...]], ...] = tuple(observations)
         self.tables: tuple[dict[tuple[str, ...], int], ...] = tuple({} for _ in UNIGRAM_TEMPLATES)
-        for (ti, surface), obs_id in self.obs.items():
-            self.tables[ti][surface] = obs_id
+        for obs_id, (ti, surface) in enumerate(self.obs):
+            if (first := self.tables[ti].setdefault(surface, obs_id)) != obs_id:
+                raise ValueError(f"duplicate observation: id {obs_id} repeats id {first}")
 
     @property
     def num_obs(self) -> int:
@@ -219,7 +217,7 @@ class Packed(NamedTuple):
     steps: list[tuple[int, int, int]]   # per step after the first: (start of the
                                         # previous block, start, end)
     last: np.ndarray      # packed row of each sorted note's last position
-    order: np.ndarray     # input index of each sorted note
+    by_input: np.ndarray  # sorted-note index of each input note
 
 
 def _require_words(bounds: list[int]) -> None:
@@ -242,7 +240,7 @@ def pack(starts: np.ndarray) -> Packed:
     offsets = [0, *np.bincount(step).cumsum().tolist()]   # block bounds, one per step
     last = [offsets[n - 1] + i for i, n in enumerate(lengths.tolist())]
     return Packed(starts[order][note] + step, note, list(zip(offsets, offsets[1:], offsets[2:])),
-                  np.array(last, dtype=np.int64), order)
+                  np.array(last, dtype=np.int64), np.argsort(order))
 
 
 def _packed_posteriors(
@@ -379,7 +377,6 @@ class FitPlan(NamedTuple):
     gold_counts: np.ndarray  # [|Y|, |Y|] count of each gold transition
     slots: np.ndarray        # unary weight slot of each (firing, label), label fastest
     firing_rows: np.ndarray  # packed row of each firing
-    by_input: np.ndarray     # sorted-note index of each input note
 
 
 def plan_fit(model: CrfModel, records: RecordSet) -> FitPlan:
@@ -405,7 +402,6 @@ def plan_fit(model: CrfModel, records: RecordSet) -> FitPlan:
         gold_counts=np.bincount(pairs, minlength=y * y).reshape(y, y),
         slots=slots,
         firing_rows=np.broadcast_to(row_of[:, None], feats.ids.shape)[fires],
-        by_input=np.argsort(pk.order),
     )
 
 
@@ -424,7 +420,7 @@ def nll_and_grad(
         u = unary_scores(unary_w, plan.ids)
         node, pair_sum, log_z = _packed_posteriors(u, plan.packed, trans_w)
         # log Z summed in input-note order, the gold path in flat order
-        loss = float(log_z[plan.by_input].sum()) - float(
+        loss = float(log_z[plan.packed.by_input].sum()) - float(
             u.reshape(-1)[plan.gold_cells].sum() + trans_w.reshape(-1)[plan.gold_pairs].sum())
 
         node.reshape(-1)[plan.gold_cells] -= 1.0
@@ -574,11 +570,9 @@ def predict_labels(model: CrfModel, notes: Iterable[Sequence[str]]) -> list[list
 # --- serialization ---------------------------------------------------------------
 
 def dump_features(model: CrfModel) -> str:
-    """One ``template<TAB>word...`` row per observation; row i is observation i.
-
-    The index assigns each observation the next id as it inserts it, so its
-    insertion order is id order. The weights archive holds the weight vector
-    in the CrfModel.split layout.
+    """One ``template<TAB>word...`` row per observation, in id order, so
+    row i is observation i. The weights archive holds the weight vector in
+    the CrfModel.split layout.
     """
     names = [name for name, _ in UNIGRAM_TEMPLATES]
     return "".join("\t".join((names[ti], *words)) + "\n" for ti, words in model.index.obs)
@@ -592,7 +586,7 @@ def save_crf(model: CrfModel, features_path: str, weights_path: str) -> None:
 
 def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfModel:
     templates = {name: (ti, len(offs)) for ti, (name, offs) in enumerate(UNIGRAM_TEMPLATES)}
-    keys: dict[tuple[int, tuple[str, ...]], None] = {}    # insertion-ordered, so id order
+    keys = []    # in id order; FeatureIndex refuses a repeated one
     for line_no, line in enumerate(read_lines(read_text(features_path)), 1):
         template, *words = line.split("\t")
         if template not in templates:
@@ -601,10 +595,7 @@ def load_crf(features_path: str, weights_path: str, scheme: LabelScheme) -> CrfM
         if len(words) != width:
             raise ValueError(
                 f"features line {line_no}: {template} expects {width} word(s), got {len(words)}")
-        key = (ti, tuple(words))
-        if key in keys:
-            raise ValueError(f"features line {line_no}: duplicate observation")
-        keys[key] = None
+        keys.append((ti, tuple(words)))
     index = FeatureIndex(keys)
     entries = load_archive(weights_path)
     if list(entries) != ["weights"]:

@@ -97,6 +97,10 @@ class TrainConfig:
             value = getattr(self, key)
             if value < 0 or not math.isfinite(value):    # NaN and inf fail too
                 raise ValueError(f"{key} must be >= 0 and finite")
+        # config.txt holds one key=value line per key, and its reader strips each value
+        if self.pretrained != self.pretrained.strip() or {"\n", "\r"} & set(self.pretrained):
+            raise ValueError("pretrained must hold no line break and neither start nor end "
+                             f"with whitespace, got {self.pretrained!r}")
 
 
 _TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -170,9 +174,23 @@ def load_train_config(path: str) -> tuple[TrainConfig, dict]:
     return TrainConfig(**train_kw), model_kw
 
 
-def check_compatible(model_config: ModelConfig, table: MergeTable, scheme: LabelScheme) -> None:
-    """Raise CompatibilityError unless the encoder's vocabulary and label
-    count match the merge table and the label scheme."""
+def check_checkpoint(kind: str, config: TrainConfig, scheme: LabelScheme,
+                     model_config: Optional[ModelConfig] = None,
+                     table: Optional[MergeTable] = None) -> None:
+    """Raise CompatibilityError unless every fact a checkpoint of this kind
+    states twice agrees: the kind with the config's, and for the encoder
+    the table's lowercasing with the config's, the model's vocab_size with
+    the table's pieces and its num_labels with the scheme's labels."""
+    # the saved config's kind is what loading reads the model back by
+    if config.kind != kind:
+        raise CompatibilityError(f"a checkpoint of kind {kind!r} got a config of kind "
+                                 f"{config.kind!r}")
+    if kind == "crf":
+        return
+    # loading reads the table back with the config's lowercase
+    if table.lowercase != config.lowercase:
+        raise CompatibilityError(f"a merge table with lowercase={table.lowercase} does not "
+                                 f"match the config's lowercase={config.lowercase}")
     if model_config.vocab_size != len(table.pieces):
         raise CompatibilityError(f"model vocab_size {model_config.vocab_size} does not match "
                                  f"the {len(table.pieces)} pieces of the merge table")
@@ -199,10 +217,7 @@ class Checkpoint:
     crf: Optional[crf_mod.CrfModel] = None
 
     def __post_init__(self) -> None:
-        # the saved config's kind is what loading reads the model back by
-        if self.kind != self.train_config.kind:
-            raise ValueError(f"a {self.kind} checkpoint got a config of kind "
-                             f"{self.train_config.kind!r}")
+        check_checkpoint(self.kind, self.train_config, self.scheme, self.model_config, self.table)
 
     def save(self, directory: str | Path) -> None:
         """Write every file into a sibling staging directory, then rename it
@@ -260,7 +275,7 @@ class Checkpoint:
         if train_config.kind == "encoder":
             model_config = build_model_config(model_kw)
             table = read_table(d, train_config.lowercase)
-            check_compatible(model_config, table, scheme)
+            check_checkpoint("encoder", train_config, scheme, model_config, table)
             model = enc.load_model(model_config, str(d / "model.tarch"))
             return cls(
                 kind="encoder", scheme=scheme, train_config=train_config,
@@ -421,12 +436,6 @@ def _batch_gradient(model: EncoderModel, batch: Sequence[tuple[TokenizedSequence
     return total
 
 
-def _check_kind(config: TrainConfig, kind: str) -> None:
-    # the checkpoint writes config.kind, and loading reads the model back by it
-    if config.kind != kind:
-        raise ValueError(f"a {kind} trainer got a config of kind {config.kind!r}")
-
-
 def fine_tune(
     train: RecordSet,
     valid: RecordSet,
@@ -437,10 +446,9 @@ def fine_tune(
 ) -> tuple[Checkpoint, list[dict]]:
     """Mini-batch Adam on the token cross-entropy; keeps the epoch with the
     best validation macro F1. Deterministic for a fixed seed."""
-    _check_kind(config, "encoder")
+    check_checkpoint("encoder", config, scheme, model_config, table)
     if not train.records or not valid.records:
         raise ValueError("train and validation sets must be nonempty")
-    check_compatible(model_config, table, scheme)
 
     if config.pretrained:
         model = enc.load_model(model_config, config.pretrained)
@@ -499,7 +507,7 @@ def train_crf(
 ) -> tuple[Checkpoint, list[dict]]:
     """Quasi-Newton CRF fit; validation macro F1 and whether L-BFGS
     converged are reported once at the end."""
-    _check_kind(config, "crf")
+    check_checkpoint("crf", config, scheme)
     model = crf_mod.CrfModel.build(train, scheme, config.feature_cutoff)
     fitted, history, converged = crf_mod.train(
         model, train, config.l2_lambda, config.max_iters, config.grad_tol)

@@ -92,7 +92,6 @@ class TokenizedSequence:
     word_index_of: tuple[Optional[int], ...]
     first_subtoken_of: Mapping[int, int]
     word_span: tuple[int, int]
-    piece_span: tuple[int, int]
 
 
 def _merge_seq(seq: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -257,7 +256,7 @@ def encode(words: Sequence[str], table: MergeTable, max_len: int) -> list[Tokeni
             word_index_of=(None, *word_of_piece[s:e], None),
             first_subtoken_of={w: 1 + first_flat[w] - s for w in range(lo, hi)
                                if s <= first_flat[w] < first_flat[w + 1]},
-            word_span=(lo, hi), piece_span=(s, e)))
+            word_span=(lo, hi)))
     return out
 
 

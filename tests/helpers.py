@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from handover_ie import tensor as T
 from handover_ie.corpus import WORD_BREAKS
 from handover_ie.crf import (
-    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _dot, _logsumexp, _packed_posteriors,
+    BOS, EOS, LBFGS_MEMORY, TEMPLATE_SLICES, _dot, _log_posteriors, _packed_posteriors,
     _wolfe_line_search, pack,
 )
 from handover_ie.encoder import parameter_layout, run_token_classifier
@@ -384,16 +384,34 @@ def reference_encode_words(words, table, max_len) -> list[TokenizedSequence]:
         span = (word_of_piece[s], word_of_piece[e - 1] + 1) if e > s else (0, 0)
         out.append(TokenizedSequence(token_ids=tuple(ids), pieces=tuple(pieces),
                                      word_index_of=tuple(word_idx), first_subtoken_of=firsts,
-                                     word_span=span, piece_span=(s, e)))
+                                     word_span=span))
     return out
+
+
+def piece_starts(seqs) -> list[int]:
+    """Offset of each encoder window's first piece in its record's flat
+    piece stream, from the windows' word indices alone. Windows cover the
+    stream in order, each starting at or before the previous one's end, so
+    a window that opens with the first piece of a word an earlier window
+    held starts where that word did, and any other starts where the
+    previous window ended."""
+    starts, first_piece, end = [], {}, 0
+    for seq in seqs:
+        words = [w for w in seq.word_index_of if w is not None]
+        lo = words[0] if words else None
+        start = first_piece[lo] if lo in first_piece and lo in seq.first_subtoken_of else end
+        for k, w in enumerate(words):
+            first_piece.setdefault(w, start + k)
+        starts.append(start)
+        end = start + len(words)
+    return starts
 
 
 def decode(seqs) -> list[str]:
     """Reassemble word surfaces from encoder windows (overlap pieces
     deduplicated): the inverse of tokenizer.encode at the word level."""
     by_word: dict[int, dict[int, str]] = {}
-    for seq in seqs:
-        flat = seq.piece_span[0]
+    for seq, flat in zip(seqs, piece_starts(seqs)):
         for piece, w in zip(seq.pieces, seq.word_index_of):
             if w is not None:
                 by_word.setdefault(w, {}).setdefault(flat, piece)
@@ -410,26 +428,31 @@ def extract_features(words) -> list[list[tuple[int, tuple[str, ...]]]]:
             for p in range(len(words))]
 
 
-def reference_fit_order(notes, min_count) -> dict[tuple[int, tuple[str, ...]], int]:
+def reference_fit_order(notes, min_count) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """Reference for FeatureIndex.fit's obs: every firing of
-    extract_features counted in firing order, each observation numbered
-    when its count reaches min_count."""
-    seen, want = Counter(), {}
+    extract_features counted in firing order, each observation taking the
+    next id when its count reaches min_count."""
+    seen, want = Counter(), []
     for note in notes:
         for firings in extract_features(note):
             for key in firings:
                 seen[key] += 1
                 if seen[key] == min_count:
-                    want[key] = len(want)
-    return want
+                    want.append(key)
+    return tuple(want)
+
+
+def id_of(index) -> dict[tuple[int, tuple[str, ...]], int]:
+    """Each observation of a FeatureIndex mapped to its id."""
+    return {key: i for i, key in enumerate(index.obs)}
 
 
 def reference_transform(index, notes) -> tuple[np.ndarray, np.ndarray]:
     """Per-position reference for FeatureIndex.transform, as (ids, starts):
-    each (template, surface) key is built and looked up in index.obs, one
+    each (template, surface) key is built and looked up in id_of(index), one
     position and template at a time; an unseen key gets the pad id."""
     ids, starts = [], [0]
-    get, pad = index.obs.get, index.num_obs
+    get, pad = id_of(index).get, index.num_obs
     for words in notes:
         padded = (BOS, *words, EOS)
         ids.extend(get((ti, padded[p + a:p + b]), pad)
@@ -448,9 +471,7 @@ def posteriors(unary, starts, transition, recursion=_packed_posteriors):
     packed_node, pair, log_z = recursion(unary[pk.perm], pk, transition)
     node = np.empty_like(unary)
     node[pk.perm] = packed_node
-    by_note = np.empty_like(log_z)
-    by_note[pk.order] = log_z
-    return node, pair, by_note
+    return node, pair, log_z[pk.by_input]
 
 
 def path_score(unary, transition, path) -> float:
@@ -487,9 +508,10 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
     grad_unary = np.zeros_like(unary_w)
     grad_trans = np.zeros_like(trans_w)
     loss = 0.0
+    obs_id = id_of(model.index)
     for rec in records.records:
         gold = rec.labels
-        active_per_pos = [[model.index.obs[key] for key in firings if key in model.index.obs]
+        active_per_pos = [[obs_id[key] for key in firings if key in obs_id]
                           for firings in extract_features(rec.words)]
         t_len = len(gold)
         unary = np.zeros((t_len, y))
@@ -518,46 +540,17 @@ def loop_nll_and_grad(model, records, weights, l2_lambda):
     return loss, grad
 
 
-def reference_posteriors(unary, starts, transition):
-    """Log-space row-layout reference for posteriors, and the posteriors
-    the scatter objective calls: each step's blocks are [k, |Y|, |Y|], with
-    the labels innermost; node marginals and log Z are scattered back from
-    the packed layout to flat position and input-note order. crf's
-    wide-range path, crf._log_posteriors, runs this recursion on rows
-    already in packed order, so through helpers.posteriors it gives the
-    same bits."""
-    pk = pack(starts)
-    u = unary[pk.perm]
-    alpha = u.copy()
-    for prev, lo, hi in pk.steps:
-        alpha[lo:hi] += _logsumexp(alpha[prev:prev + hi - lo, :, None] + transition, axis=1)
-    log_z = _logsumexp(alpha[pk.last], axis=1)
-    beta = np.zeros_like(u)
-    pair = np.zeros_like(transition)
-    for prev, lo, hi in reversed(pk.steps):
-        k = hi - lo
-        beta[prev:prev + k] = _logsumexp(
-            transition + u[lo:hi, None, :] + beta[lo:hi, None, :], axis=2)
-        pair += np.exp(alpha[prev:prev + k, :, None] + transition
-                       + (u[lo:hi] + beta[lo:hi])[:, None, :]
-                       - log_z[:k, None, None]).sum(axis=0)
-    node = np.empty_like(unary)
-    node[pk.perm] = np.exp(alpha + beta - log_z[pk.note][:, None])
-    by_note = np.empty_like(log_z)
-    by_note[pk.order] = log_z
-    return node, pair, by_note
-
-
 def reference_nll_and_grad(model, records, weights, l2_lambda):
     """Log-space reference for crf.nll_and_grad: the scatter objective,
     which featurizes on every call into flat (observation, position)
     firings, scores and scatters the unary gradient with np.add.at, and
-    runs reference_posteriors in flat order."""
+    runs the log-space recursion, crf._log_posteriors, in flat order."""
     y = model.num_labels
     ids, pos, gold, starts = [], [], [], [0]
+    obs_id = id_of(model.index)
     for rec in records.records:
         for p, firings in enumerate(extract_features(rec.words)):
-            active = [model.index.obs[key] for key in firings if key in model.index.obs]
+            active = [obs_id[key] for key in firings if key in obs_id]
             ids += active
             pos += [starts[-1] + p] * len(active)
         starts.append(starts[-1] + len(rec.words))
@@ -573,7 +566,7 @@ def reference_nll_and_grad(model, records, weights, l2_lambda):
     inner[starts[1:] - 1] = False
     prev, cur = gold[inner], gold[positions[inner] + 1]
 
-    node, pair_sum, log_z = reference_posteriors(unary, starts, trans_w)
+    node, pair_sum, log_z = posteriors(unary, starts, trans_w, recursion=_log_posteriors)
     loss = float(log_z.sum()) - float(unary[positions, gold].sum() + trans_w[prev, cur].sum())
 
     grad = np.zeros_like(weights)

@@ -43,6 +43,7 @@ from helpers import (
     corruptions,
     draw_offset,
     extract_features,
+    id_of,
     loop_nll_and_grad,
     loop_viterbi,
     path_score,
@@ -50,7 +51,6 @@ from helpers import (
     reference_minimize_lbfgs,
     reference_nll_and_grad,
     reference_fit_order,
-    reference_posteriors,
     reference_transform,
 )
 
@@ -58,8 +58,8 @@ from helpers import (
 MAX_ITERS, GRAD_TOL = TrainConfig().max_iters, TrainConfig().grad_tol
 
 # how far a result of the scaled recursion may stray from the log-space
-# reference: this share of the reference's largest magnitude, or of 1 if
-# that is smaller
+# recursion or from brute force: this share of the reference's largest
+# magnitude, or of 1 if that is smaller
 RTOL = 1e-9
 
 
@@ -148,7 +148,7 @@ def test_unseen_surfaces_are_dropped():
 def test_transform_flattens_notes_in_order():
     index = FeatureIndex.fit([["a", "b"], ["c"]], 1)
     feats = index.transform([["a", "b"], ["c"]])
-    expected_ids = [[index.obs.get(key, index.num_obs) for key in firings]
+    expected_ids = [[id_of(index).get(key, index.num_obs) for key in firings]
                     for words in (["a", "b"], ["c"]) for firings in extract_features(words)]
     assert feats.ids.tolist() == expected_ids
     assert feats.starts.tolist() == [0, 2, 3]
@@ -156,7 +156,7 @@ def test_transform_flattens_notes_in_order():
 
 def test_an_index_is_built_from_distinct_observations():
     index = FeatureIndex([(1, ("a",)), (3, ("a", "b")), (1, ("b",))])
-    assert list(index.obs.items()) == [((1, ("a",)), 0), ((3, ("a", "b")), 1), ((1, ("b",)), 2)]
+    assert index.obs == ((1, ("a",)), (3, ("a", "b")), (1, ("b",)))
     assert index.transform([["a", "b"]]).ids.tolist() == [[3, 0, 3, 3, 3, 3], [3, 2, 3, 1, 3, 3]]
     with pytest.raises(ValueError, match="duplicate observation"):
         FeatureIndex([(1, ("a",)), (1, ("a",))])
@@ -176,14 +176,14 @@ NEW_NOTES = st.lists(st.lists(st.sampled_from(FIT_WORDS + ("z", "q|z")), max_siz
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_transform_matches_the_per_position_lookup(fit_on, notes, min_count):
     index = FeatureIndex.fit(fit_on, min_count)
-    want = list(reference_fit_order(fit_on, min_count).items())
-    assert list(index.obs.items()) == want
+    want = reference_fit_order(fit_on, min_count)
+    assert index.obs == want
     model = CrfModel(num_labels=2, index=index, weights=np.zeros(weight_count(index.num_obs, 2)))
     with tempfile.TemporaryDirectory() as tmp:
         features, weights = Path(tmp, "features.tsv"), Path(tmp, "weights.tarch")
         save_crf(model, str(features), str(weights))
         loaded = load_crf(str(features), str(weights), LabelScheme(labels=("N.A.", "a")))
-    assert list(loaded.index.obs.items()) == want
+    assert loaded.index.obs == want
     one_word_notes = [[word] for note in notes for word in note]
     for featurizer in (index, loaded.index):
         for batch in (notes, one_word_notes, fit_on):
@@ -218,7 +218,7 @@ def test_feature_cutoff_prunes_rare_observations():
     notes = [r.words for r in generate_synthetic(20, default_synthetic_scheme(), seed=29).records]
     for min_count in (1, 2):
         got = FeatureIndex.fit(notes + words, min_count).obs
-        assert list(got.items()) == list(reference_fit_order(notes + words, min_count).items())
+        assert got == reference_fit_order(notes + words, min_count)
 
 
 def test_zero_weights_log_partition_and_marginals():
@@ -351,36 +351,37 @@ def test_posteriors_match_the_log_space_reference(y, lengths, unary_scale, trans
     unary = rng.uniform(-unary_scale, unary_scale, (int(starts[-1]), y))
     transition = rng.uniform(-trans_scale, trans_scale, (y, y))
     got = posteriors(unary, starts, transition)
-    want = reference_posteriors(unary, starts, transition)
-    log_space = posteriors(unary, starts, transition, recursion=crf._log_posteriors)
-    for a, b, c in zip(got, want, log_space):
+    want = posteriors(unary, starts, transition, recursion=crf._log_posteriors)
+    for a, b in zip(got, want):
         assert_close(a, b)
-        assert c.shape == b.shape
-        assert c.tobytes() == b.tobytes()
 
 
 WIDE = st.sampled_from((400.0, 800.0, 2000.0))
 
 
-@given(st.integers(2, 40), NOTE_LENGTHS, WIDE, st.one_of(WIDE, st.sampled_from((1.0, 50.0, 160.0))),
-       st.integers(0, 2 ** 32 - 1))
+@given(st.integers(2, 4), st.lists(st.integers(1, 5), min_size=1, max_size=4), WIDE,
+       st.one_of(WIDE, st.sampled_from((1.0, 50.0, 160.0))), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_posteriors_stay_finite_and_close_at_wide_score_ranges(
         y, lengths, unary_scale, trans_scale, seed):
     # far apart scores underflow a scaled row sum; a transition range past
     # SCALED_MAX_RANGE runs the log-space recursion, a narrower one with
-    # wide unary scores stays scaled
+    # wide unary scores stays scaled; on notes this short, enumerating
+    # every path is an oracle independent of both
     rng = np.random.default_rng(seed)
     starts = np.concatenate(([0], np.cumsum(lengths)))
     unary = rng.uniform(-unary_scale, unary_scale, (int(starts[-1]), y))
     transition = rng.uniform(-trans_scale, trans_scale, (y, y))
     with mock.patch.object(crf, "_log_posteriors", wraps=crf._log_posteriors) as log_space:
-        got = posteriors(unary, starts, transition)
+        node, pair, log_z = posteriors(unary, starts, transition)
     assert log_space.called == (np.ptp(transition) > crf.SCALED_MAX_RANGE)
-    for a, b in zip(got, reference_posteriors(unary, starts, transition)):
-        assert_close(a, b)
-        # the log-space path is the reference recursion, bit for bit
-        assert not log_space.called or a.tobytes() == b.tobytes()
+    pair_sum = np.zeros_like(transition)
+    for i, note in enumerate(notes_of(unary, starts)):
+        want_log_z, want_node, want_pair, _, _ = brute_force(note, transition)
+        assert_close(log_z[i], want_log_z)
+        assert_close(node[starts[i]:starts[i + 1]], want_node)
+        pair_sum += want_pair.sum(axis=0)
+    assert_close(pair, pair_sum)
 
 
 def scores_of(rng, kind, shape):
@@ -553,10 +554,11 @@ def test_scores_unary_equals_per_position_sums_bitwise():
     notes = [rec.words for rec in generate_synthetic(30, scheme, seed=28).records]
     unary, starts, trans = model.scores(notes)
     assert np.array_equal(trans, trans_w)
+    obs_id = id_of(model.index)
     for i, words in enumerate(notes):
         want = np.zeros((len(words), len(scheme.labels)))
         for pos, firings in enumerate(extract_features(words)):
-            active = [model.index.obs[key] for key in firings if key in model.index.obs]
+            active = [obs_id[key] for key in firings if key in obs_id]
             if active:
                 want[pos] = unary_w[active].sum(axis=0)
         assert np.array_equal(unary[starts[i]:starts[i + 1]], want)
@@ -755,7 +757,7 @@ def test_crf_serialization_round_trip(tmp_path):
     # one row per observation, in id order
     assert len(rows) == fitted.index.num_obs
     names = [name for name, _ in UNIGRAM_TEMPLATES]
-    for (ti, words), obs in fitted.index.obs.items():
+    for obs, (ti, words) in enumerate(fitted.index.obs):
         assert rows[obs].split("\t") == [names[ti], *words]
     back = load_crf(str(features), str(weights), scheme)
     assert back.index.obs == fitted.index.obs

@@ -122,6 +122,18 @@ def test_config_text_round_trip():
         pipeline.parse_config_text("nonsense=1\n")
 
 
+@pytest.mark.parametrize("pretrained", [" w.tarch", "w.tarch ", "w.tarch\t", "w.tarch\u2028",
+                                        "w.tarch\nseed=5", "a\rb"])
+def test_train_config_refuses_a_pretrained_path_config_txt_cannot_hold(pretrained):
+    # config.txt strips each value and breaks lines at \n and \r, so such a
+    # path would read back as another path or as other keys
+    with pytest.raises(ValueError, match="^pretrained must hold no line break"):
+        pipeline.TrainConfig(pretrained=pretrained)
+    config = pipeline.TrainConfig(pretrained="dir with spaces/w\u2028.tarch")
+    train_kw, _ = pipeline.parse_config_text(pipeline.dump_config(config))
+    assert pipeline.TrainConfig(**train_kw) == config
+
+
 @pytest.mark.parametrize("text, key", [("seed=1\nseed=2\n", "seed"),
                                        ("num_layers=1\n# again\nnum_layers = 2\n", "num_layers")],
                          ids=["training-key", "model-key"])
@@ -305,7 +317,8 @@ def test_adam_rejects_parameters_of_mixed_dtypes():
 
 def test_checkpoint_kind_is_its_config_kind():
     # the saved config's kind decides how the checkpoint loads back
-    with pytest.raises(ValueError, match="a crf checkpoint got a config of kind 'encoder'"):
+    with pytest.raises(CompatibilityError,
+                       match="a checkpoint of kind 'crf' got a config of kind 'encoder'"):
         pipeline.Checkpoint(kind="crf", scheme=default_synthetic_scheme(),
                             train_config=pipeline.TrainConfig(kind="encoder"))
 
@@ -343,17 +356,43 @@ def test_checkpoint_round_trip_preserves_predictions(tiny_setup, tmp_path):
     assert before == after
 
 
-def test_encoder_must_match_table_and_scheme(tiny_setup, tmp_path):
+def _read_no_weights(*args):
+    raise AssertionError("a checkpoint read its weights before its checks")
+
+
+def test_encoder_must_match_table_and_scheme(tiny_setup, tmp_path, monkeypatch):
     scheme, train, valid, table, model_config = tiny_setup
     config = tiny_train_config(epochs=1)
     ckpt, _ = pipeline.fine_tune(train, valid, scheme, table, config, model_config)
+    ckpt.save(tmp_path / "ck")
+    text = (tmp_path / "ck" / "config.txt").read_text(encoding="utf-8")
+    monkeypatch.setattr(encoder, "load_model", _read_no_weights)
     for field in ("vocab_size", "num_labels"):
-        bad = replace(model_config, **{field: getattr(model_config, field) + 1})
+        value = getattr(model_config, field)
+        bad = replace(model_config, **{field: value + 1})
         with pytest.raises(CompatibilityError, match=field):
             pipeline.fine_tune(train, valid, scheme, table, config, bad)
-        replace(ckpt, model_config=bad).save(tmp_path / field)
+        with pytest.raises(CompatibilityError, match=field):
+            replace(ckpt, model_config=bad)
+        # a saved config.txt that states the field otherwise fails to load
+        shutil.copytree(tmp_path / "ck", tmp_path / field)
+        assert f"\n{field}={value}\n" in text
+        (tmp_path / field / "config.txt").write_text(
+            text.replace(f"\n{field}={value}\n", f"\n{field}={value + 1}\n"), encoding="utf-8")
         with pytest.raises(CompatibilityError, match=field):
             pipeline.Checkpoint.load(tmp_path / field)
+
+
+def test_a_checkpoint_refuses_a_table_that_lowercases_otherwise(tiny_setup):
+    # loading reads the table back with the config's lowercase, so the
+    # checkpoint would label other pieces than the ones it was trained on
+    scheme, _, _, table, model_config = tiny_setup
+    assert not table.lowercase
+    for config, tab in ((tiny_train_config(), replace(table, lowercase=True)),
+                        (tiny_train_config(lowercase=True), table)):
+        with pytest.raises(CompatibilityError, match="lowercase"):
+            pipeline.Checkpoint(kind="encoder", scheme=scheme, train_config=config,
+                                model_config=model_config, table=tab)
 
 
 def test_loading_draws_no_initialization(tiny_setup, tmp_path, monkeypatch):
@@ -483,7 +522,7 @@ def _window(ids):
     """A TokenizedSequence holding the given ids, one word per position."""
     n = len(ids)
     return TokenizedSequence(tuple(ids), ("x",) * n, tuple(range(n)), {i: i for i in range(n)},
-                             (0, n), (0, n))
+                             (0, n))
 
 
 def _run_step(step, model_config, lengths, monkeypatch):
@@ -953,7 +992,8 @@ def test_train_crf_rejects_an_encoder_config(tiny_setup, monkeypatch):
     # its checkpoint would say kind=encoder in config.txt and fail to load
     scheme, train, valid, _, _ = tiny_setup
     monkeypatch.setattr(crf, "train", _fit_nothing)
-    with pytest.raises(ValueError, match="crf trainer got a config of kind 'encoder'"):
+    with pytest.raises(CompatibilityError,
+                       match="a checkpoint of kind 'crf' got a config of kind 'encoder'"):
         pipeline.train_crf(train, valid, scheme, pipeline.TrainConfig(max_iters=5))
 
 
@@ -961,9 +1001,18 @@ def test_fine_tune_rejects_a_crf_config(tiny_setup, monkeypatch):
     # its encoder files would load as a CRF and fail on crf_features.tsv
     scheme, train, valid, table, model_config = tiny_setup
     monkeypatch.setattr(pipeline, "EncoderModel", _fit_nothing)
-    with pytest.raises(ValueError, match="encoder trainer got a config of kind 'crf'"):
+    with pytest.raises(CompatibilityError,
+                       match="a checkpoint of kind 'encoder' got a config of kind 'crf'"):
         pipeline.fine_tune(train, valid, scheme, table, tiny_train_config(kind="crf"),
                            model_config)
+
+
+def test_fine_tune_rejects_a_table_that_lowercases_otherwise(tiny_setup, monkeypatch):
+    scheme, train, valid, table, model_config = tiny_setup
+    monkeypatch.setattr(pipeline, "EncoderModel", _fit_nothing)
+    with pytest.raises(CompatibilityError, match="lowercase"):
+        pipeline.fine_tune(train, valid, scheme, replace(table, lowercase=True),
+                           tiny_train_config(), model_config)
 
 
 def test_checkpoint_save_is_atomic(tmp_path, monkeypatch):
@@ -1324,6 +1373,28 @@ def test_cli_train_names_the_seed_variable_when_it_is_negative(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: {pipeline.SEED_ENV_VAR}: seed must be >= 0, got -1\n")
     assert not (tmp_path / "ck").exists()
+
+
+def test_cli_train_rejects_a_pretrained_path_config_txt_cannot_hold(tmp_path, capsys):
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--pretrained", "w.tarch\nseed=5", "--out", str(tmp_path / "ck")]) == 2
+    assert "error: pretrained must hold no line break" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_cli_predict_rejects_a_repeated_features_line(golden_notes, tmp_path, capsys):
+    checkpoint = tmp_path / "ck"
+    shutil.copytree(GOLDEN_RUN / "crf_checkpoint", checkpoint)
+    features = checkpoint / "crf_features.tsv"
+    lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+    features.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+    assert cli_main(["predict", "--checkpoint", str(checkpoint), "--input",
+                     str(golden_notes)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicate" in err
 
 
 def test_cli_tokenizer_encode_writes_an_empty_file_for_no_records(tmp_path, capsys):

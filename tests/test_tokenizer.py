@@ -34,6 +34,7 @@ from helpers import (
     corruptions,
     decode,
     draw_offset,
+    piece_starts,
     reference_encode_words,
     reference_plan_windows,
     reference_segment_word,
@@ -408,10 +409,9 @@ def test_windows_reconstruct_full_subtoken_stream(case):
         full.extend(segment_word(w, table))
     seqs = encode(sentence, table, max_len=max_len)
     seen = {}
-    for seq in seqs:
+    for seq, flat in zip(seqs, piece_starts(seqs)):
         assert len(seq.token_ids) <= max_len
         assert seq.pieces[0] == CLS and seq.pieces[-1] == SEP
-        flat = seq.piece_span[0]
         for piece, w in zip(seq.pieces[1:-1], seq.word_index_of[1:-1]):
             seen.setdefault(flat, piece)
             flat += 1
