@@ -3,15 +3,17 @@
 Training repeatedly merges the corpus-wide most frequent adjacent symbol
 pair (weighted by word frequency, ties broken lexicographically), so the
 merge list is a deterministic function of the corpus. Each merge finds its
-work through an index, not a scan: a map from each pair to the words that
-hold it, so only those words are re-counted, and a max-heap of
-(-count, pair) whose least entry is the highest count and, among equal
-counts, the lexicographically least pair; an entry whose count has moved
-on is dropped when it reaches the top. Segmentation applies the merges in
-list order, and from rank r jumps straight to the least rank >= r whose
-pair the word holds, so a word pays for the merges it takes, not for the
-whole list. Merge rules operate on bare symbol strings; the derived
-vocabulary stores every symbol twice, as a word-initial piece and as a
+work through an index, not a scan: a map from each pair to a superset of
+the words that hold it, and a max-heap of (-count, pair) whose least entry
+is the highest count and, among equal counts, the lexicographically least
+pair; an entry whose count has fallen is pushed again at its count, or
+dropped if its pair is gone, when it reaches the top. In each word that
+holds the merged pair, a merge re-counts only the pairs beside its merge
+points, never the whole word. Segmentation applies the merges in list
+order, and from rank r jumps straight to the least rank >= r whose pair
+the word holds, so a word pays for the merges it takes, not for the whole
+list. Merge rules operate on bare symbol strings; the derived vocabulary
+stores every symbol twice, as a word-initial piece and as a
 ``##``-prefixed continuation piece, which keeps decoding and word
 alignment unambiguous. Encoding builds a note's flat piece arrays in one
 pass and cuts each window as a slice of them; a note longer than the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -94,18 +96,26 @@ class TokenizedSequence:
     word_span: tuple[int, int]
 
 
-def _merge_seq(seq: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
-    merged = pair[0] + pair[1]
+def _merge_seq(seq: tuple[str, ...],
+               pair: tuple[str, str]) -> tuple[tuple[str, ...], list[int]]:
+    """seq with every adjacent pair merged, left to right and without
+    overlap, and the index in the new tuple of each merged symbol."""
+    first, second = pair
+    merged = first + second
     out: list[str] = []
+    at: list[int] = []
     i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+    last = len(seq) - 1
+    while i < last:
+        if seq[i] == first and seq[i + 1] == second:
+            at.append(len(out))
             out.append(merged)
             i += 2
         else:
             out.append(seq[i])
             i += 1
-    return tuple(out)
+    out += seq[i:]
+    return tuple(out), at
 
 
 def train_bpe(
@@ -115,10 +125,17 @@ def train_bpe(
 ) -> MergeTable:
     """Learn min(num_merges, available) merges from a word-frequency map.
 
-    Pair statistics are updated incrementally: after each merge only the
-    words holding the merged pair (its ``holders`` entry) are recounted, and
-    the next pair comes off a max-heap of (-count, pair) entries, each
-    dropped when popped if the pair's count has moved on since.
+    Pair statistics are updated incrementally. A merge of (a, b) pops the
+    pair's ``holders`` set, a superset of the words that hold it: a word
+    joins a pair's set when it gains the pair and leaves only when the set
+    is popped, so a visited word may no longer hold the pair and then
+    changes nothing. In a word that does, each old pair position beside a
+    merge point, (x, a), (a, b) or (b, y), is subtracted once and each new
+    pair beside an ``ab``, (x, ab) or (ab, y), is added once; no other pair
+    of the word is visited. The next pair comes off a max-heap of
+    (-count, pair) entries. Only a count that rose is pushed: an entry
+    whose count has fallen since is pushed again at its count when it
+    reaches the top, and one whose pair is gone is dropped.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -137,39 +154,57 @@ def train_bpe(
     chars = sorted({ch for seq in words for ch in seq})
     seqs = list(words)
     freqs = list(words.values())
-    counts: Counter = Counter()
-    holders: dict[tuple[str, str], set[int]] = {}
+    counts: dict[tuple[str, str], int] = {}
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
     for w, seq in enumerate(seqs):
         for pair in zip(seq, seq[1:]):
-            counts[pair] += freqs[w]
-            holders.setdefault(pair, set()).add(w)
+            counts[pair] = counts.get(pair, 0) + freqs[w]
+            holders[pair].add(w)
     heap = [(-count, pair) for pair, count in counts.items()]
     heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     while len(merges) < num_merges:
-        # an entry is live while its count is still the pair's count
-        while heap and counts.get(heap[0][1]) != -heap[0][0]:
-            heapq.heappop(heap)
-        if not heap:
+        while heap:
+            neg, pair = heapq.heappop(heap)
+            count = counts.get(pair)
+            if count == -neg:
+                break
+            if count:
+                heapq.heappush(heap, (-count, pair))
+        else:
             break
-        pair = heapq.heappop(heap)[1]
         merges.append(pair)
-        delta: Counter = Counter()
+        delta: dict[tuple[str, str], int] = {}
         for w in holders.pop(pair):
-            seq, freq = seqs[w], freqs[w]
-            new_seq = seqs[w] = _merge_seq(seq, pair)
-            for p in zip(seq, seq[1:]):
-                delta[p] -= freq
-                if p != pair:
-                    holders[p].discard(w)
-            for p in zip(new_seq, new_seq[1:]):
-                delta[p] += freq
-                holders.setdefault(p, set()).add(w)
+            seq = seqs[w]
+            new_seq, at = _merge_seq(seq, pair)
+            if not at:
+                continue
+            seqs[w] = new_seq
+            freq = freqs[w]
+            # pair k is (seq[k], seq[k + 1]); `last` keeps a pair shared by
+            # two neighbouring merge points from being counted twice
+            last = -1
+            for m, j in enumerate(at):
+                i = j + m   # the merge point's index in seq
+                for k in range(max(i - 1, last + 1), min(i + 2, len(seq) - 1)):
+                    p = seq[k], seq[k + 1]
+                    delta[p] = delta.get(p, 0) - freq
+                last = i + 1
+            last = -1
+            for j in at:
+                for k in range(max(j - 1, last + 1), min(j + 1, len(new_seq) - 1)):
+                    p = new_seq[k], new_seq[k + 1]
+                    delta[p] = delta.get(p, 0) + freq
+                    holders[p].add(w)
+                last = j
         for p, d in delta.items():
             if d:
-                counts[p] += d
-                if counts[p]:
-                    heapq.heappush(heap, (-counts[p], p))
+                count = counts.get(p, 0) + d
+                if count:
+                    counts[p] = count
+                    if d > 0:
+                        heapq.heappush(heap, (-count, p))
                 else:
                     del counts[p]
 
@@ -202,7 +237,7 @@ def segment_word(word: str, table: MergeTable) -> list[str]:
                     best = pair_ranks[i]
         if best is None:
             break
-        seq = _merge_seq(seq, table.merges[best])
+        seq = _merge_seq(seq, table.merges[best])[0]
         r = best + 1
     return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
 

@@ -305,7 +305,7 @@ def reference_train_bpe(word_frequency, num_merges, lowercase=False) -> MergeTab
                 counts[p] -= freq
                 if counts[p] <= 0:
                     del counts[p]
-            new_seq = _merge_seq(seq, pair)
+            new_seq = _merge_seq(seq, pair)[0]
             words[new_seq] = words.get(new_seq, 0) + freq
             for p in zip(new_seq, new_seq[1:]):
                 counts[p] += freq
@@ -327,7 +327,7 @@ def reference_segment_word(word, table) -> list[str]:
         if len(seq) == 1:
             break
         if _contains_pair(seq, pair):
-            seq = _merge_seq(seq, pair)
+            seq = _merge_seq(seq, pair)[0]
     return [sym if j == 0 else CONTINUATION + sym for j, sym in enumerate(seq)]
 
 
