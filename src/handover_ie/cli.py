@@ -57,7 +57,7 @@ def _cmd_tokenizer_train(args) -> int:
 
 
 def _cmd_tokenizer_encode(args) -> int:
-    table = read_table(args.table, args.lowercase)
+    table = read_table(args.table)
     rs, _ = read_records(args.input)
     lines = []
     for rec in rs.records:
@@ -70,6 +70,8 @@ def _cmd_tokenizer_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.tokenizer and args.model == "crf":
+        raise ValueError("--tokenizer serves the encoder; the CRF reads words")
     config, model_kw = pipeline.load_train_config(args.config)
     config = replace(config, kind=args.model)
     if args.pretrained:
@@ -81,7 +83,7 @@ def _cmd_train(args) -> int:
     table = model_config = None
     if args.model == "encoder":
         if args.tokenizer:
-            table = read_table(args.tokenizer, config.lowercase)
+            table = read_table(args.tokenizer)
         else:
             table = pipeline.fit_tokenizer(train_rs, config.num_merges, config.lowercase)
         model_config = pipeline.derive_model_config(
@@ -162,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--max-len", type=int, default=defaults.max_len)
-    p.add_argument("--lowercase", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tokenizer_encode)
 

@@ -187,7 +187,7 @@ def check_checkpoint(kind: str, config: TrainConfig, scheme: LabelScheme,
                                  f"{config.kind!r}")
     if kind == "crf":
         return
-    # loading reads the table back with the config's lowercase
+    # the table's tokenizer.txt and the config's lowercase state it twice
     if table.lowercase != config.lowercase:
         raise CompatibilityError(f"a merge table with lowercase={table.lowercase} does not "
                                  f"match the config's lowercase={config.lowercase}")
@@ -199,9 +199,10 @@ def check_checkpoint(kind: str, config: TrainConfig, scheme: LabelScheme,
                                  f"the {len(scheme.labels)} labels of the scheme")
 
 
-# every file a checkpoint directory may hold
+# every file a checkpoint directory may hold; an encoder's is a tokenizer directory too
 CHECKPOINT_FILES = frozenset({"config.txt", "labels.txt", "merges.txt", "vocab.txt",
-                              "model.tarch", "crf_features.tsv", "crf_weights.tarch"})
+                              "tokenizer.txt", "model.tarch", "crf_features.tsv",
+                              "crf_weights.tarch"})
 
 
 @dataclass
@@ -274,7 +275,7 @@ class Checkpoint:
         scheme = load_scheme(read_text(d / "labels.txt"))
         if train_config.kind == "encoder":
             model_config = build_model_config(model_kw)
-            table = read_table(d, train_config.lowercase)
+            table = read_table(d)
             check_checkpoint("encoder", train_config, scheme, model_config, table)
             model = enc.load_model(model_config, str(d / "model.tarch"))
             return cls(
@@ -508,6 +509,9 @@ def train_crf(
     """Quasi-Newton CRF fit; validation macro F1 and whether L-BFGS
     converged are reported once at the end."""
     check_checkpoint("crf", config, scheme)
+    if config.pretrained:
+        raise CompatibilityError(f"the CRF starts from no weights, got pretrained="
+                                 f"{config.pretrained!r}")
     model = crf_mod.CrfModel.build(train, scheme, config.feature_cutoff)
     fitted, history, converged = crf_mod.train(
         model, train, config.l2_lambda, config.max_iters, config.grad_tol)
@@ -641,7 +645,7 @@ def run_experiment(
               "val_macro_f1": r["val_macro_f1"]} for r in board],
             indent=2) + "\n", encoding="utf-8")
     enc_ckpt, _ = fine_tune(train, valid, scheme, table, best, model_config)
-    crf_ckpt, _ = train_crf(train, valid, scheme, replace(base, kind="crf"))
+    crf_ckpt, _ = train_crf(train, valid, scheme, replace(base, kind="crf", pretrained=""))
     evaluated = evaluated_classes(train, scheme)
     predictions = {
         "encoder": predict(enc_ckpt, test),

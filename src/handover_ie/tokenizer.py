@@ -344,17 +344,28 @@ def load_table(merges_text: str, vocab_text: str, lowercase: bool = False) -> Me
 
 
 def save_table(table: MergeTable, directory: str | Path) -> None:
-    """Write a tokenizer directory: merges.txt and vocab.txt."""
+    """Write a tokenizer directory: merges.txt, vocab.txt, and tokenizer.txt,
+    whose one line states the table's lowercasing."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     (d / "merges.txt").write_text(dump_merges(table), encoding="utf-8")
     (d / "vocab.txt").write_text(dump_vocab(table), encoding="utf-8")
+    (d / "tokenizer.txt").write_text(f"lowercase={table.lowercase}\n", encoding="utf-8")
 
 
-def read_table(directory: str | Path, lowercase: bool) -> MergeTable:
-    """Read a tokenizer directory written by save_table."""
+def read_table(directory: str | Path) -> MergeTable:
+    """Read a tokenizer directory written by save_table; one without
+    tokenizer.txt, as written before that file, does not lowercase."""
     d = Path(directory)
-    return load_table(read_text(d / "merges.txt"), read_text(d / "vocab.txt"), lowercase)
+    path = d / "tokenizer.txt"
+    try:
+        lines = list(read_lines(read_text(path)))
+    except FileNotFoundError:
+        lines = ["lowercase=False"]
+    if lines not in (["lowercase=True"], ["lowercase=False"]):
+        raise ValueError(f"{path}: expected one line, lowercase=True or lowercase=False")
+    return load_table(read_text(d / "merges.txt"), read_text(d / "vocab.txt"),
+                      lines == ["lowercase=True"])
 
 
 def word_frequencies(word_lists: Iterable[Sequence[str]]) -> dict[str, int]:

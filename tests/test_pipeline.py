@@ -384,8 +384,8 @@ def test_encoder_must_match_table_and_scheme(tiny_setup, tmp_path, monkeypatch):
 
 
 def test_a_checkpoint_refuses_a_table_that_lowercases_otherwise(tiny_setup):
-    # loading reads the table back with the config's lowercase, so the
-    # checkpoint would label other pieces than the ones it was trained on
+    # the table's tokenizer.txt and the config each state the lowercasing;
+    # were they to disagree, one of them would misreport the checkpoint
     scheme, _, _, table, model_config = tiny_setup
     assert not table.lowercase
     for config, tab in ((tiny_train_config(), replace(table, lowercase=True)),
@@ -1515,6 +1515,118 @@ def test_cli_pretrained_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fit_lowercase", [True, False])
+def test_cli_train_refuses_a_tokenizer_that_lowercases_otherwise(tmp_path, capsys,
+                                                                 fit_lowercase):
+    # the table's tokenizer.txt states its lowercasing; a config that states
+    # the other is refused before any training
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, epochs=1, lowercase=not fit_lowercase)
+    assert cli_main(["tokenizer", "train", "--input", str(paths["train"]), "--num-merges", "20",
+                     *(["--lowercase"] if fit_lowercase else []),
+                     "--out", str(tmp_path / "tok")]) == 0
+    capsys.readouterr()
+    assert cli_main(["train", "--model", "encoder", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     "--tokenizer", str(tmp_path / "tok"), "--out", str(tmp_path / "ck")]) == 2
+    assert "lowercase" in capsys.readouterr().err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_cli_tokenizer_encode_lowercases_by_its_table(tmp_path, capsys):
+    scheme, paths = _write_corpus(tmp_path)
+    assert cli_main(["tokenizer", "train", "--input", str(paths["train"]), "--num-merges", "20",
+                     "--lowercase", "--out", str(tmp_path / "tok")]) == 0
+    records = generate_synthetic(3, scheme, seed=42).records
+    upper = RecordSet(split="test", records=tuple(
+        replace(r, words=tuple(w.upper() for w in r.words)) for r in records))
+    lower = RecordSet(split="test", records=tuple(
+        replace(r, words=tuple(w.lower() for w in r.words)) for r in records))
+    assert upper != lower
+
+    def encode(rs, name):
+        (tmp_path / f"{name}.tsv").write_text(serialize_records(rs, scheme), encoding="utf-8")
+        assert cli_main(["tokenizer", "encode", "--table", str(tmp_path / "tok"), "--input",
+                         str(tmp_path / f"{name}.tsv"), "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_text(encoding="utf-8")
+
+    assert encode(upper, "upper") == encode(lower, "lower")
+    assert "[UNK]" not in encode(upper, "upper")
+    # the flag that restated the table's lowercasing is gone
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["tokenizer", "encode", "--table", str(tmp_path / "tok"),
+                  "--input", str(paths["test"]), "--lowercase"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _save_encoder_checkpoint(tiny_setup, directory, lowercase):
+    scheme, _, _, table, model_config = tiny_setup
+    pipeline.Checkpoint(kind="encoder", scheme=scheme,
+                        train_config=tiny_train_config(lowercase=lowercase),
+                        model_config=model_config, model=EncoderModel(model_config),
+                        table=replace(table, lowercase=lowercase)).save(directory)
+
+
+@pytest.mark.parametrize("lowercase", [False, True])
+def test_cli_predict_refuses_a_tokenizer_txt_that_disagrees_with_config(
+        tiny_setup, tmp_path, capsys, lowercase):
+    _, paths = _write_corpus(tmp_path)
+    ck = tmp_path / "ck"
+    _save_encoder_checkpoint(tiny_setup, ck, lowercase)
+    assert (ck / "tokenizer.txt").read_text(encoding="utf-8") == f"lowercase={lowercase}\n"
+    assert pipeline.Checkpoint.load(ck).table.lowercase is lowercase
+    (ck / "tokenizer.txt").write_text(f"lowercase={not lowercase}\n", encoding="utf-8")
+    assert cli_main(["predict", "--checkpoint", str(ck), "--input", str(paths["test"])]) == 2
+    assert "lowercase" in capsys.readouterr().err
+
+
+def test_a_lowercasing_checkpoint_without_tokenizer_txt_is_refused(tiny_setup, tmp_path):
+    # a directory without the file reads as not lowercasing, so a lowercasing
+    # checkpoint saved before the file existed is refused, never misread
+    _save_encoder_checkpoint(tiny_setup, tmp_path / "ck", True)
+    (tmp_path / "ck" / "tokenizer.txt").unlink()
+    with pytest.raises(CompatibilityError, match="lowercase"):
+        pipeline.Checkpoint.load(tmp_path / "ck")
+
+
+def test_train_crf_refuses_a_pretrained_start(tiny_setup):
+    scheme, train, valid, _, _ = tiny_setup
+    config = pipeline.TrainConfig(kind="crf", max_iters=2, pretrained="w.tarch")
+    with pytest.raises(CompatibilityError, match="pretrained='w.tarch'"):
+        pipeline.train_crf(train, valid, scheme, config)
+
+
+@pytest.mark.parametrize("how", ["option", "config", "tokenizer"])
+def test_cli_train_crf_refuses_encoder_inputs(tmp_path, capsys, how):
+    # each names an input the CRF never reads, which config.txt would then misreport
+    _, paths = _write_corpus(tmp_path)
+    cfg = _write_config(tmp_path, **({"pretrained": "w.tarch"} if how == "config" else {}))
+    extra = {"option": ["--pretrained", "w.tarch"], "config": [],
+             "tokenizer": ["--tokenizer", str(tmp_path)]}[how]
+    assert cli_main(["train", "--model", "crf", "--config", str(cfg),
+                     "--train", str(paths["train"]), "--valid", str(paths["valid"]),
+                     *extra, "--out", str(tmp_path / "ck")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("--tokenizer" if how == "tokenizer"
+                                          else "pretrained=") in err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_run_experiment_fits_the_crf_without_the_pretrained_start(tiny_setup, tmp_path):
+    scheme, train, valid, _, model_config = tiny_setup
+    test = RecordSet(split="test", records=generate_synthetic(3, scheme, seed=32).records)
+    archive = tmp_path / "start.tarch"
+    encoder.save_model(EncoderModel(model_config, seed=3), str(archive))
+    base = tiny_train_config(epochs=1, num_merges=40, max_iters=3, pretrained=str(archive))
+    model_kw = dict(num_layers=1, hidden_size=16, num_heads=2, ffn_size=32)
+    pipeline.run_experiment(train, valid, test, scheme, base, model_kw, (), tmp_path / "exp")
+    for name, pretrained in (("encoder", str(archive)), ("crf", "")):
+        text = (tmp_path / "exp" / f"{name}_checkpoint" / "config.txt").read_text(
+            encoding="utf-8")
+        assert f"\npretrained={pretrained}\n" in text
+
+
 def test_end_to_end_synthetic_experiment_script(tmp_path):
     work = tmp_path / "exp"
     proc = subprocess.run(
@@ -1674,7 +1786,8 @@ READER_CASES = {
     **{f"{checkpoint}-{name}": (f"{checkpoint}/{name}",
                                 ["predict", "--checkpoint", checkpoint, "--input", "notes.tsv"])
        for checkpoint, names in (
-           ("encoder_checkpoint", ("config.txt", "labels.txt", "merges.txt", "vocab.txt")),
+           ("encoder_checkpoint", ("config.txt", "labels.txt", "merges.txt", "vocab.txt",
+                                   "tokenizer.txt")),
            ("crf_checkpoint", ("config.txt", "labels.txt", "crf_features.tsv")))
        for name in names},
     # the offsets count the text after a byte-order mark

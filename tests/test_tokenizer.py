@@ -1,3 +1,4 @@
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -538,6 +539,7 @@ def vocab_lines(table):
 
 # 14 pieces: the specials, a b c and the merges ab, abc, each bare and ##-prefixed
 ABC = train_bpe({"abc": 1}, 2)
+TABLE_FILES = ("merges.txt", "vocab.txt", "tokenizer.txt")
 
 
 @pytest.mark.parametrize("line_no, spelling", [
@@ -580,16 +582,33 @@ def test_table_files_round_trip_byte_exactly(words, num_merges, lowercase):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first"), Path(tmp, "second")
         save_table(table, first)
-        back = read_table(first, lowercase)
+        back = read_table(first)
         save_table(back, second)
-        for name in ("merges.txt", "vocab.txt"):
+        for name in TABLE_FILES:
             assert (second / name).read_bytes() == (first / name).read_bytes()
     assert (back.merges, back.pieces, back.vocab, back.lowercase) == (
         table.merges, table.pieces, table.vocab, table.lowercase)
     assert table.vocab == {p: i for i, p in enumerate(table.pieces)}
 
 
-@given(WORD_LISTS, st.integers(0, 30), st.sampled_from(("merges.txt", "vocab.txt")), st.data())
+def test_a_tokenizer_directory_states_its_lowercasing(tmp_path):
+    for lowercase in (False, True):
+        save_table(replace(ABC, lowercase=lowercase), tmp_path)
+        assert (tmp_path / "tokenizer.txt").read_text(encoding="utf-8") == (
+            f"lowercase={lowercase}\n")
+        assert read_table(tmp_path).lowercase is lowercase
+    # a directory saved before tokenizer.txt existed does not lowercase
+    (tmp_path / "tokenizer.txt").unlink()
+    assert read_table(tmp_path) == ABC
+    for text in ("", "lowercase=true\n", "lowercase=1\n", "lowercase = True\n",
+                 "lowercase=True\nlowercase=True\n", "lowercase=True\n\n"):
+        (tmp_path / "tokenizer.txt").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'tokenizer.txt'))}: "
+                                             "expected one line"):
+            read_table(tmp_path)
+
+
+@given(WORD_LISTS, st.integers(0, 30), st.sampled_from(TABLE_FILES), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_corrupted_table_files_are_rejected_or_round_trip(words, num_merges, name, data):
     table = train_bpe(word_frequencies([words]), num_merges)
@@ -600,11 +619,11 @@ def test_corrupted_table_files_are_rejected_or_round_trip(words, num_merges, nam
         for corrupted in corruptions(raw, draw_offset(data, raw)):
             (first / name).write_bytes(corrupted)
             try:
-                back = read_table(first, False)
+                back = read_table(first)
             except ValueError:
                 continue
             save_table(back, second)
-            for file in ("merges.txt", "vocab.txt"):
+            for file in TABLE_FILES:
                 assert (second / file).read_bytes() == as_saved((first / file).read_bytes())
 
 
